@@ -5,7 +5,7 @@
 //!
 //! Each experiment is a function in [`experiments`] returning a structured result and a
 //! formatted table; one thin binary per table/figure (`table3_datasets`,
-//! `fig4_aggregates`, ...) prints it, and the Criterion bench `experiments` runs
+//! `fig4_aggregates`, ...) prints it, and the plain-`main` bench `experiments` runs
 //! scaled-down versions of the same functions so `cargo bench` exercises every
 //! harness end to end.
 //!

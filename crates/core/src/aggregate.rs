@@ -409,11 +409,11 @@ fn sample_cov(xs: &[f64], ys: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::BlazeIt;
+    use crate::catalog::Catalog;
     use blazeit_videostore::DatasetPreset;
 
-    fn engine() -> BlazeIt {
-        BlazeIt::for_preset(DatasetPreset::Taipei, 2_000).unwrap()
+    fn engine() -> (Catalog, Arc<VideoContext>) {
+        Catalog::one_video(DatasetPreset::Taipei, 2_000)
     }
 
     #[test]
@@ -425,7 +425,7 @@ mod tests {
 
     #[test]
     fn naive_sampling_estimates_fcount_within_tolerance() {
-        let e = engine();
+        let (_, e) = engine();
         let (true_fcount, _) = baselines::oracle_fcount(&e, Some(ObjectClass::Car));
         let outcome =
             naive_aqp_fcount(&e, Some(ObjectClass::Car), SamplingOptions::new(0.1, 0.95, 17))
@@ -441,7 +441,7 @@ mod tests {
 
     #[test]
     fn control_variates_use_fewer_samples_than_naive() {
-        let e = engine();
+        let (_, e) = engine();
         let class = ObjectClass::Car;
         let nn = e.specialized_for(&[(class, e.default_max_count(class, 1))]).unwrap();
         let opts = SamplingOptions::new(0.03, 0.95, 5);
@@ -458,7 +458,7 @@ mod tests {
 
     #[test]
     fn rewriting_matches_ground_truth_roughly() {
-        let e = engine();
+        let (_, e) = engine();
         let class = ObjectClass::Car;
         let nn = e.specialized_for(&[(class, e.default_max_count(class, 1))]).unwrap();
         let value = rewrite_fcount(&e, &nn, class).unwrap();
@@ -471,15 +471,16 @@ mod tests {
 
     #[test]
     fn invalid_options_rejected() {
-        let e = engine();
+        let (_, e) = engine();
         assert!(naive_aqp_fcount(&e, None, SamplingOptions::new(0.0, 0.95, 1)).is_err());
         assert!(naive_aqp_fcount(&e, None, SamplingOptions::new(0.1, 1.5, 1)).is_err());
     }
 
     #[test]
     fn execute_exact_when_no_error_bound() {
-        let e = engine();
-        let result = e.query("SELECT FCOUNT(*) FROM taipei WHERE class = 'car'").unwrap();
+        let (catalog, e) = engine();
+        let result =
+            catalog.session().query("SELECT FCOUNT(*) FROM taipei WHERE class = 'car'").unwrap();
         match result.output {
             QueryOutput::Aggregate { method, detection_calls, .. } => {
                 assert_eq!(method, AggregateMethod::Exact);
@@ -493,8 +494,9 @@ mod tests {
     fn execute_falls_back_to_naive_sampling_for_rare_class() {
         // Birds never appear in taipei, so there is no training data for a specialized
         // NN and the engine must fall back to plain AQP.
-        let e = engine();
-        let result = e
+        let (catalog, _) = engine();
+        let result = catalog
+            .session()
             .query("SELECT FCOUNT(*) FROM taipei WHERE class = 'bird' ERROR WITHIN 0.1 AT CONFIDENCE 95%")
             .unwrap();
         match result.output {
@@ -508,14 +510,16 @@ mod tests {
 
     #[test]
     fn count_star_scales_fcount_by_frames() {
-        let e = engine();
-        let fcount = e
+        let (catalog, e) = engine();
+        let fcount = catalog
+            .session()
             .query("SELECT FCOUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN 0.2 AT CONFIDENCE 90%")
             .unwrap()
             .output
             .aggregate_value()
             .unwrap();
-        let count = e
+        let count = catalog
+            .session()
             .query("SELECT COUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN 0.2 AT CONFIDENCE 90%")
             .unwrap()
             .output

@@ -266,11 +266,12 @@ pub fn noscope_selection_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::BlazeIt;
+    use crate::catalog::Catalog;
     use blazeit_videostore::DatasetPreset;
+    use std::sync::Arc;
 
-    fn engine() -> BlazeIt {
-        BlazeIt::for_preset(DatasetPreset::Taipei, 1_200).unwrap()
+    fn engine() -> Arc<VideoContext> {
+        Catalog::one_video(DatasetPreset::Taipei, 1_200).1
     }
 
     #[test]

@@ -408,6 +408,17 @@ impl Catalog {
 }
 
 #[cfg(test)]
+impl Catalog {
+    /// A fresh catalog with one registered preset, and that video's context: the
+    /// one-video fixture the crate's unit tests share.
+    pub(crate) fn one_video(preset: DatasetPreset, frames: u64) -> (Catalog, Arc<VideoContext>) {
+        let catalog = Catalog::new();
+        let ctx = catalog.register_preset(preset, frames).unwrap();
+        (catalog, ctx)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use blazeit_detect::ObjectDetector;
@@ -440,6 +451,31 @@ mod tests {
             }
             other => panic!("expected UnknownVideo, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn unknown_video_name_is_rejected_with_catalog_listing() {
+        let (catalog, _) = Catalog::one_video(DatasetPreset::Taipei, 1_500);
+        let err = catalog
+            .session()
+            .query("SELECT FCOUNT(*) FROM rialto WHERE class = 'boat' ERROR WITHIN 0.1");
+        match err {
+            Err(BlazeItError::UnknownVideo { requested, available, .. }) => {
+                assert_eq!(requested, "rialto");
+                assert_eq!(available, vec!["taipei".to_string()]);
+            }
+            other => panic!("expected UnknownVideo, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn video_name_normalization_accepts_underscores() {
+        let (catalog, _) = Catalog::one_video(DatasetPreset::NightStreet, 600);
+        // night_street vs night-street should be treated as the same relation.
+        let result = catalog.session().query(
+            "SELECT FCOUNT(*) FROM night_street WHERE class = 'car' ERROR WITHIN 0.5 AT CONFIDENCE 90%",
+        );
+        assert!(result.is_ok(), "{result:?}");
     }
 
     #[test]

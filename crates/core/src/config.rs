@@ -7,7 +7,7 @@ use blazeit_nn::train::TrainConfig;
 use blazeit_videostore::DatasetPreset;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of a [`BlazeIt`](crate::engine::BlazeIt) engine instance.
+/// Configuration of one registered video's [`VideoContext`](crate::context::VideoContext).
 ///
 /// As in the paper (Section 3, "Configuration"), the object detection method, its
 /// confidence threshold, and the entity-resolution parameters are user-configurable;

@@ -57,6 +57,33 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The `name#day#vseed#len#frames#features#hidden#nnseed#train#cost` prefix of every
+/// persisted cache key: a video's full identity, how many of its frames the
+/// artifact covers, and the specialized configuration. Key strings are stored
+/// inside their artifacts and verified on load, so this format is frozen.
+fn identity_key<'a>(
+    video: &'a Video,
+    frames: usize,
+    config: &'a SpecializedConfig,
+) -> impl std::fmt::Display + 'a {
+    std::fmt::from_fn(move |f| {
+        write!(
+            f,
+            "{}#day{}#vseed{}#{}#{}#{:?}#{:?}#nnseed{}#{:?}#{:?}",
+            video.name(),
+            video.config().day,
+            video.config().seed,
+            video.len(),
+            frames,
+            config.features,
+            config.hidden,
+            config.seed,
+            config.train,
+            config.cost,
+        )
+    })
+}
+
 /// How warm a per-video cache is for a given head set — what `EXPLAIN` surfaces
 /// as the cost the plan will actually pay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -439,17 +466,8 @@ impl VideoContext {
         let heads: Vec<(ObjectClass, usize)> =
             config.heads.iter().map(|h| (h.class, h.max_count)).collect();
         format!(
-            "{}#day{}#vseed{}#{}#{}#{:?}#{:?}#nnseed{}#{:?}#{:?}#wfp{:016x}#{}",
-            video.name(),
-            video.config().day,
-            video.config().seed,
-            video.len(),
-            frames_scored,
-            config.features,
-            config.hidden,
-            config.seed,
-            config.train,
-            config.cost,
+            "{}#wfp{:016x}#{}",
+            identity_key(video, frames_scored, config),
             nn.weights_fingerprint(),
             Self::head_key(&heads),
         )
@@ -458,7 +476,8 @@ impl VideoContext {
     /// The durable-store key for a trained specialized network: the labeled
     /// training data's identity (training-day video, number of labeled frames,
     /// the detector that produced the labels) + the full specialized
-    /// configuration (via [`VideoContext::score_key`] over the training day).
+    /// configuration (the same prefix [`VideoContext::score_key`] uses, over the
+    /// training day).
     ///
     /// The in-memory `nn_cache` keys by head set alone because a context's
     /// configuration and labeled set are fixed for its lifetime; the disk store
@@ -467,19 +486,9 @@ impl VideoContext {
     /// config or dataset change would silently serve a stale network forever.
     fn nn_store_key(&self, normalized: &[(ObjectClass, usize)]) -> String {
         let config = self.context_spec_config(normalized);
-        let train_video = self.labeled.train_video();
         format!(
-            "nn#{}#day{}#vseed{}#{}#{}#{:?}#{:?}#nnseed{}#{:?}#{:?}#det{:?}#thr{}#lstride{}#{}",
-            train_video.name(),
-            train_video.config().day,
-            train_video.config().seed,
-            train_video.len(),
-            self.labeled.train().frames.len(),
-            config.features,
-            config.hidden,
-            config.seed,
-            config.train,
-            config.cost,
+            "nn#{}#det{:?}#thr{}#lstride{}#{}",
+            identity_key(self.labeled.train_video(), self.labeled.train().frames.len(), &config),
             self.config.detection_method,
             self.config.detection_threshold,
             self.config.labeled_stride,
@@ -757,5 +766,197 @@ impl VideoContext {
             }
             _ => CacheWarmth::Cold,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::Catalog;
+    use crate::result::QueryOutput;
+    use blazeit_videostore::DatasetPreset;
+
+    fn engine() -> (Catalog, Arc<VideoContext>) {
+        Catalog::one_video(DatasetPreset::Taipei, 1_500)
+    }
+
+    #[test]
+    fn engine_construction_and_accessors() {
+        let (catalog, e) = engine();
+        assert_eq!(e.video().name(), "taipei");
+        assert_eq!(e.video().len(), 1_500);
+        assert!(!e.labeled().train().is_empty());
+        assert_eq!(e.clock().total(), 0.0);
+        assert_eq!(catalog.video_names(), vec!["taipei".to_string()]);
+    }
+
+    #[test]
+    fn specialized_cache_hits_avoid_retraining() {
+        let (_, e) = engine();
+        let heads = [(ObjectClass::Car, 3usize)];
+        assert!(!e.has_cached_specialized(&heads));
+        let _nn = e.specialized_for(&heads).unwrap();
+        assert!(e.has_cached_specialized(&heads));
+        let training_after_first = e.clock().breakdown().training;
+        assert!(training_after_first > 0.0);
+        let _nn2 = e.specialized_for(&heads).unwrap();
+        let training_after_second = e.clock().breakdown().training;
+        assert!((training_after_second - training_after_first).abs() < 1e-12);
+    }
+
+    #[test]
+    fn score_index_cache_hits_charge_no_inference() {
+        let (_, e) = engine();
+        let heads = [(ObjectClass::Car, 2usize)];
+        let nn = e.specialized_for(&heads).unwrap();
+        assert!(!e.has_cached_score_index(&heads));
+
+        let before = e.clock().breakdown().specialized;
+        let index = e.score_index(&nn).unwrap();
+        assert_eq!(index.num_frames() as u64, e.video().len());
+        let after_first = e.clock().breakdown().specialized;
+        assert!(after_first > before, "building the index must charge inference");
+        assert!(e.has_cached_score_index(&heads));
+
+        let index_again = e.score_index(&nn).unwrap();
+        assert!(Arc::ptr_eq(&index, &index_again));
+        let after_second = e.clock().breakdown().specialized;
+        assert!(
+            (after_second - after_first).abs() < 1e-12,
+            "cache hit must not charge specialized inference"
+        );
+    }
+
+    #[test]
+    fn score_index_distinguishes_test_and_heldout_days() {
+        // With heldout_stride = 1 the held-out day is fully annotated, so its
+        // index covers the same number of frames as the test day's, and both
+        // videos share the preset name and length — the cache keys must still
+        // differ (they encode the day), or rewriting would silently answer
+        // queries from the held-out day's scores.
+        let mut config = BlazeItConfig::for_preset(DatasetPreset::Taipei);
+        config.heldout_stride = 1;
+        let e =
+            Catalog::new().register_preset_with_config(DatasetPreset::Taipei, 600, config).unwrap();
+        let nn = e.specialized_for(&[(ObjectClass::Car, 2)]).unwrap();
+        let heldout_index = e.heldout_score_index(&nn).unwrap();
+        let test_index = e.score_index(&nn).unwrap();
+        assert!(!Arc::ptr_eq(&heldout_index, &test_index));
+        assert_eq!(heldout_index.num_frames(), test_index.num_frames());
+        assert_ne!(heldout_index.probs(), test_index.probs());
+    }
+
+    #[test]
+    fn persisted_key_strings_are_frozen() {
+        // Literals captured before the two formatters were merged: artifacts on
+        // disk carry these strings and are rejected on load if they change.
+        const CONFIG: &str = "FeatureConfig { grid_side: 12, include_stats: true, \
+            include_deviation: true }#[48]#nnseed4016259175#TrainConfig { epochs: 8, \
+            batch_size: 16, sgd: SgdConfig { learning_rate: 0.03, momentum: 0.9, \
+            weight_decay: 0.0001 }, seed: 0 }#CostProfile { specialized_fps: 10000.0, \
+            training_fps: 2500.0, filter_fps: 100000.0, decode_fps: 1000.0 }";
+        let (_, e) = Catalog::one_video(DatasetPreset::Taipei, 600);
+        let heads = [(ObjectClass::Car, 2usize), (ObjectClass::Bus, 0usize)];
+        let nn = e.specialized_for(&heads).unwrap();
+        let wfp = nn.weights_fingerprint();
+        assert_eq!(
+            VideoContext::score_key(&e.video(), 600, &nn),
+            format!("taipei#day2#vseed8001793#600#600#{CONFIG}#wfp{wfp:016x}#car:2|bus:1")
+        );
+        assert_eq!(
+            e.nn_store_key(&VideoContext::normalized_heads(&heads)),
+            format!(
+                "nn#taipei#day0#vseed8001793#600#200#{CONFIG}#detFgfa#thr0.2#lstride3#car:2|bus:1"
+            )
+        );
+    }
+
+    #[test]
+    fn repeated_queries_hit_the_score_index() {
+        // The "BlazeIt (indexed)" acceptance scenario: the second identical query
+        // over the same video + class set pays zero specialized inference.
+        let (catalog, e) = engine();
+        let sql =
+            "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN 0.2 AT CONFIDENCE 95%";
+        catalog.session().query(sql).unwrap();
+        let after_first = e.clock().breakdown().specialized;
+        assert!(after_first > 0.0);
+        catalog.session().query(sql).unwrap();
+        let after_second = e.clock().breakdown().specialized;
+        assert!(
+            (after_second - after_first).abs() < 1e-12,
+            "second query charged {} extra specialized-inference seconds",
+            after_second - after_first
+        );
+    }
+
+    #[test]
+    fn default_max_count_respects_floor() {
+        let (_, e) = engine();
+        let k = e.default_max_count(ObjectClass::Car, 5);
+        assert!(k >= 5);
+        let k2 = e.default_max_count(ObjectClass::Bird, 1);
+        assert_eq!(k2, 1);
+    }
+
+    #[test]
+    fn end_to_end_aggregate_query_runs() {
+        let (catalog, _) = engine();
+        let result = catalog
+            .session()
+            .query("SELECT FCOUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN 0.2 AT CONFIDENCE 95%")
+            .unwrap();
+        match result.output {
+            QueryOutput::Aggregate { value, .. } => assert!(value >= 0.0),
+            other => panic!("expected aggregate output, got {other:?}"),
+        }
+        assert!(result.runtime_secs() > 0.0);
+    }
+
+    #[test]
+    fn end_to_end_scrub_query_runs() {
+        let (catalog, _) = engine();
+        let result = catalog
+            .session()
+            .query(
+                "SELECT timestamp FROM taipei GROUP BY timestamp \
+                 HAVING SUM(class='car') >= 1 LIMIT 3 GAP 30",
+            )
+            .unwrap();
+        match &result.output {
+            QueryOutput::Frames { frames, .. } => {
+                assert!(frames.len() <= 3);
+                for pair in frames.windows(2) {
+                    let gap = pair[0].abs_diff(pair[1]);
+                    assert!(gap >= 30, "frames {pair:?} violate GAP 30");
+                }
+            }
+            other => panic!("expected frames output, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn clock_reset() {
+        let (catalog, e) = engine();
+        catalog
+            .session()
+            .query(
+                "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN 0.3 AT CONFIDENCE 90%",
+            )
+            .unwrap();
+        assert!(e.clock().total() > 0.0);
+        catalog.reset_clock();
+        assert_eq!(e.clock().total(), 0.0);
+    }
+
+    #[test]
+    fn explain_is_free() {
+        let (catalog, e) = engine();
+        let result = catalog
+            .session()
+            .query("EXPLAIN SELECT FCOUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN 0.1")
+            .unwrap();
+        assert!(result.output.explain_plan().is_some());
+        assert_eq!(e.clock().total(), 0.0, "EXPLAIN must not charge the simulated clock");
     }
 }

@@ -70,7 +70,6 @@ pub mod baselines;
 pub mod catalog;
 pub mod config;
 pub mod context;
-pub mod engine;
 pub mod fault;
 pub mod labeled;
 pub mod lockorder;
@@ -91,7 +90,6 @@ pub mod sync;
 pub use catalog::Catalog;
 pub use config::BlazeItConfig;
 pub use context::{CacheWarmth, VideoContext};
-pub use engine::BlazeIt;
 pub use fault::{HealthReport, HealthState, RetrainHealth, RetryPolicy};
 pub use labeled::LabeledSet;
 pub use metrics::RuntimeReport;

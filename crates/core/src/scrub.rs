@@ -271,7 +271,7 @@ fn verify_windowed(
 /// One video's candidate ranking inside a multi-video scrub: the frames to verify,
 /// in the order the per-video strategy would visit them, with the confidence the
 /// global interleave sorts by.
-struct VideoCandidates<'a> {
+pub(crate) struct VideoCandidates<'a> {
     ctx: &'a VideoContext,
     requirements: Vec<(ObjectClass, usize)>,
     /// `(frame, confidence)` in per-video visit order. Ranked sub-plans carry real
@@ -281,64 +281,44 @@ struct VideoCandidates<'a> {
     candidates: Vec<(FrameIndex, f64)>,
 }
 
-/// Executes a scrubbing query across many videos against one **global** `LIMIT`.
-///
-/// Phase 1 (parallel): each video builds its candidate ranking — training (or
-/// loading) its specialized network and scoring its frames concurrently with the
-/// other videos on the persistent worker pool. Phase 2 (deterministic): the
-/// per-video rankings are interleaved by descending confidence and verified in that
-/// global order, charging the detector through per-video prefetch windows, until the
-/// global limit is satisfied — at which point *no* video is charged another call
-/// (early cancellation), no matter how many candidates it still had queued. `GAP`
-/// constrains frames within a video; frames of different videos are never
-/// temporally related.
+/// Phase 1 of a multi-video scrub, for one video: builds its candidate ranking —
+/// training (or loading) its specialized network and scoring its frames. The
+/// session fans this out across videos on the persistent worker pool.
+pub(crate) fn rank_candidates<'a>(
+    ctx: &'a VideoContext,
+    info: &QueryPlanInfo,
+    plan: &VideoPlan,
+) -> Result<VideoCandidates<'a>> {
+    let requirements = requirement_pairs(&info.requirements);
+    let candidates = match &plan.strategy {
+        PlanStrategy::ScrubRanked => {
+            let nn = ctx.specialized_for(&plan.heads)?;
+            score_frames(ctx, &nn, &requirements)?
+        }
+        PlanStrategy::ScrubScan => (0..ctx.video().len()).map(|frame| (frame, -1.0f64)).collect(),
+        other => {
+            return Err(BlazeItError::Internal(format!(
+                "scrub::rank_candidates with non-scrub strategy {other:?}"
+            )))
+        }
+    };
+    Ok(VideoCandidates { ctx, requirements, candidates })
+}
+
+/// Phase 2 of a multi-video scrub (deterministic): the per-video rankings of
+/// [`rank_candidates`] are interleaved by descending confidence and verified in that
+/// global order against one **global** `LIMIT`, charging the detector through
+/// per-video prefetch windows, until the limit is satisfied — at which point *no*
+/// video is charged another call (early cancellation), no matter how many
+/// candidates it still had queued. `GAP` constrains frames within a video; frames
+/// of different videos are never temporally related.
 ///
 /// An optional `budget` caps total detector invocations across all videos.
-pub fn execute_catalog<'a>(
-    targets: &[(&'a VideoContext, &'a QueryPlanInfo, &'a VideoPlan)],
+pub(crate) fn verify_catalog(
+    per_video: &[VideoCandidates<'_>],
     opts: ScrubOptions,
     budget: Option<u64>,
-) -> Result<QueryOutput> {
-    // Phase 1: per-video candidate rankings, in parallel across contexts.
-    let tasks: Vec<Box<dyn FnOnce() -> Result<VideoCandidates<'a>> + Send + 'a>> = targets
-        .iter()
-        .map(|&(ctx, info, plan)| {
-            let task: Box<dyn FnOnce() -> Result<VideoCandidates<'a>> + Send + 'a> =
-                Box::new(move || {
-                    let requirements = requirement_pairs(&info.requirements);
-                    let candidates = match &plan.strategy {
-                        PlanStrategy::ScrubRanked => {
-                            let nn = ctx.specialized_for(&plan.heads)?;
-                            score_frames(ctx, &nn, &requirements)?
-                        }
-                        PlanStrategy::ScrubScan => {
-                            (0..ctx.video().len()).map(|frame| (frame, -1.0f64)).collect()
-                        }
-                        other => {
-                            return Err(BlazeItError::Internal(format!(
-                                "scrub::execute_catalog with non-scrub strategy {other:?}"
-                            )))
-                        }
-                    };
-                    Ok(VideoCandidates { ctx, requirements, candidates })
-                });
-            task
-        })
-        .collect();
-    // Catch panics at the task boundary: a panicking ranking task becomes a
-    // typed error naming its video instead of poisoning the worker pool.
-    let per_video: Vec<VideoCandidates<'_>> = blazeit_nn::parallel::par_run_caught(tasks)
-        .into_iter()
-        .zip(targets)
-        .map(|(outcome, &(ctx, _, _))| match outcome {
-            Ok(result) => result,
-            Err(caught) => Err(BlazeItError::TaskPanicked {
-                task: format!("scrub ranking for video '{}'", ctx.video().name()),
-                message: caught.message,
-            }),
-        })
-        .collect::<Result<_>>()?;
-
+) -> QueryOutput {
     // Global interleave: (confidence desc, video index asc, per-video rank asc).
     // Sorting by (confidence, video, frame) preserves each video's own visit order
     // because rankings are already confidence-descending with frame-ascending ties.
@@ -348,9 +328,9 @@ pub fn execute_catalog<'a>(
     }
     merged.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
 
-    // Phase 2: verify in global order through the shared windowed loop (the same
-    // code path single-video ranked verification uses, so the gap / limit / budget
-    // window rules cannot diverge between the two).
+    // Verify in global order through the shared windowed loop (the same code path
+    // single-video ranked verification uses, so the gap / limit / budget window
+    // rules cannot diverge between the two).
     let videos: Vec<VerifyVideo<'_>> = per_video
         .iter()
         .map(|vc| VerifyVideo { ctx: vc.ctx, requirements: &vc.requirements })
@@ -362,12 +342,12 @@ pub fn execute_catalog<'a>(
         .into_iter()
         .map(|(video_idx, frame)| SourcedFrame {
             // blazeit-lint: allow(panic-site::index) -- video_idx comes from enumerating this same
-            // per_video vec
+            // per_video slice
             video: per_video[video_idx].ctx.video().name().to_string(),
             frame,
         })
         .collect();
-    Ok(QueryOutput::CatalogFrames { frames, detection_calls: calls })
+    QueryOutput::CatalogFrames { frames, detection_calls: calls }
 }
 
 /// The full BlazeIt scrubbing plan: score every frame with the specialized NN, then
@@ -385,17 +365,17 @@ pub fn blazeit_scrub(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::BlazeIt;
+    use crate::catalog::Catalog;
     use crate::result::QueryOutput;
     use blazeit_videostore::DatasetPreset;
 
-    fn engine() -> BlazeIt {
-        BlazeIt::for_preset(DatasetPreset::Taipei, 2_500).unwrap()
+    fn engine() -> (Catalog, Arc<VideoContext>) {
+        Catalog::one_video(DatasetPreset::Taipei, 2_500)
     }
 
     #[test]
     fn scrub_returns_only_true_positives() {
-        let e = engine();
+        let (_, e) = engine();
         let reqs = [(ObjectClass::Car, 2usize)];
         let nn = specialized_for_requirements(&e, &reqs).unwrap();
         let outcome = blazeit_scrub(&e, &nn, &reqs, ScrubOptions { limit: 5, gap: 10 }).unwrap();
@@ -418,7 +398,7 @@ mod tests {
 
     #[test]
     fn blazeit_scrub_uses_fewer_detector_calls_than_baselines_for_rare_events() {
-        let e = engine();
+        let (_, e) = engine();
         // A moderately rare event: at least 3 cars simultaneously.
         let reqs = [(ObjectClass::Car, 3usize)];
         let opts = ScrubOptions { limit: 3, gap: 30 };
@@ -439,7 +419,7 @@ mod tests {
 
     #[test]
     fn scoring_is_ranked_descending() {
-        let e = engine();
+        let (_, e) = engine();
         let reqs = [(ObjectClass::Car, 1usize)];
         let nn = specialized_for_requirements(&e, &reqs).unwrap();
         let ranked = score_frames(&e, &nn, &reqs).unwrap();
@@ -451,9 +431,10 @@ mod tests {
 
     #[test]
     fn query_with_no_training_examples_falls_back_to_scan() {
-        let e = engine();
+        let (catalog, e) = engine();
         // 50 simultaneous cars never happens in the training data.
-        let result = e
+        let result = catalog
+            .session()
             .query(
                 "SELECT timestamp FROM taipei GROUP BY timestamp \
                  HAVING SUM(class='car') >= 50 LIMIT 2",
@@ -471,8 +452,9 @@ mod tests {
 
     #[test]
     fn multi_class_scrub_query_end_to_end() {
-        let e = engine();
-        let result = e
+        let (catalog, e) = engine();
+        let result = catalog
+            .session()
             .query(
                 "SELECT timestamp FROM taipei GROUP BY timestamp \
                  HAVING SUM(class='bus')>=1 AND SUM(class='car')>=1 LIMIT 3 GAP 60",
@@ -530,8 +512,8 @@ mod tests {
         // reference. Returned frames, order, call counts, and charged detection
         // seconds must all agree — across gap/limit combinations that exercise
         // window truncation, pairwise-gap breaks, and early exit.
-        let batched_engine = engine();
-        let serial_engine = engine();
+        let (_, batched_engine) = engine();
+        let (_, serial_engine) = engine();
         for (min_count, limit, gap) in
             [(1usize, 5u64, 0u64), (2, 5, 10), (2, 10, 300), (3, 3, 30), (1, 40, 900)]
         {
@@ -562,7 +544,7 @@ mod tests {
 
     #[test]
     fn budgeted_verification_stops_at_the_cap() {
-        let e = engine();
+        let (_, e) = engine();
         let reqs = [(ObjectClass::Car, 3usize)];
         let nn = specialized_for_requirements(&e, &reqs).unwrap();
         let ranked = score_frames(&e, &nn, &reqs).unwrap();
@@ -580,7 +562,7 @@ mod tests {
 
     #[test]
     fn limit_zero_returns_nothing() {
-        let e = engine();
+        let (_, e) = engine();
         let reqs = [(ObjectClass::Car, 1usize)];
         let nn = specialized_for_requirements(&e, &reqs).unwrap();
         let outcome = blazeit_scrub(&e, &nn, &reqs, ScrubOptions { limit: 0, gap: 0 }).unwrap();

@@ -592,16 +592,16 @@ pub fn red_bus_query(video: &str, redness: f64, min_area: f64, min_frames: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::BlazeIt;
+    use crate::catalog::Catalog;
     use blazeit_frameql::parse_query;
     use blazeit_frameql::query::analyze;
     use blazeit_videostore::{DatasetPreset, ObjectClass};
 
-    fn engine() -> BlazeIt {
-        BlazeIt::for_preset(DatasetPreset::Taipei, 2_000).unwrap()
+    fn engine() -> (Catalog, Arc<VideoContext>) {
+        Catalog::one_video(DatasetPreset::Taipei, 2_000)
     }
 
-    fn red_bus_info(engine: &BlazeIt) -> (Query, QueryPlanInfo) {
+    fn red_bus_info(engine: &VideoContext) -> (Query, QueryPlanInfo) {
         // Lower thresholds than the paper's 17.5/100k since the synthetic streams are
         // smaller; the structure of the query is identical to Figure 3c.
         let sql = red_bus_query("taipei", 10.0, 20_000.0, 15);
@@ -612,7 +612,7 @@ mod tests {
 
     #[test]
     fn plan_includes_all_filter_classes_for_red_bus_query() {
-        let e = engine();
+        let (_, e) = engine();
         let (_q, info) = red_bus_info(&e);
         let plan = plan_filters(&e, &info, &SelectionOptions::all()).unwrap();
         // Temporal: HAVING COUNT(*) > 15 → stride (16-1)/2 = 7.
@@ -632,7 +632,7 @@ mod tests {
 
     #[test]
     fn disabled_options_remove_filters() {
-        let e = engine();
+        let (_, e) = engine();
         let (_q, info) = red_bus_info(&e);
         let plan = plan_filters(&e, &info, &SelectionOptions::none()).unwrap();
         assert_eq!(plan.stride, 1);
@@ -643,7 +643,7 @@ mod tests {
 
     #[test]
     fn filtered_plan_uses_fewer_detector_calls_than_unfiltered() {
-        let e = engine();
+        let (_, e) = engine();
         let (q, info) = red_bus_info(&e);
         let filtered = execute_with_options(&e, &q, &info, &SelectionOptions::all()).unwrap();
         let unfiltered = execute_with_options(&e, &q, &info, &SelectionOptions::none()).unwrap();
@@ -659,7 +659,7 @@ mod tests {
 
     #[test]
     fn returned_rows_satisfy_the_predicate() {
-        let e = engine();
+        let (_, e) = engine();
         let (q, info) = red_bus_info(&e);
         let outcome = execute_with_options(&e, &q, &info, &SelectionOptions::all()).unwrap();
         for row in &outcome.rows {
@@ -670,7 +670,7 @@ mod tests {
 
     #[test]
     fn false_negative_rate_against_naive_is_bounded() {
-        let e = engine();
+        let (_, e) = engine();
         let (q, info) = red_bus_info(&e);
         let blazeit = execute_with_options(&e, &q, &info, &SelectionOptions::all()).unwrap();
         // Naive plan (stride 1, no learned filters) acts as the reference result set.
@@ -693,9 +693,9 @@ mod tests {
 
     #[test]
     fn select_query_end_to_end_through_engine() {
-        let e = engine();
+        let (catalog, e) = engine();
         let sql = red_bus_query("taipei", 10.0, 20_000.0, 15);
-        let result = e.query(&sql).unwrap();
+        let result = catalog.session().query(&sql).unwrap();
         match result.output {
             QueryOutput::Rows { detection_calls, .. } => {
                 assert!(detection_calls < e.video().len());
@@ -822,8 +822,8 @@ mod tests {
         // frame-by-frame reference. Returned rows, per-stage counts, and every
         // charged cost category must agree — with all filters on (sparse,
         // ragged windows) and all filters off (every window full).
-        let batched_engine = engine();
-        let serial_engine = engine();
+        let (_, batched_engine) = engine();
+        let (_, serial_engine) = engine();
         for options in [SelectionOptions::all(), SelectionOptions::none()] {
             let (q_b, info_b) = red_bus_info(&batched_engine);
             let plan_b = plan_filters(&batched_engine, &info_b, &options).unwrap();
@@ -857,7 +857,7 @@ mod tests {
 
     #[test]
     fn explicit_spatial_constraints_define_the_region() {
-        let e = engine();
+        let (_, e) = engine();
         let sql =
             "SELECT * FROM taipei WHERE class = 'car' AND xmax(mask) < 720 AND ymin(mask) >= 100";
         let q = parse_query(sql).unwrap();

@@ -603,16 +603,9 @@ impl ServerSession<'_> {
             let tag = self.tag;
             catch_unwind(AssertUnwindSafe(|| SimClock::with_charge_tag(tag, || prepared.run())))
                 .unwrap_or_else(|payload| {
-                    let message = if let Some(m) = payload.downcast_ref::<&str>() {
-                        (*m).to_string()
-                    } else if let Some(m) = payload.downcast_ref::<String>() {
-                        m.clone()
-                    } else {
-                        "non-string panic payload".to_string()
-                    };
                     Err(BlazeItError::TaskPanicked {
                         task: format!("serving computation for {sql:?}", sql = prepared.query()),
-                        message,
+                        message: blazeit_nn::parallel::panic_message(payload.as_ref()),
                     })
                 })
         };

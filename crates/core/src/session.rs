@@ -445,16 +445,10 @@ impl PreparedQuery {
         Ok(QueryOutput::CatalogAggregate { value, standard_error, detection_calls, per_video })
     }
 
-    /// Multi-video scrub: parallel per-video candidate rankings, then one global
-    /// `LIMIT` over the confidence-interleaved candidates (see
-    /// [`scrub::execute_catalog`]).
+    /// Multi-video scrub: per-video candidate rankings in parallel, then one global
+    /// `LIMIT` over the confidence-interleaved candidates, verified in that
+    /// deterministic order.
     fn execute_catalog_scrub(&self) -> Result<QueryOutput> {
-        let triples: Vec<(&VideoContext, &QueryPlanInfo, &crate::plan::VideoPlan)> = self
-            .targets
-            .iter()
-            .zip(&self.plan.subplans)
-            .map(|(t, sub)| (t.ctx.as_ref(), &t.info, sub))
-            .collect();
         let opts = self.plan.subplans[0].scrub.ok_or_else(|| {
             BlazeItError::Internal("catalog scrub plan carries no scrub options".into())
         })?;
@@ -472,7 +466,14 @@ impl PreparedQuery {
                 )));
             }
         }
-        scrub::execute_catalog(&triples, opts, budget)
+        let per_video = self
+            .fan_out(|idx| {
+                let target = &self.targets[idx];
+                scrub::rank_candidates(&target.ctx, &target.info, &self.plan.subplans[idx])
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?;
+        Ok(scrub::verify_catalog(&per_video, opts, budget))
     }
 
     /// Multi-video selection: per-video filtered scans in parallel, rows

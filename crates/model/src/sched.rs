@@ -475,33 +475,6 @@ impl Scheduler {
         );
     }
 
-    /// Non-blocking acquire; returns whether the lock was taken. Both outcomes
-    /// are visible operations (they observe shared state).
-    pub(crate) fn mutex_try_lock(
-        self: &Arc<Self>,
-        addr: usize,
-        rank: Option<(u8, &'static str)>,
-        me: usize,
-        loc: &'static Location<'static>,
-    ) -> bool {
-        let mut st = self.turn(self.state(), me);
-        let name = Self::obj_name(&mut st, addr, "mutex", rank.map(|(_, n)| n));
-        let taken = !st.objs.mutex_owner.contains_key(&addr);
-        if taken {
-            if let Some((r, n)) = rank {
-                st.threads[me].held.push((r, n));
-            }
-            st.objs.mutex_owner.insert(addr, me);
-        }
-        let desc = if taken {
-            format!("try_lock {name} -> acquired")
-        } else {
-            format!("try_lock {name} -> busy")
-        };
-        self.step(&mut st, me, desc, loc);
-        taken
-    }
-
     /// Releases the mutex at `addr`. Never panics: runs in guard `Drop`s,
     /// including during abort unwinds (where it degrades to bookkeeping only).
     pub(crate) fn mutex_unlock(

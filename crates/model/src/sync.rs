@@ -13,7 +13,7 @@
 //!   the caller's `file:line` (hence `#[track_caller]` everywhere), and hands
 //!   the next scheduling decision to the explorer.
 //! * **Outside an exploration** the operation falls through to the underlying
-//!   `std::sync` primitive (ignoring poison, like the vendored `parking_lot`),
+//!   `std::sync` primitive (ignoring poison, like the pass-through shim),
 //!   so code compiled with the `model` feature still runs normally in ordinary
 //!   unit tests.
 //!
@@ -39,7 +39,7 @@ use std::sync::atomic::AtomicU64 as StdAtomicU64;
 use std::sync::{
     Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock as StdOnceLock,
     PoisonError, RwLock as StdRwLock, RwLockReadGuard as StdReadGuard,
-    RwLockWriteGuard as StdWriteGuard, TryLockError,
+    RwLockWriteGuard as StdWriteGuard,
 };
 use std::time::Duration;
 
@@ -95,28 +95,6 @@ impl<T: ?Sized> Mutex<T> {
         }
         let std = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         MutexGuard { lock: self, std: Some(std), model, loc }
-    }
-
-    /// Attempts the lock without blocking; both outcomes are visible
-    /// operations under exploration (a failed `try_lock` observes state).
-    #[track_caller]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let loc = Location::caller();
-        let model = sched::current();
-        if let Some((s, me)) = &model {
-            if !s.mutex_try_lock(addr_of(self), self.rank, *me, loc) {
-                return None;
-            }
-            let std = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            return Some(MutexGuard { lock: self, std: Some(std), model, loc });
-        }
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { lock: self, std: Some(g), model: None, loc }),
-            Err(TryLockError::Poisoned(p)) => {
-                Some(MutexGuard { lock: self, std: Some(p.into_inner()), model: None, loc })
-            }
-            Err(TryLockError::WouldBlock) => None,
-        }
     }
 
     /// Mutable access without locking (the `&mut` proves exclusivity).

@@ -15,13 +15,22 @@
 //!
 //! **Nesting is safe.** A task running on the pool may itself call back into
 //! [`par_fill_chunks`] or [`par_run`] (a fanned-out sub-query scores its video through
-//! the same pool). Blocking a worker on a latch while its sub-jobs sit in the shared
-//! queue would deadlock once every worker waits, so latch waits are *cooperative*: a
-//! waiting submitter steals queued jobs — anyone's — and runs them until its own jobs
-//! have all finished.
+//! the same pool). Blocking a worker on a latch while its sub-jobs sit in a queue
+//! would deadlock once every worker waits, so latch waits are *cooperative*: each call
+//! keeps its jobs in a batch queue of its own, the pool channel only carries "pop one
+//! job from that batch" tickets, and a waiting submitter pops and runs the jobs of its
+//! **own** batch until all of them have finished.
+//!
+//! **A waiter never runs a foreign job.** Callers hold locks across pool calls (the
+//! engine scores a video under its `live_index` lock), so a waiter that ran another
+//! call's queued job would run arbitrary lock-taking code inside the caller's
+//! critical section: a self-deadlock on a non-reentrant mutex, or an A/B–B/A
+//! deadlock between two waiters. Its own batch's jobs are what the caller asked to
+//! have run there anyway.
 
 use blazeit_detect::SimClock;
 use blazeit_videostore::sync::{AtomicU64, Condvar, Mutex, MutexGuard, OnceLock, Ordering};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -30,11 +39,11 @@ use std::time::Duration;
 /// Worker threads in the pool (0 until the pool has spawned on first use;
 /// reading this never forces the spawn).
 static POOL_WORKERS: AtomicU64 = AtomicU64::new(0);
-/// Jobs queued onto the shared channel by [`WorkerPool::submit`].
+/// Jobs queued for the pool by `run_scoped` (every task but a call's first).
 static JOBS_SUBMITTED: AtomicU64 = AtomicU64::new(0);
 /// Jobs dequeued and run by dedicated worker threads.
 static JOBS_EXECUTED: AtomicU64 = AtomicU64::new(0);
-/// Jobs stolen off the queue and run inline by a cooperatively waiting
+/// Jobs popped off its own batch and run inline by a cooperatively waiting
 /// submitter.
 static JOBS_STOLEN: AtomicU64 = AtomicU64::new(0);
 
@@ -42,18 +51,18 @@ static JOBS_STOLEN: AtomicU64 = AtomicU64::new(0);
 ///
 /// `submitted` counts queued jobs only — each `run_scoped` call's first task
 /// runs inline on the caller and is deliberately not counted. A submitted job
-/// ends up either `executed` (by a dedicated worker) or `stolen` (by a waiting
-/// submitter); the difference `submitted - executed - stolen` is the queue's
-/// instantaneous depth plus jobs mid-run.
+/// ends up either `executed` (by a dedicated worker) or `stolen` (taken back by
+/// its own waiting submitter); the difference `submitted - executed - stolen`
+/// is the batches' instantaneous depth plus jobs mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Dedicated worker threads (0 before first pool use).
     pub workers: u64,
-    /// Jobs queued onto the shared channel.
+    /// Jobs queued for the pool.
     pub submitted: u64,
     /// Jobs run by dedicated worker threads.
     pub executed: u64,
-    /// Jobs stolen and run inline by waiting submitters.
+    /// Jobs a waiting submitter took back from its own batch and ran inline.
     pub stolen: u64,
 }
 
@@ -75,12 +84,18 @@ pub fn pool_stats() -> PoolStats {
 /// [`Latch::wait_with_steal`] with synthetic jobs.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// The queued jobs of one `run_scoped` call. `Arc`-owned because a ticket for it
+/// can still sit in the pool channel after the call returned (its waiter ran the
+/// job itself); by then the queue is empty, so no lifetime-extended job outlives
+/// its call.
+type Batch = Arc<Mutex<VecDeque<Job>>>;
+
 /// The process-wide worker pool: `available_parallelism() - 1` detached workers
-/// pulling jobs off one shared channel (the submitting thread works too, so the
-/// total concurrency matches the core count).
+/// pulling tickets off one shared channel (the submitting thread works too, so the
+/// total concurrency matches the core count). A ticket names a batch; redeeming it
+/// pops and runs one of that batch's jobs, if its waiter has not taken it first.
 struct WorkerPool {
-    sender: Mutex<Sender<Job>>,
-    receiver: Arc<Mutex<Receiver<Job>>>,
+    sender: Mutex<Sender<Batch>>,
     workers: usize,
 }
 
@@ -90,7 +105,7 @@ impl WorkerPool {
         POOL.get_or_init(|| {
             let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
             let workers = threads.saturating_sub(1);
-            let (sender, receiver) = channel::<Job>();
+            let (sender, receiver) = channel::<Batch>();
             let receiver = Arc::new(Mutex::new(receiver));
             for i in 0..workers {
                 let receiver = Arc::clone(&receiver);
@@ -103,36 +118,36 @@ impl WorkerPool {
                     .expect("spawning a pool worker");
             }
             POOL_WORKERS.store(workers as u64, Ordering::Relaxed);
-            WorkerPool { sender: Mutex::new(sender), receiver, workers }
+            WorkerPool { sender: Mutex::new(sender), workers }
         })
     }
 
-    fn submit(&self, job: Job) {
+    /// Queues `job` on `batch` and, when there are workers to redeem it, sends
+    /// the pool one ticket for it.
+    fn submit(&self, batch: &Batch, job: Job) {
         JOBS_SUBMITTED.fetch_add(1, Ordering::Relaxed);
+        batch.lock().push_back(job);
+        if self.workers == 0 {
+            return;
+        }
         // The sync-shim lock ignores poisoning: a panic inside `send` does not
         // leave the channel in a broken state, so future submissions keep going.
         let sender = self.sender.lock();
         // blazeit-lint: allow(panic-site) -- the global pool's workers hold the
         // receiver for the process lifetime, so send cannot observe a closed channel.
-        sender.send(job).expect("pool workers never hang up");
-    }
-
-    /// Dequeues one pending job without blocking (used by cooperative latch waits).
-    fn try_steal(&self) -> Option<Job> {
-        self.receiver.try_lock()?.try_recv().ok()
+        sender.send(Arc::clone(batch)).expect("pool workers never hang up");
     }
 }
 
-fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
+fn worker_loop(receiver: &Mutex<Receiver<Batch>>) {
     loop {
-        // Hold the lock only while dequeuing, never while running a job.
-        let job = receiver.lock().recv();
-        match job {
-            Ok(job) => {
-                job();
-                JOBS_EXECUTED.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => return, // Channel closed: process is shutting down.
+        // Hold the locks only while dequeuing, never while running a job.
+        let ticket = receiver.lock().recv();
+        let Ok(batch) = ticket else { return }; // Channel closed: process is shutting down.
+        let job = batch.lock().pop_front();
+        if let Some(job) = job {
+            job();
+            JOBS_EXECUTED.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -180,11 +195,12 @@ impl Latch {
     }
 
     /// Waits for every counted job, *cooperatively*: while the latch is open,
-    /// `steal()` is polled for queued jobs (this call's or anyone else's), which run
-    /// on the waiting thread. This is what makes nested pool use deadlock-free — a
-    /// pool worker blocked here still drains the shared queue, so the sub-jobs it
-    /// (or a sibling) submitted always make progress even when every dedicated
-    /// worker is occupied.
+    /// `steal()` is polled for queued jobs, which run on the waiting thread.
+    /// `run_scoped` passes a `steal` that pops the waiter's own batch, which is what
+    /// makes nested pool use deadlock-free — a pool worker blocked here still drains
+    /// the sub-jobs it submitted, so they make progress even when every dedicated
+    /// worker is occupied — without ever running another call's job under whatever
+    /// locks this call's caller holds.
     ///
     /// Lost-wakeup freedom: the final `remaining == 0` check and the condvar wait
     /// happen under the same lock [`complete_one`] holds while decrementing and
@@ -201,17 +217,13 @@ impl Latch {
                 continue;
             }
             // Nothing to steal right now: block briefly on the condvar. The timeout
-            // re-checks the queue, since job submission does not signal this latch.
+            // re-polls `steal`, since queueing a job does not signal this latch.
             let remaining = self.state();
             if *remaining == 0 {
                 return;
             }
             let _ = self.done.wait_timeout(remaining, Duration::from_micros(200));
         }
-    }
-
-    fn wait_cooperatively(&self, pool: &WorkerPool) {
-        self.wait_with_steal(|| pool.try_steal());
     }
 }
 
@@ -234,11 +246,12 @@ fn run_scoped<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
     let latch = Latch::new(tasks.len());
 
     // Cost attribution: jobs run on whichever thread dequeues them (a pool
-    // worker, or any cooperative latch-waiter stealing from the shared queue),
-    // so the submitter's simulated-clock charge tag is captured here and
+    // worker, or this call's own cooperative latch wait), so the
+    // submitter's simulated-clock charge tag is captured here and
     // re-established around the job body — charges land in the submitting
     // session's ledger no matter where the work physically executes.
     let tag = SimClock::charge_tag();
+    let batch: Batch = Arc::new(Mutex::new(VecDeque::new()));
     let mut tasks = tasks.into_iter();
     let Some(first) = tasks.next() else { return };
     for task in tasks {
@@ -253,16 +266,18 @@ fn run_scoped<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
             latch_ref.complete_one();
         });
         // SAFETY: see the function-level safety comment — the latch wait below keeps
-        // every borrow captured by `wrapped` alive until the job has finished.
+        // every borrow captured by `wrapped` alive until the job has finished. The
+        // `Arc`-owned batch may outlive this call, but only empty: the latch opens
+        // after every job has run, and a job runs only after it was popped.
         let job: Job =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(wrapped) };
-        pool.submit(job);
+        pool.submit(&batch, job);
     }
 
     // The caller is a worker too: run the first task inline.
     let inline_result = catch_unwind(AssertUnwindSafe(first));
     latch.complete_one();
-    latch.wait_cooperatively(pool);
+    latch.wait_with_steal(|| batch.lock().pop_front());
 
     if let Err(payload) = inline_result {
         resume_unwind(payload);
@@ -281,8 +296,8 @@ fn run_scoped<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
 /// sub-query per video of a multi-video FrameQL query): tasks may borrow from the
 /// caller's stack, the call blocks until all of them have finished, and a panicking
 /// task re-raises its payload on the caller after the others complete. Tasks may
-/// themselves use the pool ([`par_fill_chunks`] or a nested `par_run`); waiting
-/// submitters steal queued jobs, so nesting cannot deadlock.
+/// themselves use the pool ([`par_fill_chunks`] or a nested `par_run`); a waiting
+/// submitter runs its own queued jobs, so nesting cannot deadlock.
 pub fn par_run<'scope, T: Send + 'scope>(
     tasks: Vec<Box<dyn FnOnce() -> T + Send + 'scope>>,
 ) -> Vec<T> {
@@ -331,7 +346,9 @@ impl std::fmt::Display for TaskPanic {
 
 impl std::error::Error for TaskPanic {}
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic payload: `&str` / `String` payloads verbatim, a
+/// placeholder for anything else.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {
         (*message).to_string()
     } else if let Some(message) = payload.downcast_ref::<String>() {
@@ -553,6 +570,69 @@ mod tests {
             // data[k] = k + round for k in 0..4, +1 each: sum = (0+1+2+3) + 4*round + 4.
             assert_eq!(*sum, 6 + 4 * round as u64 + 4);
         }
+    }
+
+    #[test]
+    fn a_waiting_submitter_never_runs_another_calls_job() {
+        use std::cell::Cell;
+        thread_local! {
+            /// Set while this thread is inside the critical section its caller
+            /// holds across a pool call (in the engine: the `live_index` lock).
+            static IN_CRITICAL: Cell<bool> = const { Cell::new(false) };
+        }
+        if WorkerPool::global().workers == 0 {
+            return; // One core: every task runs inline, nobody ever waits.
+        }
+        let (started_tx, started_rx) = channel::<()>();
+        let (parked_tx, parked_rx) = channel::<()>();
+        let (release_tx, release_rx) = channel::<()>();
+        let ran_inside = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            // The holder: enters its critical section, fans out two tasks, and
+            // ends up waiting on the second while a worker is still inside it.
+            scope.spawn(move || {
+                IN_CRITICAL.with(|c| c.set(true));
+                let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
+                    // Runs inline on the holder; returns once the other task is
+                    // mid-run elsewhere, so the holder's wait finds nothing of
+                    // its own left to run.
+                    Box::new(move || {
+                        started_rx.recv().unwrap();
+                        parked_tx.send(()).unwrap();
+                    }),
+                    Box::new(move || {
+                        started_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                    }),
+                ];
+                par_run(tasks);
+                IN_CRITICAL.with(|c| c.set(false));
+            });
+            // The flood: once the holder is about to wait, queue jobs that record
+            // whether the thread running them is inside a critical section.
+            parked_rx.recv().unwrap();
+            let ran_inside = &ran_inside;
+            let flood: Vec<Box<dyn FnOnce() + Send + '_>> = (0..64)
+                .map(|_| {
+                    let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                        if IN_CRITICAL.with(|c| c.get()) {
+                            ran_inside.fetch_add(1, Ordering::SeqCst);
+                        }
+                        // Long enough for the holder's 200 µs wait heartbeat
+                        // to come round while jobs are still queued.
+                        std::thread::sleep(Duration::from_micros(500));
+                    });
+                    job
+                })
+                .collect();
+            par_run(flood);
+            release_tx.send(()).unwrap();
+        });
+        assert_eq!(
+            ran_inside.load(Ordering::SeqCst),
+            0,
+            "foreign jobs ran on a thread that was waiting inside its caller's critical section"
+        );
     }
 
     #[test]

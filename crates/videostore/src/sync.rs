@@ -18,9 +18,8 @@
 //! `std`: they carry no scheduling decisions of their own.
 //!
 //! In normal builds the pass-through wrappers below are `#[inline]` newtypes
-//! with no extra state — the same zero-cost pattern as the vendored
-//! `parking_lot` — and the `model` scheduler code is not compiled in at all,
-//! which [`MODEL_COMPILED_IN`] witnesses (CI runs
+//! over `std::sync` with no extra state, and the `model` scheduler code is not
+//! compiled in at all, which [`MODEL_COMPILED_IN`] witnesses (CI runs
 //! `sync::tests::model_shim_compiles_out_by_default` in release mode to pin
 //! that).
 //!
@@ -62,7 +61,7 @@ mod passthrough {
     //! over `std::sync`, API-identical to `blazeit_model::sync`.
 
     use std::fmt;
-    use std::sync::{PoisonError, TryLockError};
+    use std::sync::PoisonError;
     use std::time::Duration;
 
     /// Guard returned by [`Mutex::lock`] (the plain std guard in this build).
@@ -72,9 +71,9 @@ mod passthrough {
     /// Guard returned by [`RwLock::write`].
     pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
 
-    /// A mutual-exclusion lock; poison-ignoring like the vendored
-    /// `parking_lot` (a panic mid-critical-section is already a test failure,
-    /// and degraded-health bookkeeping must keep working afterwards).
+    /// A mutual-exclusion lock; poison-ignoring (a panic mid-critical-section
+    /// is already a test failure, and degraded-health bookkeeping must keep
+    /// working afterwards).
     pub struct Mutex<T: ?Sized> {
         inner: std::sync::Mutex<T>,
     }
@@ -107,16 +106,6 @@ mod passthrough {
         #[inline]
         pub fn lock(&self) -> MutexGuard<'_, T> {
             self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-        }
-
-        /// Attempts the lock without blocking.
-        #[inline]
-        pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-            match self.inner.try_lock() {
-                Ok(guard) => Some(guard),
-                Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-                Err(TryLockError::WouldBlock) => None,
-            }
         }
 
         /// Mutable access without locking (the `&mut` proves exclusivity).
@@ -267,11 +256,6 @@ mod tests {
         let m = Mutex::ranked(6, "video", 1u32);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
-        {
-            let _held = m.lock();
-            assert!(m.try_lock().is_none());
-        }
 
         let cv = Condvar::new();
         let (guard, timed_out) = cv.wait_timeout(m.lock(), Duration::from_millis(1));

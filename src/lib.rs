@@ -59,8 +59,8 @@ pub mod prelude {
     pub use blazeit_core::scrub::ScrubOptions;
     pub use blazeit_core::select::SelectionOptions;
     pub use blazeit_core::{
-        baselines, AggregateMethod, BlazeIt, BlazeItConfig, BlazeItError, CacheStatus, CacheWarmth,
-        Catalog, DriftConfig, HealthReport, HealthState, IndexStore, IngestReport, LabeledSet,
+        baselines, AggregateMethod, BlazeItConfig, BlazeItError, CacheStatus, CacheWarmth, Catalog,
+        DriftConfig, HealthReport, HealthState, IndexStore, IngestReport, LabeledSet,
         MergeSemantics, PlanStrategy, PreparedQuery, QueryOutput, QueryPlan, QueryResult,
         QueryTrace, RefreshReport, RefreshState, RetrainHealth, RetryPolicy, RewriteDecision,
         ServeConfig, ServeStats, Server, ServerSession, Session, SourcedFrame, SourcedRow,
@@ -83,8 +83,10 @@ mod tests {
 
     #[test]
     fn facade_reexports_work_together() {
-        let engine = BlazeIt::for_preset(DatasetPreset::NightStreet, 600).unwrap();
-        let result = engine
+        let catalog = Catalog::new();
+        catalog.register_preset(DatasetPreset::NightStreet, 600).unwrap();
+        let result = catalog
+            .session()
             .query("SELECT FCOUNT(*) FROM night-street WHERE class = 'car' ERROR WITHIN 0.5 AT CONFIDENCE 90%")
             .unwrap();
         assert!(result.output.aggregate_value().unwrap_or(-1.0) >= 0.0);

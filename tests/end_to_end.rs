@@ -3,15 +3,19 @@
 
 use blazeit::core::baselines;
 use blazeit::prelude::*;
+use std::sync::Arc;
 
-fn taipei(frames: u64) -> BlazeIt {
-    BlazeIt::for_preset(DatasetPreset::Taipei, frames).expect("engine")
+fn taipei(frames: u64) -> (Catalog, Arc<VideoContext>) {
+    let catalog = Catalog::new();
+    let engine = catalog.register_preset(DatasetPreset::Taipei, frames).expect("engine");
+    (catalog, engine)
 }
 
 #[test]
 fn aggregate_estimate_respects_error_bound_against_detector_truth() {
-    let engine = taipei(3_000);
-    let result = engine
+    let (catalog, engine) = taipei(3_000);
+    let result = catalog
+        .session()
         .query(
             "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN 0.15 AT CONFIDENCE 95%",
         )
@@ -28,8 +32,9 @@ fn aggregate_estimate_respects_error_bound_against_detector_truth() {
 
 #[test]
 fn aggregate_is_cheaper_than_both_baselines() {
-    let engine = taipei(3_000);
-    let result = engine
+    let (catalog, engine) = taipei(3_000);
+    let result = catalog
+        .session()
         .query(
             "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN 0.1 AT CONFIDENCE 95%",
         )
@@ -56,8 +61,9 @@ fn aggregate_is_cheaper_than_both_baselines() {
 
 #[test]
 fn scrubbing_results_are_true_positives_with_gap() {
-    let engine = taipei(3_000);
-    let result = engine
+    let (catalog, engine) = taipei(3_000);
+    let result = catalog
+        .session()
         .query(
             "SELECT timestamp FROM taipei GROUP BY timestamp \
              HAVING SUM(class='car') >= 2 LIMIT 5 GAP 60",
@@ -78,9 +84,9 @@ fn scrubbing_results_are_true_positives_with_gap() {
 
 #[test]
 fn selection_rows_satisfy_all_predicates_and_use_fewer_detections() {
-    let engine = taipei(3_000);
+    let (catalog, engine) = taipei(3_000);
     let sql = "SELECT * FROM taipei WHERE class = 'bus' AND area(mask) > 20000";
-    let result = engine.query(sql).unwrap();
+    let result = catalog.session().query(sql).unwrap();
     let rows = result.output.rows().unwrap();
     for row in rows {
         assert_eq!(row.class, ObjectClass::Bus);
@@ -94,8 +100,9 @@ fn selection_rows_satisfy_all_predicates_and_use_fewer_detections() {
 
 #[test]
 fn exact_queries_report_exact_method_and_full_cost() {
-    let engine = taipei(1_200);
-    let result = engine.query("SELECT FCOUNT(*) FROM taipei WHERE class = 'bus'").unwrap();
+    let (catalog, engine) = taipei(1_200);
+    let result =
+        catalog.session().query("SELECT FCOUNT(*) FROM taipei WHERE class = 'bus'").unwrap();
     match result.output {
         QueryOutput::Aggregate { method, detection_calls, .. } => {
             assert_eq!(method, AggregateMethod::Exact);
@@ -107,31 +114,38 @@ fn exact_queries_report_exact_method_and_full_cost() {
 
 #[test]
 fn count_distinct_uses_entity_resolution() {
-    let engine = taipei(1_200);
-    let result =
-        engine.query("SELECT COUNT(DISTINCT trackid) FROM taipei WHERE class = 'car'").unwrap();
+    let (catalog, engine) = taipei(1_200);
+    let result = catalog
+        .session()
+        .query("SELECT COUNT(DISTINCT trackid) FROM taipei WHERE class = 'car'")
+        .unwrap();
     let distinct = result.output.aggregate_value().unwrap();
     // There are certainly multiple distinct cars in 40 seconds of a busy intersection,
     // and far fewer distinct cars than total car-rows.
     assert!(distinct >= 2.0, "only {distinct} distinct cars found");
-    let exact_rows = engine.query("SELECT FCOUNT(*) FROM taipei WHERE class = 'car'").unwrap();
+    let exact_rows =
+        catalog.session().query("SELECT FCOUNT(*) FROM taipei WHERE class = 'car'").unwrap();
     let total_rows = exact_rows.output.aggregate_value().unwrap() * engine.video().len() as f64;
     assert!(distinct < total_rows);
 }
 
 #[test]
 fn unknown_video_or_class_are_clean_errors() {
-    let engine = taipei(600);
-    assert!(engine.query("SELECT FCOUNT(*) FROM rialto WHERE class = 'boat'").is_err());
-    assert!(engine.query("SELECT FCOUNT(*) FROM taipei WHERE class = 'unicorn'").is_err());
-    assert!(engine.query("SELECT FCOUNT(* FROM taipei").is_err());
+    let (catalog, _) = taipei(600);
+    assert!(catalog.session().query("SELECT FCOUNT(*) FROM rialto WHERE class = 'boat'").is_err());
+    assert!(catalog
+        .session()
+        .query("SELECT FCOUNT(*) FROM taipei WHERE class = 'unicorn'")
+        .is_err());
+    assert!(catalog.session().query("SELECT FCOUNT(* FROM taipei").is_err());
 }
 
 #[test]
 fn clock_accounts_for_every_query() {
-    let engine = taipei(900);
+    let (catalog, engine) = taipei(900);
     assert_eq!(engine.clock().total(), 0.0);
-    let r1 = engine
+    let r1 = catalog
+        .session()
         .query(
             "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN 0.3 AT CONFIDENCE 90%",
         )
@@ -139,7 +153,8 @@ fn clock_accounts_for_every_query() {
     let after_first = engine.clock().total();
     assert!(after_first > 0.0);
     assert!(r1.cost.total() <= after_first + 1e-9);
-    let _r2 = engine
+    let _r2 = catalog
+        .session()
         .query(
             "SELECT timestamp FROM taipei GROUP BY timestamp HAVING SUM(class='car') >= 1 LIMIT 1",
         )
@@ -150,14 +165,15 @@ fn clock_accounts_for_every_query() {
 #[test]
 fn different_presets_run_end_to_end() {
     for preset in [DatasetPreset::Rialto, DatasetPreset::Amsterdam] {
-        let engine = BlazeIt::for_preset(preset, 1_500).expect("engine");
+        let catalog = Catalog::new();
+        catalog.register_preset(preset, 1_500).expect("engine");
         let class = preset.primary_class();
         let sql = format!(
             "SELECT FCOUNT(*) FROM {} WHERE class = '{}' ERROR WITHIN 0.2 AT CONFIDENCE 90%",
             preset.name().replace('-', "_"),
             class.name()
         );
-        let result = engine.query(&sql).expect("query");
+        let result = catalog.session().query(&sql).expect("query");
         assert!(result.output.aggregate_value().unwrap() >= 0.0);
     }
 }

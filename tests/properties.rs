@@ -155,7 +155,7 @@ fn video_ground_truth_is_stable_under_repeated_access() {
 
 #[test]
 fn simulated_detection_is_idempotent_per_frame() {
-    let engine = BlazeIt::for_preset(DatasetPreset::Rialto, 800).unwrap();
+    let engine = Catalog::new().register_preset(DatasetPreset::Rialto, 800).unwrap();
     for f in (0..800).step_by(53) {
         assert_eq!(
             engine.detector().detect(&engine.video(), f),

@@ -159,3 +159,80 @@ fn duplicate_storm_computes_once() {
     assert_eq!(stats.misses, 1, "exactly one computation: {stats:?}");
     assert_eq!(stats.hits + stats.coalesced, 7, "everyone else attached or hit: {stats:?}");
 }
+
+/// Three clients race cold scrubs on one fresh server: two single-video `LIMIT`
+/// scrubs and a `FROM *` scrub whose fan-out queues ranking jobs on the pool
+/// while the other two score their videos under their `live_index` locks.
+///
+/// A thread waiting on its own scoring chunks used to run *any* queued pool job,
+/// so it would start another video's ranking job inside its critical section:
+/// re-locking a mutex it already held, or two such threads holding A/B and
+/// wanting B/A. Release builds hung a few rounds in a hundred; debug builds
+/// fail fast, because the lock-order tracker turns the re-entry into a
+/// `TaskPanicked`. Every round must finish inside its watchdog with the answers
+/// of a serial run.
+#[test]
+fn cold_scrubs_racing_a_fan_out_finish_with_the_serial_answers() {
+    use std::sync::{mpsc, Barrier};
+    const ROUNDS: usize = 3;
+    const WATCHDOG: std::time::Duration = std::time::Duration::from_secs(20);
+    const RACE: [&str; 3] = [
+        "SELECT timestamp FROM amsterdam GROUP BY timestamp HAVING SUM(class='car') >= 1 LIMIT 5 GAP 30",
+        "SELECT timestamp FROM night-street GROUP BY timestamp HAVING SUM(class='car') >= 1 LIMIT 5 GAP 30",
+        "SELECT timestamp FROM * GROUP BY timestamp HAVING SUM(class='car') >= 1 LIMIT 5 GAP 30",
+    ];
+
+    // Generated and labeled once; every round re-registers the same videos in
+    // a fresh catalog, so every round starts cold.
+    let template = Catalog::new();
+    for preset in [DatasetPreset::Taipei, DatasetPreset::NightStreet, DatasetPreset::Amsterdam] {
+        template.register_preset(preset, 600).expect("register preset");
+    }
+    let serial: Vec<QueryOutput> = RACE
+        .iter()
+        .map(|sql| template.session().query(sql).expect("serial query").output)
+        .collect();
+
+    for round in 0..ROUNDS {
+        let catalog = Catalog::new();
+        for ctx in template.contexts() {
+            catalog
+                .register(
+                    Video::clone(&ctx.video()),
+                    Arc::clone(ctx.labeled()),
+                    ctx.config().clone(),
+                )
+                .expect("register copy");
+        }
+        let server = Arc::new(Server::new(Arc::new(catalog)));
+        let start = Arc::new(Barrier::new(RACE.len()));
+        let (tx, rx) = mpsc::channel();
+        let clients: Vec<_> = RACE
+            .iter()
+            .enumerate()
+            .map(|(i, sql)| {
+                let (server, start, tx) = (Arc::clone(&server), Arc::clone(&start), tx.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    let _ = tx.send((i, server.session().query(sql)));
+                })
+            })
+            .collect();
+        for _ in RACE {
+            // A stuck client never reports; its thread is leaked with the failure.
+            let (i, result) = rx
+                .recv_timeout(WATCHDOG)
+                .unwrap_or_else(|_| panic!("round {round}: a client is stuck (deadlock)"));
+            let output =
+                result.unwrap_or_else(|e| panic!("round {round}: {}: {e}", RACE[i])).output;
+            assert_eq!(
+                output, serial[i],
+                "round {round}: {} diverged from the serial run",
+                RACE[i]
+            );
+        }
+        for client in clients {
+            client.join().expect("client thread");
+        }
+    }
+}
