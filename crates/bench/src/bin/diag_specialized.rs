@@ -4,7 +4,7 @@
 
 use blazeit_core::{baselines, BlazeItConfig, Catalog};
 use blazeit_nn::train::TrainConfig;
-use blazeit_videostore::{DatasetPreset, ObjectClass};
+use blazeit_videostore::{DatasetPreset, Video};
 
 fn main() {
     let frames: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(4_000);
@@ -30,44 +30,34 @@ fn main() {
         let nn = engine.specialized_for(&[(class, max_count)]).expect("train");
 
         // Held-out day error estimate.
-        let heldout = engine.labeled().heldout();
-        let est = nn
-            .estimate_fcount_error(
-                engine.labeled().heldout_video(),
-                &heldout.frames,
-                &heldout.class_counts(class),
-                class,
-                50,
-                1,
-            )
-            .expect("estimate");
+        let calibration = engine.heldout_calibration(&nn).expect("held-out calibration");
+        let est = &calibration.head(class).expect("head for the primary class").fcount_error;
 
         // Test-day rewrite vs detector ground truth.
         let rewrite = blazeit_core::aggregate::rewrite_fcount(engine, &nn, class).expect("rewrite");
         let (truth, _) = baselines::oracle_fcount(engine, Some(class));
 
         // Does the per-frame prediction vary at all, and does it correlate with truth?
-        let mut preds = Vec::new();
-        let mut truths = Vec::new();
-        for f in (0..engine.video().len()).step_by(17) {
-            preds.push(nn.expected_count(&engine.video(), f, class).unwrap());
-            truths.push(engine.video().ground_truth_count(f, class).unwrap() as f64);
-        }
+        let head = nn.head_index(class).expect("head for the primary class");
+        let sampled = |video: &Video| -> (Vec<f64>, Vec<f64>) {
+            let frames: Vec<u64> = (0..video.len()).step_by(17).collect();
+            let scores = nn.score_batch(video, &frames).expect("score");
+            let preds = (0..frames.len()).map(|i| scores.expected_count(i, head)).collect();
+            let truths = frames
+                .iter()
+                .map(|&f| video.ground_truth_count(f, class).unwrap() as f64)
+                .collect();
+            (preds, truths)
+        };
+        let (preds, truths) = sampled(&engine.video());
         let pstd = std(&preds);
         let corr = blazeit_core::stats::correlation(&preds, &truths);
         // Training-day correlation: distinguishes underfitting from day-to-day shift.
-        let mut tr_preds = Vec::new();
-        let mut tr_truths = Vec::new();
-        for f in (0..engine.labeled().train_video().len()).step_by(17) {
-            tr_preds.push(nn.expected_count(engine.labeled().train_video(), f, class).unwrap());
-            tr_truths
-                .push(engine.labeled().train_video().ground_truth_count(f, class).unwrap() as f64);
-        }
+        let (tr_preds, tr_truths) = sampled(engine.labeled().train_video());
         let tr_corr = blazeit_core::stats::correlation(&tr_preds, &tr_truths);
 
         // Train-day means for reference.
         let train_mean = mean(&engine.labeled().train().class_counts(class));
-        let _heldout_mean = mean(&heldout.class_counts(class));
 
         println!(
             "{:<14} class={:<5} K={} | train_mean={:.3} heldout: pred={:.3} true={:.3} err={:.3} | test: pred={:.3} true={:.3} err={:.3} | pred_std={:.3} corr={:.3} train_corr={:.3}",
@@ -86,7 +76,6 @@ fn main() {
             tr_corr
         );
     }
-    let _ = ObjectClass::Car;
 }
 
 fn mean(values: &[usize]) -> f64 {

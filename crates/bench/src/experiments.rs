@@ -220,15 +220,9 @@ pub fn table5(scale: ExperimentScale) -> String {
             .expect("train specialized NN");
 
         // Day 1 = held-out day, Day 2 = test day (two genuinely different days).
-        let heldout = engine.labeled().heldout();
-        let heldout_video = engine.labeled().heldout_video();
-        let mut pred1 = 0.0;
-        for &f in &heldout.frames {
-            pred1 += nn.expected_count(heldout_video, f, class).expect("score");
-        }
-        pred1 /= heldout.frames.len().max(1) as f64;
-        let actual1 = heldout.class_counts(class).iter().sum::<usize>() as f64
-            / heldout.frames.len().max(1) as f64;
+        let calibration = engine.heldout_calibration(&nn).expect("held-out calibration");
+        let heldout = &calibration.head(class).expect("head for the primary class").fcount_error;
+        let (pred1, actual1) = (heldout.mean_predicted, heldout.mean_true);
 
         let pred2 = blazeit_core::aggregate::rewrite_fcount(engine, &nn, class).expect("rewrite");
         let (actual2, _) = baselines::oracle_fcount(engine, Some(class));

@@ -22,7 +22,7 @@ use crate::context::VideoContext;
 use crate::obs;
 use crate::plan::{PlanStrategy, RewriteDecision, VideoPlan};
 use crate::result::{AggregateMethod, QueryOutput};
-use crate::stats::{mean_and_variance, normal_critical_value};
+use crate::stats::{mean_and_sample_variance, mean_and_variance, normal_critical_value};
 use crate::{baselines, BlazeItError, Result};
 use blazeit_detect::{count_class, ObjectDetector};
 use blazeit_frameql::query::{AggregateKind, QueryClass, QueryPlanInfo};
@@ -32,10 +32,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Minimum number of positive labeled frames required before BlazeIt will train a
-/// specialized NN for an aggregate (Algorithm 1's "sufficient training data" check).
-pub const MIN_TRAINING_EXAMPLES: usize = 50;
 
 /// Options controlling an adaptive sampling run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -116,27 +112,16 @@ pub fn execute(ctx: &VideoContext, info: &QueryPlanInfo, plan: &VideoPlan) -> Re
             })?;
             let opts = budgeted_sampling(plan)?;
             let nn = ctx.specialized_for(&plan.heads)?;
-            let decision = match decision {
-                // The planner could not check the held-out error for free; do it now
-                // (reading from the cached held-out score index means only the first
-                // query per class set pays the batched inference for it).
-                RewriteDecision::AtExecution => {
-                    let heldout_scores = ctx.heldout_score_index(&nn)?;
-                    let estimate = nn.estimate_fcount_error_from_scores(
-                        &heldout_scores,
-                        &ctx.labeled().heldout().class_counts(class),
-                        class,
-                        ctx.config().bootstrap_samples,
-                        ctx.config().sampling_seed,
-                    )?;
-                    if estimate.prob_error_within(opts.error) >= opts.confidence {
-                        RewriteDecision::Rewrite
-                    } else {
-                        RewriteDecision::ControlVariates
-                    }
-                }
-                resolved => *resolved,
-            };
+            let decision =
+                match decision {
+                    // The planner could not check the held-out error for free; pay for
+                    // the calibration now (only the first query per class set does) and
+                    // apply the planner's own rule to it.
+                    RewriteDecision::AtExecution => ctx
+                        .heldout_calibration(&nn)?
+                        .rewrite_decision(class, opts.error, opts.confidence)?,
+                    resolved => *resolved,
+                };
             match decision {
                 RewriteDecision::Rewrite => {
                     let value = rewrite_fcount(ctx, &nn, class)?;
@@ -390,10 +375,7 @@ fn sample_std(values: &[f64]) -> f64 {
     if values.len() < 2 {
         return f64::INFINITY;
     }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
-    var.sqrt()
+    mean_and_sample_variance(values).1.sqrt()
 }
 
 fn sample_cov(xs: &[f64], ys: &[f64]) -> f64 {

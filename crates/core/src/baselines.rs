@@ -221,26 +221,6 @@ pub fn noscope_scrub(
     Ok((accepted, calls))
 }
 
-/// Naive content-based selection: batched detection + sequential tracking on every
-/// frame, row predicates evaluated afterwards. Returns `(rows, detector calls)`.
-pub fn naive_selection_scan(
-    ctx: &VideoContext,
-    class: Option<ObjectClass>,
-) -> Result<(Vec<blazeit_frameql::FrameQlRow>, u64)> {
-    let video = ctx.video();
-    let video = &*video;
-    let mut builder = RelationBuilder::new(ctx.detector(), ctx.config().tracker_iou, 1);
-    let mut rows = Vec::new();
-    scan_detections(ctx.detector(), video, &all_frames(video), |frame, detections| {
-        for row in builder.rows_for_detections(video, frame, detections) {
-            if class.map(|c| c == row.class).unwrap_or(true) {
-                rows.push(row);
-            }
-        }
-    });
-    Ok((rows, video.len()))
-}
-
 /// NoScope-oracle selection: batched detection + sequential tracking only on frames
 /// where the class is present (binary presence known for free).
 pub fn noscope_selection_scan(

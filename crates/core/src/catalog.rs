@@ -243,20 +243,17 @@ impl Catalog {
         if let Some(store) = &self.store {
             match store.load_labeled(&dir, &key) {
                 Ok(Some((train_day, heldout_day))) => {
-                    if let Ok(set) = LabeledSet::from_parts(train, heldout, train_day, heldout_day)
-                    {
+                    // An inconsistent artifact falls through to the rebuild
+                    // below, which overwrites it (same healing rule as every
+                    // other artifact class); the clones are O(1) views.
+                    if let Ok(set) = LabeledSet::from_parts(
+                        train.clone(),
+                        heldout.clone(),
+                        train_day,
+                        heldout_day,
+                    ) {
                         return Ok((Arc::new(set), store_errors));
                     }
-                    // An inconsistent artifact falls through to a rebuild,
-                    // which overwrites it below (same healing rule as every
-                    // other artifact class).
-                    let train = preset.generate_with_frames(DAY_TRAIN, frames_per_day)?;
-                    let heldout = preset.generate_with_frames(DAY_HELDOUT, frames_per_day)?;
-                    let set = LabeledSet::build(train, heldout, config)?;
-                    if let Err(e) = store.store_labeled(&dir, &key, set.train(), set.heldout()) {
-                        store_errors.push(("store labeled set", e));
-                    }
-                    return Ok((Arc::new(set), store_errors));
                 }
                 Ok(None) => {}
                 Err(e) => store_errors.push(("load labeled set", e)),

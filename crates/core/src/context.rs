@@ -2,24 +2,27 @@
 //!
 //! A [`VideoContext`] is one registered video of a [`Catalog`](crate::catalog::Catalog):
 //! the unseen test-day video, the labeled set (training + held-out days annotated
-//! offline), the detector configured for this stream, the UDF registry, and two caches
-//! keyed by the specialized networks' output heads:
+//! offline), the detector configured for this stream, the UDF registry, and three
+//! caches:
 //!
-//! * `nn_cache` — trained specialized networks. Once a network has been trained for
-//!   some class set, later queries reuse it and pay only inference (the paper's
-//!   "BlazeIt (no train)" scenario).
-//! * `score_cache` — per-video [`ScoreMatrix`] indexes produced by the batched
-//!   scoring pipeline, keyed by video identity + head set + feature configuration.
-//!   The first query over a class set scores the whole video once
-//!   ([`SpecializedNN::score_video`]); every later query answers from the cached
-//!   index and pays *no* specialized inference at all — the paper's
+//! * `nn_cache` — trained specialized networks by head set. Once a network has been
+//!   trained for some class set, later queries reuse it and pay only inference (the
+//!   paper's "BlazeIt (no train)" scenario).
+//! * `live_index` — the unseen video's [`ScoreMatrix`] per head set, kept beside the
+//!   network that produced it. The first query over a class set scores the whole
+//!   video once ([`SpecializedNN::score_video`]); every later query answers from the
+//!   cached index and pays *no* specialized inference at all — the paper's
 //!   "BlazeIt (indexed)" scenario made concrete.
+//! * `heldout_cache` — one [`HeldOutCalibration`] per trained network: its scores
+//!   over the held-out day and every statistic the optimizer derives from them
+//!   (Algorithm 1's bootstrap error estimate, the label filter's presence
+//!   threshold, a streaming tick's residuals), each computed once per network.
 //!
-//! Both caches live on the context (not on any engine or session), so every query
+//! The caches live on the context (not on any engine or session), so every query
 //! routed to this video — from any session over the owning catalog — shares them.
 //!
 //! When the owning catalog was opened with
-//! [`Catalog::with_index_store`](crate::catalog::Catalog::with_index_store), both
+//! [`Catalog::with_index_store`](crate::catalog::Catalog::with_index_store), the
 //! caches become the memory tier of a read-through / write-behind hierarchy over
 //! the durable [`IndexStore`]: a miss consults the disk store before training or
 //! scoring (a warm load charges *nothing* to the simulated clock), and every
@@ -32,30 +35,22 @@ use crate::fault::HealthState;
 use crate::labeled::LabeledSet;
 use crate::lockorder::{lock_ordered, OrderedGuard, RANK_LIVE_INDEX, RANK_NN_CACHE, RANK_VIDEO};
 use crate::obs;
+use crate::stats::mean_and_sample_variance;
 use crate::store::{IndexStore, StoreResult};
 use crate::stream::StreamState;
-use crate::sync::{AtomicU64, Mutex, Ordering, RwLock};
+use crate::sync::{AtomicU64, Mutex, OnceLock, Ordering, RwLock};
 use crate::{BlazeItError, Result};
 use blazeit_detect::{SimClock, SimulatedDetector};
 use blazeit_frameql::{builtin_udfs, UdfRegistry};
-use blazeit_nn::specialized::{SpecializedConfig, SpecializedHead, SpecializedNN};
+use blazeit_nn::persist::fnv1a;
+use blazeit_nn::specialized::{
+    FcountErrorEstimate, SpecializedConfig, SpecializedHead, SpecializedNN,
+};
 use blazeit_nn::ScoreMatrix;
 use blazeit_videostore::{ObjectClass, Video};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// FNV-1a over `bytes`: a tiny, dependency-free, stable fingerprint (the
-/// config fingerprint must not vary across runs, which rules out `std`'s
-/// randomized `DefaultHasher`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The `name#day#vseed#len#frames#features#hidden#nnseed#train#cost` prefix of every
 /// persisted cache key: a video's full identity, how many of its frames the
@@ -132,6 +127,46 @@ pub(crate) struct LiveIndex {
     pub(crate) generation: u64,
 }
 
+/// What one head's scores over the held-out day say about it.
+#[derive(Debug)]
+pub struct HeadCalibration {
+    /// The class the head counts.
+    pub class: ObjectClass,
+    /// Expected count per held-out frame, in annotation order (also the drift
+    /// monitor's training-time reference sample).
+    pub expected_counts: Vec<f64>,
+    /// Bootstrap estimate of the FCOUNT error: Algorithm 1's input (Section 6.2).
+    pub fcount_error: FcountErrorEstimate,
+    /// The selection label filter's cut: the largest `P(count >= 1)` threshold
+    /// with no false negatives on the held-out day (Section 8).
+    pub presence_threshold: f64,
+    /// Mean of `truth - expected` per frame: a streaming tick's bias correction.
+    pub residual_mean: f64,
+    /// Bessel-corrected variance of those residuals: a tick's interval noise.
+    pub residual_variance: f64,
+}
+
+/// A specialized network's scores over the held-out day plus every statistic the
+/// optimizer derives from them — the value of the context's `heldout_cache`, built
+/// once per network and read by the planner, the executors and streaming ticks alike.
+#[derive(Debug)]
+pub struct HeldOutCalibration {
+    /// Row `i` scores `labeled().heldout().frames[i]`.
+    pub scores: Arc<ScoreMatrix>,
+    /// One entry per head of the network, in head order.
+    pub heads: Vec<HeadCalibration>,
+}
+
+impl HeldOutCalibration {
+    /// The statistics of the head counting `class`.
+    pub fn head(&self, class: ObjectClass) -> Result<&HeadCalibration> {
+        self.heads
+            .iter()
+            .find(|h| h.class == class)
+            .ok_or_else(|| BlazeItError::Internal(format!("no head for class {class}")))
+    }
+}
+
 /// One registered video and everything cached for it.
 ///
 /// # Lock order
@@ -166,9 +201,13 @@ pub struct VideoContext {
     pub(crate) nn_cache: Mutex<HashMap<String, Arc<SpecializedNN>>>,
     /// Live test-day score indexes by normalized head key; see [`LiveIndex`].
     pub(crate) live_index: Mutex<HashMap<String, LiveIndex>>,
-    /// Held-out-day score indexes by full score key (the held-out day never
-    /// grows, so these need no streaming machinery).
-    heldout_cache: Mutex<HashMap<String, Arc<ScoreMatrix>>>,
+    /// Held-out calibrations by the scoring network's weights fingerprint (the
+    /// held-out day and the configuration are fixed for the context's lifetime
+    /// and the day never grows, so these need no streaming machinery).
+    heldout_cache: Mutex<HashMap<u64, Arc<HeldOutCalibration>>>,
+    /// The paper's head-size rule per class (indexed by [`ObjectClass::index`]),
+    /// derived from the training day on a class's first use.
+    head_sizes: [OnceLock<usize>; ObjectClass::ALL.len()],
     /// The durable tier behind the caches, plus this video's directory name
     /// inside it (its normalized stream name).
     pub(crate) store: Option<(Arc<IndexStore>, String)>,
@@ -196,18 +235,9 @@ impl std::fmt::Debug for VideoContext {
 
 impl VideoContext {
     /// Creates a context over `video` (the unseen test data) with a pre-built labeled
-    /// set, charging all expensive work to `clock` (usually the owning catalog's).
-    pub fn new(
-        video: Video,
-        labeled: Arc<LabeledSet>,
-        config: BlazeItConfig,
-        clock: Arc<SimClock>,
-    ) -> VideoContext {
-        Self::with_store(video, labeled, config, clock, None)
-    }
-
-    /// Like [`VideoContext::new`], additionally wiring the caches into a durable
-    /// [`IndexStore`] (what [`Catalog::with_index_store`](crate::catalog::Catalog::with_index_store)
+    /// set, charging all expensive work to `clock` (usually the owning catalog's) and,
+    /// when `store` is given, wiring the caches into that durable [`IndexStore`] (what
+    /// [`Catalog::with_index_store`](crate::catalog::Catalog::with_index_store)
     /// passes for every registered video).
     pub fn with_store(
         video: Video,
@@ -241,6 +271,8 @@ impl VideoContext {
             (s, dir)
         });
         let health = HealthState::new(config.sampling_seed);
+        // FNV-1a, not `std`'s randomized `DefaultHasher`: the fingerprint must
+        // not vary across runs.
         let config_fingerprint = fnv1a(format!("{config:?}").as_bytes());
         VideoContext {
             // Ranked construction enrolls each lock in the model checker's
@@ -257,6 +289,7 @@ impl VideoContext {
             nn_cache: Mutex::ranked(RANK_NN_CACHE, "nn_cache", HashMap::new()),
             live_index: Mutex::ranked(RANK_LIVE_INDEX, "live_index", HashMap::new()),
             heldout_cache: Mutex::new(HashMap::new()),
+            head_sizes: Default::default(),
             store,
             stream,
             health,
@@ -336,12 +369,6 @@ impl VideoContext {
     /// while ingestion continues.
     pub fn video(&self) -> Arc<Video> {
         Arc::clone(&self.lock_video())
-    }
-
-    /// Whether this context is a live stream (registered through
-    /// [`Catalog::register_stream`](crate::catalog::Catalog::register_stream)).
-    pub fn is_stream(&self) -> bool {
-        self.stream.is_some()
     }
 
     /// The labeled set.
@@ -579,23 +606,21 @@ impl VideoContext {
     /// highest count appearing in at least `count_class_min_fraction` of the labeled
     /// frames, and never below `at_least`.
     pub fn default_max_count(&self, class: ObjectClass, at_least: usize) -> usize {
-        let counts = self.labeled.train().class_counts(class);
-        let head =
-            SpecializedHead::from_counts(class, counts, self.config.count_class_min_fraction);
-        head.max_count.max(at_least).max(1)
-    }
-
-    /// Whether a specialized network for these heads is already trained and
-    /// available without retraining (in memory or persisted in the index store).
-    pub fn has_cached_specialized(&self, heads: &[(ObjectClass, usize)]) -> bool {
-        self.specialized_warmth(heads).is_warm()
+        // blazeit-lint: allow(panic-site::index) -- head_sizes has one slot per ObjectClass::ALL
+        // entry and index() is a position in ALL
+        let rule = *self.head_sizes[class.index()].get_or_init(|| {
+            let counts = self.labeled.train().class_counts(class);
+            SpecializedHead::from_counts(class, counts, self.config.count_class_min_fraction)
+                .max_count
+        });
+        rule.max(at_least).max(1)
     }
 
     /// The cached specialized network for these heads, if one is available
     /// without training: in memory, or loaded (free of simulated cost) from the
     /// durable store. Never trains; never charges the clock — this is what free
     /// plan-time inspection uses, and it agrees with
-    /// [`VideoContext::has_cached_specialized`] by construction.
+    /// [`VideoContext::specialized_warmth`] by construction.
     pub fn cached_specialized(&self, heads: &[(ObjectClass, usize)]) -> Option<Arc<SpecializedNN>> {
         self.lookup_specialized(&Self::normalized_heads(heads))
     }
@@ -668,53 +693,97 @@ impl VideoContext {
         self.store_op("store score index", |store, dir| store.store_scores(dir, key, scores));
     }
 
-    /// The score index for `nn` over the held-out day's annotated frames (row `i`
-    /// corresponds to `labeled().heldout().frames[i]`), cached like
-    /// [`VideoContext::score_index`]. Algorithm 1's error estimate and the selection
-    /// label-filter calibration both read from this index, so re-running a query
-    /// re-checks its plan without re-scoring the held-out day.
-    pub fn heldout_score_index(&self, nn: &Arc<SpecializedNN>) -> Result<Arc<ScoreMatrix>> {
-        let heldout = self.labeled.heldout();
-        let key = Self::score_key(self.labeled.heldout_video(), heldout.frames.len(), nn);
+    /// The [`HeldOutCalibration`] of `nn`, cached like [`VideoContext::score_index`]:
+    /// the first call per network charges the held-out inference (unless the scores
+    /// are in the durable store) and derives the statistics; later calls are free.
+    pub fn heldout_calibration(&self, nn: &Arc<SpecializedNN>) -> Result<Arc<HeldOutCalibration>> {
+        // Held across the build so two concurrent first queries cannot both
+        // score the held-out day (which would double-charge the clock).
         let mut cache = self.heldout_cache.lock();
-        if let Some(scores) = cache.get(&key) {
+        if let Some(calibration) = cache.get(&nn.weights_fingerprint()) {
             obs::count(obs::COUNTER_CACHE_HITS, 1);
-            return Ok(Arc::clone(scores));
+            return Ok(Arc::clone(calibration));
         }
-        if let Some(scores) = self.load_stored_scores(&key) {
+        let heldout = self.labeled.heldout();
+        let key = self.heldout_score_key(nn);
+        let scores = if let Some(scores) = self.load_stored_scores(&key) {
             obs::count(obs::COUNTER_CACHE_HITS, 1);
-            cache.insert(key, Arc::clone(&scores));
-            return Ok(scores);
-        }
-        let _score = obs::span("held-out score");
-        obs::count(obs::COUNTER_FRAMES_SCORED, heldout.frames.len() as u64);
-        let scores = Arc::new(nn.score_batch(self.labeled.heldout_video(), &heldout.frames)?);
-        self.store_scores_behind(&key, &scores);
-        cache.insert(key, Arc::clone(&scores));
-        Ok(scores)
+            scores
+        } else {
+            let _score = obs::span("held-out score");
+            obs::count(obs::COUNTER_FRAMES_SCORED, heldout.frames.len() as u64);
+            let scores = Arc::new(nn.score_batch(self.labeled.heldout_video(), &heldout.frames)?);
+            self.store_scores_behind(&key, &scores);
+            scores
+        };
+        self.calibrate_heldout(&mut cache, nn, scores)
     }
 
-    /// The cached held-out score index for `nn`, if already built: in memory, or
-    /// loaded (and promoted to memory) from the durable store. Never scores;
-    /// never charges the clock — this is what lets the planner resolve
+    /// The held-out calibration of `nn` if its scores are already built: in
+    /// memory, or loaded (and promoted to memory) from the durable store. Never
+    /// scores; never charges the clock — this is what lets the planner resolve
     /// Algorithm 1's rewrite decision for free on a disk-warm catalog, not just
     /// a memory-warm one.
-    pub fn cached_heldout_score_index(&self, nn: &Arc<SpecializedNN>) -> Option<Arc<ScoreMatrix>> {
-        let heldout = self.labeled.heldout();
-        let key = Self::score_key(self.labeled.heldout_video(), heldout.frames.len(), nn);
+    pub fn cached_heldout_calibration(
+        &self,
+        nn: &Arc<SpecializedNN>,
+    ) -> Option<Arc<HeldOutCalibration>> {
         let mut cache = self.heldout_cache.lock();
-        if let Some(scores) = cache.get(&key) {
-            return Some(Arc::clone(scores));
+        if let Some(calibration) = cache.get(&nn.weights_fingerprint()) {
+            return Some(Arc::clone(calibration));
         }
-        let scores = self.load_stored_scores(&key)?;
-        cache.insert(key, Arc::clone(&scores));
-        Some(scores)
+        let scores = self.load_stored_scores(&self.heldout_score_key(nn))?;
+        self.calibrate_heldout(&mut cache, nn, scores).ok()
     }
 
-    /// Whether the unseen video's score index for these heads is already built
-    /// (in memory or persisted in the index store).
-    pub fn has_cached_score_index(&self, heads: &[(ObjectClass, usize)]) -> bool {
-        self.score_index_warmth(heads).is_warm()
+    /// The disk-tier key of `nn`'s held-out scores (the memory tier keys by
+    /// weights fingerprint alone, so the string is only built on a memory miss).
+    fn heldout_score_key(&self, nn: &SpecializedNN) -> String {
+        Self::score_key(self.labeled.heldout_video(), self.labeled.heldout().frames.len(), nn)
+    }
+
+    /// Derives `nn`'s calibration from its held-out `scores` — the one place any
+    /// held-out statistic is computed — and publishes it in the locked cache.
+    fn calibrate_heldout(
+        &self,
+        cache: &mut HashMap<u64, Arc<HeldOutCalibration>>,
+        nn: &SpecializedNN,
+        scores: Arc<ScoreMatrix>,
+    ) -> Result<Arc<HeldOutCalibration>> {
+        let mut heads = Vec::with_capacity(nn.heads().len());
+        for (h, &SpecializedHead { class, .. }) in nn.heads().iter().enumerate() {
+            let truth = self.labeled.heldout().class_counts(class);
+            let fcount_error = nn.estimate_fcount_error_from_scores(
+                &scores,
+                &truth,
+                class,
+                self.config.bootstrap_samples,
+                self.config.sampling_seed,
+            )?;
+            let presence_threshold = nn.presence_threshold_from_scores(&scores, &truth, class)?;
+            let expected_counts: Vec<f64> =
+                (0..scores.num_frames()).map(|f| scores.expected_count(f, h)).collect();
+            let residuals: Vec<f64> =
+                truth.iter().zip(&expected_counts).map(|(&t, e)| t as f64 - e).collect();
+            let (residual_mean, residual_variance) = mean_and_sample_variance(&residuals);
+            heads.push(HeadCalibration {
+                class,
+                expected_counts,
+                fcount_error,
+                presence_threshold,
+                residual_mean,
+                residual_variance,
+            });
+        }
+        let calibration = Arc::new(HeldOutCalibration { scores, heads });
+        cache.insert(nn.weights_fingerprint(), Arc::clone(&calibration));
+        Ok(calibration)
+    }
+
+    /// The score index for `nn` over the held-out day's annotated frames: the
+    /// matrix inside [`VideoContext::heldout_calibration`].
+    pub fn heldout_score_index(&self, nn: &Arc<SpecializedNN>) -> Result<Arc<ScoreMatrix>> {
+        Ok(Arc::clone(&self.heldout_calibration(nn)?.scores))
     }
 
     /// The cache state of the specialized network for these heads: in memory,
@@ -794,9 +863,9 @@ mod tests {
     fn specialized_cache_hits_avoid_retraining() {
         let (_, e) = engine();
         let heads = [(ObjectClass::Car, 3usize)];
-        assert!(!e.has_cached_specialized(&heads));
+        assert!(!e.specialized_warmth(&heads).is_warm());
         let _nn = e.specialized_for(&heads).unwrap();
-        assert!(e.has_cached_specialized(&heads));
+        assert!(e.specialized_warmth(&heads).is_warm());
         let training_after_first = e.clock().breakdown().training;
         assert!(training_after_first > 0.0);
         let _nn2 = e.specialized_for(&heads).unwrap();
@@ -809,14 +878,14 @@ mod tests {
         let (_, e) = engine();
         let heads = [(ObjectClass::Car, 2usize)];
         let nn = e.specialized_for(&heads).unwrap();
-        assert!(!e.has_cached_score_index(&heads));
+        assert!(!e.score_index_warmth(&heads).is_warm());
 
         let before = e.clock().breakdown().specialized;
         let index = e.score_index(&nn).unwrap();
         assert_eq!(index.num_frames() as u64, e.video().len());
         let after_first = e.clock().breakdown().specialized;
         assert!(after_first > before, "building the index must charge inference");
-        assert!(e.has_cached_score_index(&heads));
+        assert!(e.score_index_warmth(&heads).is_warm());
 
         let index_again = e.score_index(&nn).unwrap();
         assert!(Arc::ptr_eq(&index, &index_again));
@@ -844,6 +913,17 @@ mod tests {
         assert!(!Arc::ptr_eq(&heldout_index, &test_index));
         assert_eq!(heldout_index.num_frames(), test_index.num_frames());
         assert_ne!(heldout_index.probs(), test_index.probs());
+    }
+
+    #[test]
+    fn heldout_calibration_is_derived_once_per_network() {
+        let (_, e) = engine();
+        let nn = e.specialized_for(&[(ObjectClass::Car, 2)]).unwrap();
+        let first = e.heldout_calibration(&nn).unwrap();
+        let charged = e.clock().total();
+        assert!(Arc::ptr_eq(&e.heldout_calibration(&nn).unwrap(), &first));
+        assert!(Arc::ptr_eq(&e.heldout_score_index(&nn).unwrap(), &first.scores));
+        assert_eq!(e.clock().total(), charged, "repeat calls must charge nothing");
     }
 
     #[test]

@@ -14,25 +14,44 @@
 //! override the plan through [`PreparedQuery`](crate::session::PreparedQuery) before
 //! running it, and `EXPLAIN <query>` renders it via the [`std::fmt::Display`] impl.
 //!
+//! All policy lives here — which strategy a query runs, which `(class, max_count)`
+//! heads it trains (`heads_for`), whether the labeled set has enough examples to
+//! train them at all (the `MIN_*` thresholds), and Algorithm 1's rule
+//! (`HeldOutCalibration::rewrite_decision`). The executors take the resolved
+//! [`VideoPlan`] and decide nothing themselves.
+//!
 //! One decision cannot always be made for free: Algorithm 1's rewrite-vs-control-
 //! variates choice needs the specialized network's held-out error, which requires
-//! training. When the network and its held-out score index are already cached the
-//! planner resolves the decision immediately (the bootstrap over cached scores is
-//! pure computation); otherwise the sub-plan honestly reports
-//! [`RewriteDecision::AtExecution`].
+//! training. When the network and its held-out calibration are already cached the
+//! planner resolves the decision immediately (a lookup); otherwise the sub-plan
+//! honestly reports [`RewriteDecision::AtExecution`] and the aggregate executor
+//! applies the same rule once it has paid for the calibration.
 
-use crate::aggregate::{SamplingOptions, MIN_TRAINING_EXAMPLES};
+use crate::aggregate::SamplingOptions;
 use crate::baselines::requirement_pairs;
-use crate::context::{CacheWarmth, VideoContext};
+use crate::context::{CacheWarmth, HeldOutCalibration, VideoContext};
 use crate::fault::HealthReport;
-use crate::scrub::{ScrubOptions, MIN_SCRUB_EXAMPLES};
-use crate::select::{SelectionOptions, MIN_LABEL_FILTER_EXAMPLES};
+use crate::scrub::ScrubOptions;
+use crate::select::SelectionOptions;
 use crate::stream::StreamStatus;
 use crate::{BlazeItError, Result};
 use blazeit_frameql::query::{AggregateKind, QueryClass, QueryPlanInfo};
 use blazeit_videostore::ObjectClass;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// Minimum number of positive labeled frames required before BlazeIt will train a
+/// specialized NN for an aggregate (Algorithm 1's "sufficient training data" check).
+const MIN_TRAINING_EXAMPLES: usize = 50;
+
+/// Minimum number of positive training frames required before BlazeIt trains a
+/// specialized NN for a scrubbing query; below this it falls back to a filtered scan
+/// (Section 7.1).
+const MIN_SCRUB_EXAMPLES: usize = 1;
+
+/// Minimum number of positive labeled frames required before the label-based filter
+/// is calibrated for a selection query.
+const MIN_LABEL_FILTER_EXAMPLES: usize = 20;
 
 /// How an aggregate's rewrite-vs-control-variates choice (Algorithm 1) stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -318,10 +337,7 @@ fn plan_video_strategy(ctx: &VideoContext, info: &QueryPlanInfo) -> Result<Video
                 // index for the single queried class.
                 plan.strategy = PlanStrategy::ContinuousAggregate;
                 if let Some(class) = info.single_class() {
-                    let heads = vec![(class, ctx.default_max_count(class, 1))];
-                    plan.specialized_cache = ctx.specialized_warmth(&heads);
-                    plan.score_index_cache = ctx.score_index_warmth(&heads);
-                    plan.heads = heads;
+                    plan.set_heads(ctx, heads_for(ctx, &[(class, 1)]));
                 }
                 return Ok(plan);
             }
@@ -332,20 +348,26 @@ fn plan_video_strategy(ctx: &VideoContext, info: &QueryPlanInfo) -> Result<Video
             let confidence = info.confidence.unwrap_or(0.95);
             plan.sampling =
                 Some(SamplingOptions::new(error, confidence, ctx.config().sampling_seed));
-            if let Some(class) = info.single_class() {
-                let enough_data =
-                    ctx.labeled().has_training_examples(&[(class, 1)], MIN_TRAINING_EXAMPLES);
-                if enough_data {
-                    let heads = vec![(class, ctx.default_max_count(class, 1))];
-                    plan.specialized_cache = ctx.specialized_warmth(&heads);
-                    plan.score_index_cache = ctx.score_index_warmth(&heads);
-                    let decision = resolve_rewrite_decision(ctx, &heads, class, error, confidence);
-                    plan.heads = heads;
-                    plan.strategy = PlanStrategy::SpecializedAggregate { decision };
-                    return Ok(plan);
+            let trainable = info.single_class().and_then(|class| {
+                trainable_heads(ctx, &[(class, 1)], MIN_TRAINING_EXAMPLES)
+                    .map(|heads| (class, heads))
+            });
+            plan.strategy = match trainable {
+                Some((class, heads)) => {
+                    // Warmth first: resolving the decision promotes a disk-warm
+                    // network to memory, and EXPLAIN reports the state before that.
+                    plan.set_heads(ctx, heads);
+                    // Free when the network and its calibration are cached (memory
+                    // or disk); otherwise the decision waits for execution.
+                    let decision = ctx
+                        .cached_specialized(&plan.heads)
+                        .and_then(|nn| ctx.cached_heldout_calibration(&nn))
+                        .and_then(|c| c.rewrite_decision(class, error, confidence).ok())
+                        .unwrap_or(RewriteDecision::AtExecution);
+                    PlanStrategy::SpecializedAggregate { decision }
                 }
-            }
-            plan.strategy = PlanStrategy::NaiveSampling;
+                None => PlanStrategy::NaiveSampling,
+            };
             Ok(plan)
         }
         QueryClass::Scrub => {
@@ -357,66 +379,85 @@ fn plan_video_strategy(ctx: &VideoContext, info: &QueryPlanInfo) -> Result<Video
             }
             plan.scrub =
                 Some(ScrubOptions { limit: info.limit.unwrap_or(10), gap: info.gap.unwrap_or(0) });
-            if ctx.labeled().has_training_examples(&requirements, MIN_SCRUB_EXAMPLES) {
-                let heads: Vec<(ObjectClass, usize)> = requirements
-                    .iter()
-                    .map(|&(class, min_count)| (class, ctx.default_max_count(class, min_count)))
-                    .collect();
-                plan.specialized_cache = ctx.specialized_warmth(&heads);
-                plan.score_index_cache = ctx.score_index_warmth(&heads);
-                plan.heads = heads;
-                plan.strategy = PlanStrategy::ScrubRanked;
-            } else {
-                plan.strategy = PlanStrategy::ScrubScan;
-            }
+            plan.strategy = match trainable_heads(ctx, &requirements, MIN_SCRUB_EXAMPLES) {
+                Some(heads) => {
+                    plan.set_heads(ctx, heads);
+                    PlanStrategy::ScrubRanked
+                }
+                None => PlanStrategy::ScrubScan,
+            };
             Ok(plan)
         }
         QueryClass::Select | QueryClass::Exhaustive => {
             plan.strategy = PlanStrategy::Selection;
-            // The label filter's head choice, recorded for inspection when the class
-            // has enough labeled data for calibration (mirrors the selection
-            // executor's own eligibility rule).
-            if let Some(class) = info.single_class() {
-                if ctx.labeled().has_training_examples(&[(class, 1)], MIN_LABEL_FILTER_EXAMPLES) {
-                    let heads = vec![(class, ctx.default_max_count(class, 1))];
-                    plan.specialized_cache = ctx.specialized_warmth(&heads);
-                    plan.score_index_cache = ctx.score_index_warmth(&heads);
-                    plan.heads = heads;
-                }
+            // The label filter's heads: the selection executor calibrates the
+            // filter from exactly these, and skips it when there are none.
+            let heads = label_filter_heads(ctx, info);
+            if !heads.is_empty() {
+                plan.set_heads(ctx, heads);
             }
             Ok(plan)
         }
     }
 }
 
-/// Resolves Algorithm 1's rewrite decision from cached state only (free), or reports
-/// that it must wait for execution.
-fn resolve_rewrite_decision(
+/// The head-set rule: one counting head per required class (as in the paper, a
+/// single network counts each class separately), sized by the larger of the
+/// query's own threshold and the "highest count in ≥1% of frames" rule
+/// ([`VideoContext::default_max_count`]).
+pub(crate) fn heads_for(
     ctx: &VideoContext,
-    heads: &[(ObjectClass, usize)],
-    class: ObjectClass,
-    error: f64,
-    confidence: f64,
-) -> RewriteDecision {
-    let Some(nn) = ctx.cached_specialized(heads) else {
-        return RewriteDecision::AtExecution;
-    };
-    let Some(scores) = ctx.cached_heldout_score_index(&nn) else {
-        return RewriteDecision::AtExecution;
-    };
-    let Ok(estimate) = nn.estimate_fcount_error_from_scores(
-        &scores,
-        &ctx.labeled().heldout().class_counts(class),
-        class,
-        ctx.config().bootstrap_samples,
-        ctx.config().sampling_seed,
-    ) else {
-        return RewriteDecision::AtExecution;
-    };
-    if estimate.prob_error_within(error) >= confidence {
-        RewriteDecision::Rewrite
-    } else {
-        RewriteDecision::ControlVariates
+    requirements: &[(ObjectClass, usize)],
+) -> Vec<(ObjectClass, usize)> {
+    requirements
+        .iter()
+        .map(|&(class, min_count)| (class, ctx.default_max_count(class, min_count)))
+        .collect()
+}
+
+/// The sufficiency rule: the heads for `requirements` when the training day holds
+/// at least `min_examples` frames satisfying them, `None` when a specialized
+/// network cannot be trained and the strategy must fall back.
+fn trainable_heads(
+    ctx: &VideoContext,
+    requirements: &[(ObjectClass, usize)],
+    min_examples: usize,
+) -> Option<Vec<(ObjectClass, usize)>> {
+    ctx.labeled()
+        .has_training_examples(requirements, min_examples)
+        .then(|| heads_for(ctx, requirements))
+}
+
+/// The heads a selection's label filter trains: one presence head for the single
+/// target class when it has enough labeled data to calibrate on, none otherwise.
+/// (Also asked by [`select::plan_filters`](crate::select::plan_filters), the harness
+/// entry that runs without a [`VideoPlan`].)
+pub(crate) fn label_filter_heads(
+    ctx: &VideoContext,
+    info: &QueryPlanInfo,
+) -> Vec<(ObjectClass, usize)> {
+    info.single_class()
+        .and_then(|class| trainable_heads(ctx, &[(class, 1)], MIN_LABEL_FILTER_EXAMPLES))
+        .unwrap_or_default()
+}
+
+impl HeldOutCalibration {
+    /// Algorithm 1's rule: rewrite the query when the bootstrap puts the
+    /// specialized network's held-out FCOUNT error within `error` with
+    /// probability at least `confidence`; otherwise sample with the network as a
+    /// control variate.
+    pub(crate) fn rewrite_decision(
+        &self,
+        class: ObjectClass,
+        error: f64,
+        confidence: f64,
+    ) -> Result<RewriteDecision> {
+        let estimate = &self.head(class)?.fcount_error;
+        Ok(if estimate.prob_error_within(error) >= confidence {
+            RewriteDecision::Rewrite
+        } else {
+            RewriteDecision::ControlVariates
+        })
     }
 }
 
@@ -436,6 +477,14 @@ impl QueryPlan {
 }
 
 impl VideoPlan {
+    /// Records the heads the sub-plan trains or reuses, with how warm this
+    /// context's caches are for them.
+    fn set_heads(&mut self, ctx: &VideoContext, heads: Vec<(ObjectClass, usize)>) {
+        self.specialized_cache = ctx.specialized_warmth(&heads);
+        self.score_index_cache = ctx.score_index_warmth(&heads);
+        self.heads = heads;
+    }
+
     fn strategy_label(&self) -> String {
         match &self.strategy {
             PlanStrategy::ExactScan => "exact scan (detector on every frame)".to_string(),

@@ -13,7 +13,7 @@
 use crate::baselines::{requirement_pairs, respects_gap};
 use crate::context::VideoContext;
 use crate::obs;
-use crate::plan::{PlanStrategy, VideoPlan};
+use crate::plan::{heads_for, PlanStrategy, VideoPlan};
 use crate::result::{QueryOutput, SourcedFrame};
 use crate::{baselines, BlazeItError, Result};
 use blazeit_detect::{CountVector, ObjectDetector};
@@ -22,11 +22,6 @@ use blazeit_nn::specialized::SpecializedNN;
 use blazeit_videostore::{FrameIndex, ObjectClass};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Minimum number of positive training frames required before BlazeIt trains a
-/// specialized NN for a scrubbing query; below this it falls back to a filtered scan
-/// (Section 7.1).
-pub const MIN_SCRUB_EXAMPLES: usize = 1;
 
 /// Options for a scrubbing run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,20 +76,14 @@ pub fn execute(ctx: &VideoContext, info: &QueryPlanInfo, plan: &VideoPlan) -> Re
     }
 }
 
-/// Trains (or fetches from cache) the multi-head counting NN for a set of requirements.
-///
-/// As in the paper, a single network is trained with one head per class, counting each
-/// class separately; head sizes are the larger of the query's threshold and the
-/// "highest count in ≥1% of frames" rule.
+/// Trains (or fetches from cache) the multi-head counting NN the planner would pick
+/// for a set of requirements (`plan::heads_for`) — the harness entry that runs without a
+/// [`VideoPlan`].
 pub fn specialized_for_requirements(
     ctx: &VideoContext,
     requirements: &[(ObjectClass, usize)],
 ) -> Result<Arc<SpecializedNN>> {
-    let heads: Vec<(ObjectClass, usize)> = requirements
-        .iter()
-        .map(|&(class, min_count)| (class, ctx.default_max_count(class, min_count)))
-        .collect();
-    ctx.specialized_for(&heads)
+    ctx.specialized_for(&heads_for(ctx, requirements))
 }
 
 /// Scores every frame of the unseen video with the specialized NN's confidence that it

@@ -23,7 +23,7 @@
 
 use crate::context::VideoContext;
 use crate::obs;
-use crate::plan::VideoPlan;
+use crate::plan::{label_filter_heads, VideoPlan};
 use crate::relation::RelationBuilder;
 use crate::result::QueryOutput;
 use crate::{BlazeItError, Result};
@@ -33,15 +33,10 @@ use blazeit_frameql::expr::evaluate_row;
 use blazeit_frameql::query::{ContentPredicate, MaskAccessor, QueryPlanInfo};
 use blazeit_frameql::{FrameQlRow, Query};
 use blazeit_nn::ScoreMatrix;
-use blazeit_videostore::{BoundingBox, Frame, FrameIndex};
+use blazeit_videostore::{BoundingBox, Frame, FrameIndex, ObjectClass};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Minimum number of positive labeled frames required before the label-based filter
-/// is calibrated for a selection query (shared with the planner so `EXPLAIN` reports
-/// exactly the filters execution will use).
-pub const MIN_LABEL_FILTER_EXAMPLES: usize = 20;
 
 /// Which filter classes the plan is allowed to use (all enabled by default; the factor
 /// analysis / lesion study of Figure 11 toggles them individually).
@@ -142,17 +137,6 @@ pub struct SelectionOutcome {
     pub frames_after_label: u64,
 }
 
-impl SelectionOutcome {
-    /// The distinct track ids among the returned rows (used to measure false negatives
-    /// against the naive plan at the object level).
-    pub fn track_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.rows.iter().map(|r| r.trackid).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-}
-
 /// Maps returned rows to *ground-truth* track ids by matching each row's mask against
 /// the scene's objects in that frame (highest IoU wins, minimum 0.3).
 ///
@@ -179,19 +163,23 @@ pub fn ground_truth_tracks(ctx: &VideoContext, rows: &[FrameQlRow]) -> Vec<u64> 
 }
 
 /// Executes a selection (or exhaustive) query against one video, with the filter
-/// options resolved into (or overridden on) its sub-plan.
+/// options and label-filter heads resolved into (or overridden on) its sub-plan.
 pub fn execute(
     ctx: &VideoContext,
     query: &Query,
     info: &QueryPlanInfo,
     plan: &VideoPlan,
 ) -> Result<QueryOutput> {
-    let outcome = execute_with_options(ctx, query, info, &plan.selection)?;
+    let filters = {
+        let _calibrate = obs::span("calibrate filters");
+        resolve_filters(ctx, info, &plan.selection, &plan.heads)?
+    };
+    let outcome = run_selection(ctx, query, info, &filters)?;
     Ok(QueryOutput::Rows { rows: outcome.rows, detection_calls: outcome.detection_calls })
 }
 
 /// Executes a selection query and returns the full outcome (used by the Figure 10/11
-/// harnesses, which need per-stage statistics).
+/// harnesses, which need per-stage statistics and run without a [`VideoPlan`]).
 pub fn execute_with_options(
     ctx: &VideoContext,
     query: &Query,
@@ -205,11 +193,23 @@ pub fn execute_with_options(
     run_selection(ctx, query, info, &plan)
 }
 
-/// Infers the filter plan from the query structure, the labeled set, and the options.
+/// Infers the filter plan from the query structure, the labeled set, and the options,
+/// with the label-filter heads the planner would pick.
 pub fn plan_filters(
     ctx: &VideoContext,
     info: &QueryPlanInfo,
     options: &SelectionOptions,
+) -> Result<FilterPlan> {
+    resolve_filters(ctx, info, options, &label_filter_heads(ctx, info))
+}
+
+/// Resolves the filter plan; `label_heads` are the heads the label filter trains
+/// (none: no label filter).
+fn resolve_filters(
+    ctx: &VideoContext,
+    info: &QueryPlanInfo,
+    options: &SelectionOptions,
+    label_heads: &[(ObjectClass, usize)],
 ) -> Result<FilterPlan> {
     // --- Temporal filter ------------------------------------------------------------
     let stride = if options.use_temporal_filter {
@@ -233,8 +233,11 @@ pub fn plan_filters(
         if options.use_content_filter { calibrate_content_filters(ctx, info)? } else { Vec::new() };
 
     // --- Label filter ------------------------------------------------------------------
-    let label_filter =
-        if options.use_label_filter { calibrate_label_filter(ctx, info)? } else { None };
+    let label_filter = if options.use_label_filter {
+        calibrate_label_filter(ctx, info, label_heads)?
+    } else {
+        None
+    };
 
     Ok(FilterPlan { stride, region, content_filters, label_filter, min_track_appearances })
 }
@@ -387,27 +390,24 @@ fn calibrate_content_filters(
     Ok(filters)
 }
 
-/// Trains and calibrates the label-based (binary presence) filter for the target
-/// class, returning the unseen video's score index plus the calibrated threshold.
+/// Trains the label-based (binary presence) filter's network over `heads` (the
+/// plan's; none means the planner found too little labeled data) and returns the
+/// unseen video's score index plus the target class's calibrated threshold.
 ///
-/// Both score matrices involved (held-out day for calibration, test day for the
-/// filter itself) come from the context's batched score-index cache, so repeated
-/// selection queries over the same class neither retrain nor rescore anything.
+/// The threshold comes from the context's held-out calibration and the scores from
+/// its score-index cache, so repeated selection queries over the same class neither
+/// retrain, rescore nor recalibrate anything.
 fn calibrate_label_filter(
     ctx: &VideoContext,
     info: &QueryPlanInfo,
+    heads: &[(ObjectClass, usize)],
 ) -> Result<Option<(Arc<ScoreMatrix>, usize, f64)>> {
     let Some(class) = info.single_class() else { return Ok(None) };
-    if !ctx.labeled().has_training_examples(&[(class, 1)], MIN_LABEL_FILTER_EXAMPLES) {
+    if heads.is_empty() {
         return Ok(None);
     }
-    let nn = ctx.specialized_for(&[(class, ctx.default_max_count(class, 1))])?;
-    let heldout_scores = ctx.heldout_score_index(&nn)?;
-    let threshold = nn.presence_threshold_from_scores(
-        &heldout_scores,
-        &ctx.labeled().heldout().class_counts(class),
-        class,
-    )?;
+    let nn = ctx.specialized_for(heads)?;
+    let threshold = ctx.heldout_calibration(&nn)?.head(class)?.presence_threshold;
     let head = nn
         .head_index(class)
         .ok_or_else(|| BlazeItError::Internal(format!("no head for class {class}")))?;
@@ -595,7 +595,7 @@ mod tests {
     use crate::catalog::Catalog;
     use blazeit_frameql::parse_query;
     use blazeit_frameql::query::analyze;
-    use blazeit_videostore::{DatasetPreset, ObjectClass};
+    use blazeit_videostore::DatasetPreset;
 
     fn engine() -> (Catalog, Arc<VideoContext>) {
         Catalog::one_video(DatasetPreset::Taipei, 2_000)

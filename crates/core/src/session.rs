@@ -36,6 +36,7 @@ use crate::result::{QueryOutput, QueryResult, SourcedRow, VideoAggregate};
 use crate::scrub;
 use crate::select::{self, SelectionOptions};
 use crate::{BlazeItError, Result};
+use blazeit_detect::SimClock;
 use blazeit_frameql::ast::FromClause;
 use blazeit_frameql::query::{analyze, QueryClass, QueryPlanInfo};
 use blazeit_frameql::{parse_query, Query};
@@ -260,7 +261,12 @@ impl PreparedQuery {
             return self.run_analyze(started);
         }
 
-        let cost_before = clock.breakdown();
+        // This thread's own ledger, not the clock's fold over every ledger: a
+        // served query must not report what other sessions were charged
+        // meanwhile. (Pool workers charge the submitter's tag, and untagged
+        // library callers all share ledger 0.)
+        let tag = SimClock::charge_tag();
+        let cost_before = clock.breakdown_for(tag);
         let output = if self.query.explain {
             QueryOutput::Explain { plan: self.plan.clone() }
         } else {
@@ -268,7 +274,7 @@ impl PreparedQuery {
             self.execute()?
         };
 
-        let cost = clock.breakdown().since(&cost_before);
+        let cost = clock.breakdown_for(tag).since(&cost_before);
         Ok(QueryResult {
             query: self.sql.clone(),
             output,

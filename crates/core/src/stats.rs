@@ -1,102 +1,5 @@
-//! Small statistics helpers: running mean/variance, covariance, and the normal
+//! Small statistics helpers: batch mean/variance, correlation, and the normal
 //! percent-point function used by the CLT stopping rule (Section 6.1).
-
-/// Welford-style running estimator of mean and variance with the finite-sample
-/// (Bessel) correction the paper calls for.
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty estimator.
-    pub fn new() -> RunningStats {
-        RunningStats::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance with Bessel's correction (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn standard_error(&self) -> f64 {
-        if self.n == 0 {
-            f64::INFINITY
-        } else {
-            self.std_dev() / (self.n as f64).sqrt()
-        }
-    }
-}
-
-/// Running estimator of the covariance between two variables (used to fit the control
-/// variate coefficient `c = -Cov(m, t) / Var(t)` as samples accumulate).
-#[derive(Debug, Clone, Default)]
-pub struct RunningCovariance {
-    n: u64,
-    mean_x: f64,
-    mean_y: f64,
-    c: f64,
-}
-
-impl RunningCovariance {
-    /// Creates an empty estimator.
-    pub fn new() -> RunningCovariance {
-        RunningCovariance::default()
-    }
-
-    /// Adds one paired observation.
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.n += 1;
-        let dx = x - self.mean_x;
-        self.mean_x += dx / self.n as f64;
-        self.mean_y += (y - self.mean_y) / self.n as f64;
-        self.c += dx * (y - self.mean_y);
-    }
-
-    /// Number of paired observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample covariance with Bessel's correction.
-    pub fn covariance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.c / (self.n - 1) as f64
-        }
-    }
-}
 
 /// Mean and population variance of a slice in one pass.
 pub fn mean_and_variance(values: &[f64]) -> (f64, f64) {
@@ -106,6 +9,19 @@ pub fn mean_and_variance(values: &[f64]) -> (f64, f64) {
     let n = values.len() as f64;
     let mean = values.iter().sum::<f64>() / n;
     let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+    (mean, var)
+}
+
+/// Mean and sample variance (Bessel's correction; 0 for fewer than two values) of
+/// a slice.
+pub fn mean_and_sample_variance(values: &[f64]) -> (f64, f64) {
+    let n = values.len().max(1) as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let var = if values.len() > 1 {
+        values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0)
+    } else {
+        0.0
+    };
     (mean, var)
 }
 
@@ -198,46 +114,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn running_stats_matches_direct_computation() {
-        let values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut rs = RunningStats::new();
-        for &v in &values {
-            rs.push(v);
-        }
-        assert_eq!(rs.count(), 8);
-        assert!((rs.mean() - 5.0).abs() < 1e-12);
-        // Sample variance with Bessel correction = 32/7.
-        assert!((rs.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert!((rs.standard_error() - rs.std_dev() / 8.0f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_stats_degenerate_cases() {
-        let rs = RunningStats::new();
-        assert_eq!(rs.variance(), 0.0);
-        assert!(rs.standard_error().is_infinite());
-        let mut one = RunningStats::new();
-        one.push(3.0);
-        assert_eq!(one.variance(), 0.0);
-    }
-
-    #[test]
-    fn running_covariance_matches_direct() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 5.0, 8.0];
-        let mut rc = RunningCovariance::new();
-        for (x, y) in xs.iter().zip(ys.iter()) {
-            rc.push(*x, *y);
-        }
-        // Direct sample covariance.
-        let mx = 2.5;
-        let my = 4.75;
-        let direct: f64 =
-            xs.iter().zip(ys.iter()).map(|(x, y)| (x - mx) * (y - my)).sum::<f64>() / 3.0;
-        assert!((rc.covariance() - direct).abs() < 1e-12);
-    }
-
-    #[test]
     fn correlation_bounds_and_signs() {
         let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
         let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x + 1.0).collect();
@@ -277,5 +153,11 @@ mod tests {
         assert!((m - 2.0).abs() < 1e-12);
         assert!((v - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(mean_and_variance(&[]), (0.0, 0.0));
+        // The Bessel-corrected sibling: 2/2 for the same values, 0 when degenerate.
+        let (m, v) = mean_and_sample_variance(&[1.0, 2.0, 3.0]);
+        assert!((m - 2.0).abs() < 1e-12);
+        assert!((v - 1.0).abs() < 1e-12);
+        assert_eq!(mean_and_sample_variance(&[3.0]), (3.0, 0.0));
+        assert_eq!(mean_and_sample_variance(&[]), (0.0, 0.0));
     }
 }

@@ -570,11 +570,6 @@ impl IndexStore {
         obs::metrics().store_reads.inc();
         decode_labeled(&bytes, key).map(Some).map_err(|source| StoreError::Invalid { path, source })
     }
-
-    /// Whether labeled-set annotations are stored under `key` for `video`.
-    pub fn has_labeled(&self, video: &str, key: &str) -> bool {
-        self.labeled_path(video, key).is_file()
-    }
 }
 
 // ---------------------------------------------------------------------------------

@@ -51,6 +51,7 @@ use crate::context::{LiveIndex, VideoContext};
 use crate::fault::{self, RetrainHealth};
 use crate::lockorder::{lock_ordered, RANK_MONITOR};
 use crate::obs;
+use crate::plan::heads_for;
 use crate::session::Session;
 use crate::stats::normal_critical_value;
 use crate::sync::Mutex;
@@ -757,13 +758,11 @@ impl VideoContext {
         let normalized = Self::normalized_heads(heads);
         let nn = self.specialized_for(&normalized)?;
         let _live = self.score_index(&nn)?;
-        let heldout = self.heldout_score_index(&nn)?;
+        let calibration = self.heldout_calibration(&nn)?;
         let key = Self::head_key(&normalized);
         let mut monitor = lock_ordered(RANK_MONITOR, "monitor", &state.monitor);
         monitor.entry(key).or_insert_with(|| DriftEntry {
-            reference: (0..heldout.num_heads())
-                .map(|h| (0..heldout.num_frames()).map(|f| heldout.expected_count(f, h)).collect())
-                .collect(),
+            reference: calibration.heads.iter().map(|h| h.expected_counts.clone()).collect(),
             last_check: 0,
             last_score: None,
             refresh: RefreshState::Idle,
@@ -881,7 +880,8 @@ impl Catalog {
 /// [`StreamUpdate`] per elapsed tick. Polling reads the incremental score
 /// index — it charges zero detection and zero redundant specialized inference
 /// for already-scored frames (the only inference a poll can ever charge is the
-/// one-time held-out calibration of a freshly swapped-in model generation).
+/// one-time held-out calibration of a freshly swapped-in model generation, which
+/// the context caches per network like any other).
 #[derive(Debug)]
 pub struct Subscription {
     ctx: Arc<VideoContext>,
@@ -893,15 +893,6 @@ pub struct Subscription {
     every: u64,
     confidence: f64,
     next_tick: u64,
-    calibration: Option<(u64, Calibration)>,
-}
-
-/// Held-out calibration residual statistics for one model generation.
-#[derive(Debug)]
-struct Calibration {
-    mean_residual: f64,
-    residual_variance: f64,
-    n: usize,
 }
 
 impl<'a> Session<'a> {
@@ -959,7 +950,7 @@ impl<'a> Session<'a> {
                     .into(),
             ));
         };
-        let heads = vec![(class, ctx.default_max_count(class, 1))];
+        let heads = heads_for(&ctx, &[(class, 1)]);
         ctx.ensure_stream_index(&heads)?;
         let every = info.every.or(info.window).unwrap_or(DEFAULT_TICK_FRAMES).max(1);
         let start = ctx.video().len();
@@ -974,7 +965,6 @@ impl<'a> Session<'a> {
             every,
             confidence: info.confidence.unwrap_or(0.95),
             next_tick,
-            calibration: None,
         })
     }
 }
@@ -1028,10 +1018,11 @@ impl Subscription {
                 .map(|f| snap.scores.expected_count(f, head))
                 .sum::<f64>()
                 / n_window.max(1) as f64;
-            let cal = self.calibration_for(&snap)?;
-            let mut value = pred_mean + cal.mean_residual;
+            let calibration = self.ctx.heldout_calibration(&snap.nn)?;
+            let cal = calibration.head(self.class)?;
+            let mut value = pred_mean + cal.residual_mean;
             let mut se = (cal.residual_variance / n_window.max(1) as f64
-                + cal.residual_variance / cal.n.max(1) as f64)
+                + cal.residual_variance / cal.expected_counts.len().max(1) as f64)
                 .sqrt();
             if matches!(self.kind, AggregateKind::Count) {
                 value *= n_window as f64;
@@ -1053,45 +1044,6 @@ impl Subscription {
             self.next_tick += self.every;
         }
         Ok(updates)
-    }
-
-    /// Residual statistics of `snap`'s model generation on the held-out
-    /// calibration day, cached per generation.
-    fn calibration_for(&mut self, snap: &StreamSnapshot) -> Result<&Calibration> {
-        let needs = self.calibration.as_ref().is_none_or(|(gen, _)| *gen != snap.generation);
-        if needs {
-            let heldout_scores = self.ctx.heldout_score_index(&snap.nn)?;
-            let head = snap.nn.head_index(self.class).ok_or_else(|| {
-                BlazeItError::Internal(format!("no held-out head for {}", self.class))
-            })?;
-            let truth = self.ctx.labeled().heldout().class_counts(self.class);
-            let n = truth.len().min(heldout_scores.num_frames());
-            let residuals: Vec<f64> =
-                // blazeit-lint: allow(panic-site::index) -- i ranges over 0..n with n =
-                // truth.len().min(..), so truth[i] is in range
-                (0..n).map(|i| truth[i] as f64 - heldout_scores.expected_count(i, head)).collect();
-            let n_f = residuals.len().max(1) as f64;
-            let mean = residuals.iter().sum::<f64>() / n_f;
-            let variance = if residuals.len() > 1 {
-                residuals.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / (n_f - 1.0)
-            } else {
-                0.0
-            };
-            self.calibration = Some((
-                snap.generation,
-                Calibration {
-                    mean_residual: mean,
-                    residual_variance: variance,
-                    n: residuals.len(),
-                },
-            ));
-        }
-        match &self.calibration {
-            Some((_, calibration)) => Ok(calibration),
-            None => Err(BlazeItError::Internal(
-                "subscription calibration cache empty after population".into(),
-            )),
-        }
     }
 }
 

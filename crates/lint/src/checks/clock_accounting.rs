@@ -52,8 +52,8 @@ pub const RULES: &[ClockRule] = &[
     },
     ClockRule {
         callee: "logits",
-        allowed_callers: &["evaluate", "fit"],
-        note: "uncharged forward pass (allocating variant)",
+        allowed_callers: &[],
+        note: "uncharged forward pass (allocating variant; test-only)",
     },
     ClockRule {
         callee: "predict_scores_into_rows",

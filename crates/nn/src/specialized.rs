@@ -18,16 +18,17 @@
 //!   once per batch with the same per-frame totals as the serial path, and the
 //!   scores are element-wise identical to [`SpecializedNN::score_frame`].
 //! * [`SpecializedNN::score_frame`] — per-frame scoring with probability outputs per
-//!   head (the serial compatibility path; full-video scans should use the batch API).
-//! * [`SpecializedNN::estimate_fcount_error`] — the bootstrap error estimate on the
-//!   held-out day used by Algorithm 1 to decide whether query rewriting is safe.
-//! * [`SpecializedNN::calibrate_presence_threshold`] — the no-false-negative threshold
-//!   selection used by the label-based selection filter (Section 8).
+//!   head (the serial reference the batch API is tested against).
+//! * [`SpecializedNN::estimate_fcount_error_from_scores`] — the bootstrap error
+//!   estimate on the held-out day used by Algorithm 1 to decide whether query
+//!   rewriting is safe.
+//! * [`SpecializedNN::presence_threshold_from_scores`] — the no-false-negative
+//!   threshold selection used by the label-based selection filter (Section 8).
 
 use crate::features::{FeatureConfig, FrameFeaturizer, Standardizer};
 use crate::network::{ForwardScratch, Network, NetworkConfig};
 use crate::parallel::par_fill_chunks;
-use crate::score::{argmax, expectation, tail_probability, ScoreMatrix};
+use crate::score::ScoreMatrix;
 use crate::tensor::Matrix;
 use crate::train::{TrainConfig, Trainer};
 use crate::{NnError, Result};
@@ -418,91 +419,11 @@ impl SpecializedNN {
         Ok(probs.into_iter().next().unwrap_or_default())
     }
 
-    /// Predicted (argmax) count per head for one frame.
-    pub fn predict_counts(&self, video: &Video, frame: FrameIndex) -> Result<Vec<usize>> {
-        let probs = self.score_frame(video, frame)?;
-        Ok(probs.iter().map(|head| argmax(head)).collect())
-    }
-
-    /// Expected count (`sum_k k * p_k`) for `class` in one frame.
-    pub fn expected_count(
-        &self,
-        video: &Video,
-        frame: FrameIndex,
-        class: ObjectClass,
-    ) -> Result<f64> {
-        let head = self
-            .head_index(class)
-            .ok_or_else(|| NnError::InvalidConfig(format!("no head for class {class}")))?;
-        let probs = self.score_frame(video, frame)?;
-        // blazeit-lint: allow(panic-site::index) -- head comes from head_index, and probs holds one
-        // row per head
-        Ok(expectation(&probs[head]))
-    }
-
-    /// Probability that the frame contains at least `n` objects of `class`.
-    pub fn prob_at_least(
-        &self,
-        video: &Video,
-        frame: FrameIndex,
-        class: ObjectClass,
-        n: usize,
-    ) -> Result<f64> {
-        let head = self
-            .head_index(class)
-            .ok_or_else(|| NnError::InvalidConfig(format!("no head for class {class}")))?;
-        let probs = self.score_frame(video, frame)?;
-        // blazeit-lint: allow(panic-site::index) -- head comes from head_index, and probs holds one
-        // row per head
-        Ok(tail_probability(&probs[head], n))
-    }
-
-    /// The scrubbing confidence signal for a conjunction of requirements
-    /// (Section 7: "the sum of the probability of the frame having at least one bus
-    /// and at least five cars").
-    pub fn requirement_confidence(
-        &self,
-        video: &Video,
-        frame: FrameIndex,
-        requirements: &[(ObjectClass, usize)],
-    ) -> Result<f64> {
-        let probs = self.score_frame(video, frame)?;
-        let mut total = 0.0;
-        for &(class, n) in requirements {
-            let head = self
-                .head_index(class)
-                .ok_or_else(|| NnError::InvalidConfig(format!("no head for class {class}")))?;
-            // blazeit-lint: allow(panic-site::index) -- head comes from head_index, and probs holds
-            // one row per head
-            total += tail_probability(&probs[head], n);
-        }
-        Ok(total)
-    }
-
     /// Estimates the FCOUNT error of this network for `class` on a held-out day via the
-    /// bootstrap (Section 6.2), given the held-out frames' true counts.
-    pub fn estimate_fcount_error(
-        &self,
-        video: &Video,
-        frames: &[FrameIndex],
-        true_counts: &[usize],
-        class: ObjectClass,
-        bootstrap_samples: usize,
-        seed: u64,
-    ) -> Result<FcountErrorEstimate> {
-        if frames.len() != true_counts.len() || frames.is_empty() {
-            return Err(NnError::InvalidTrainingData(
-                "held-out frames and counts must be non-empty and equal length".into(),
-            ));
-        }
-        let scores = self.score_batch(video, frames)?;
-        self.estimate_fcount_error_from_scores(&scores, true_counts, class, bootstrap_samples, seed)
-    }
-
-    /// Like [`SpecializedNN::estimate_fcount_error`], but reuses an existing
-    /// [`ScoreMatrix`] over the held-out frames (row `i` of `scores` must be
-    /// the frame `true_counts[i]` describes). No inference time is charged —
-    /// this is how the engine re-checks Algorithm 1 against a cached index.
+    /// bootstrap (Section 6.2), from a [`ScoreMatrix`] over the held-out frames and
+    /// their true counts (row `i` of `scores` must be the frame `true_counts[i]`
+    /// describes). No inference time is charged — scoring the frames
+    /// ([`SpecializedNN::score_batch`]) already paid for it.
     pub fn estimate_fcount_error_from_scores(
         &self,
         scores: &ScoreMatrix,
@@ -556,31 +477,13 @@ impl SpecializedNN {
 
     /// Calibrates a presence threshold for `class` with no false negatives on the
     /// held-out frames: returns the largest confidence `t` such that every held-out
-    /// frame that truly contains the class scores `P(count >= 1) >= t`.
+    /// frame that truly contains the class scores `P(count >= 1) >= t`, from a
+    /// [`ScoreMatrix`] over those frames (row `i` of `scores` must be the frame
+    /// `true_counts[i]` describes). No inference time is charged.
     ///
     /// Frames scoring below the returned threshold can be discarded by the label-based
     /// selection filter without introducing false negatives on the held-out day
     /// (Section 8).
-    pub fn calibrate_presence_threshold(
-        &self,
-        video: &Video,
-        frames: &[FrameIndex],
-        true_counts: &[usize],
-        class: ObjectClass,
-    ) -> Result<f64> {
-        if frames.len() != true_counts.len() || frames.is_empty() {
-            return Err(NnError::InvalidTrainingData(
-                "held-out frames and counts must be non-empty and equal length".into(),
-            ));
-        }
-        let scores = self.score_batch(video, frames)?;
-        self.presence_threshold_from_scores(&scores, true_counts, class)
-    }
-
-    /// Like [`SpecializedNN::calibrate_presence_threshold`], but reuses an
-    /// existing [`ScoreMatrix`] over the held-out frames (row `i` of `scores`
-    /// must be the frame `true_counts[i]` describes). No inference time is
-    /// charged.
     pub fn presence_threshold_from_scores(
         &self,
         scores: &ScoreMatrix,
@@ -617,6 +520,7 @@ impl SpecializedNN {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::score::tail_probability;
     use blazeit_videostore::{DatasetPreset, DAY_HELDOUT, DAY_TRAIN};
 
     fn labeled_counts(video: &Video, frames: &[FrameIndex]) -> Vec<CountVector> {
@@ -676,9 +580,11 @@ mod tests {
         let mut true_sum = 0.0;
         let mut agree = 0usize;
         let mut total = 0usize;
-        for f in (0..3_000).step_by(97) {
+        let frames: Vec<FrameIndex> = (0..3_000).step_by(97).collect();
+        let scores = nn.score_batch(&train_video, &frames).unwrap();
+        for (i, &f) in frames.iter().enumerate() {
             let true_count = train_video.ground_truth_count(f, ObjectClass::Car).unwrap();
-            let pred = nn.predict_counts(&train_video, f).unwrap()[0];
+            let pred = scores.argmax_count(i, 0);
             pred_sum += pred as f64;
             true_sum += true_count as f64;
             if (pred as i64 - true_count as i64).abs() <= 1 {
@@ -796,8 +702,9 @@ mod tests {
             .iter()
             .map(|&f| heldout.ground_truth_count(f, ObjectClass::Car).unwrap())
             .collect();
+        let scores = nn.score_batch(&heldout, &frames).unwrap();
         let est = nn
-            .estimate_fcount_error(&heldout, &frames, &true_counts, ObjectClass::Car, 50, 3)
+            .estimate_fcount_error_from_scores(&scores, &true_counts, ObjectClass::Car, 50, 3)
             .unwrap();
         assert_eq!(est.bootstrap_errors.len(), 50);
         assert!(est.mean_true > 0.0);
@@ -815,14 +722,14 @@ mod tests {
             .iter()
             .map(|&f| heldout.ground_truth_count(f, ObjectClass::Car).unwrap())
             .collect();
-        let threshold = nn
-            .calibrate_presence_threshold(&heldout, &frames, &true_counts, ObjectClass::Car)
-            .unwrap();
+        let scores = nn.score_batch(&heldout, &frames).unwrap();
+        let threshold =
+            nn.presence_threshold_from_scores(&scores, &true_counts, ObjectClass::Car).unwrap();
         assert!((0.0..=1.0).contains(&threshold));
         // Every held-out frame containing a car must score at or above the threshold.
-        for (&f, &count) in frames.iter().zip(&true_counts) {
+        for (i, (&f, &count)) in frames.iter().zip(&true_counts).enumerate() {
             if count > 0 {
-                let p = nn.prob_at_least(&heldout, f, ObjectClass::Car, 1).unwrap();
+                let p = scores.tail_probability(i, 0, 1);
                 assert!(p >= threshold, "frame {f} with {count} cars scored {p} < {threshold}");
             }
         }
@@ -845,7 +752,8 @@ mod tests {
     #[test]
     fn missing_head_is_an_error() {
         let (nn, train_video, _) = train_car_counter(1_000, 10);
-        assert!(nn.expected_count(&train_video, 0, ObjectClass::Boat).is_err());
+        let scores = nn.score_batch(&train_video, &[0]).unwrap();
+        assert!(nn.presence_threshold_from_scores(&scores, &[0], ObjectClass::Boat).is_err());
         assert!(nn.head_index(ObjectClass::Boat).is_none());
         assert!(nn.head_index(ObjectClass::Car).is_some());
     }

@@ -111,18 +111,6 @@ impl DatasetPreset {
         }
     }
 
-    /// Number of evaluation frames the paper used for this stream (Table 3, in frames).
-    pub fn paper_eval_frames(&self) -> u64 {
-        match self {
-            DatasetPreset::Taipei => 1_188_000,
-            DatasetPreset::NightStreet => 973_000,
-            DatasetPreset::Rialto => 866_000,
-            DatasetPreset::GrandCanal => 1_300_000,
-            DatasetPreset::Amsterdam => 1_188_000,
-            DatasetPreset::Archie => 1_188_000,
-        }
-    }
-
     /// Default number of frames per synthetic day.
     ///
     /// The paper's days are 6-11 hours (≈1M frames); the synthetic default is 30

@@ -75,34 +75,49 @@ fn explain_golden_output_per_query_class() {
 
 #[test]
 fn explain_decision_resolves_once_caches_are_warm() {
-    let catalog = taipei_catalog(900);
-    let session = catalog.session();
-    let sql = "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN 0.2 AT CONFIDENCE 95%";
+    // One tolerance the held-out error estimate meets and one it misses: either
+    // way the warm plan must name the method the cold run actually used —
+    // Algorithm 1 is one rule, whether the planner or the executor applies it.
+    for (tolerance, cold_method, warm_decision) in [
+        (0.5, AggregateMethod::QueryRewriting, RewriteDecision::Rewrite),
+        (0.2, AggregateMethod::ControlVariates, RewriteDecision::ControlVariates),
+    ] {
+        let catalog = taipei_catalog(900);
+        let session = catalog.session();
+        let sql = format!(
+            "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' \
+             ERROR WITHIN {tolerance} AT CONFIDENCE 95%"
+        );
 
-    // Cold caches: the rewrite decision honestly defers to execution.
-    let cold = session.prepare(&format!("EXPLAIN {sql}")).unwrap();
-    assert_eq!(
-        cold.plan().only().strategy,
-        PlanStrategy::SpecializedAggregate { decision: RewriteDecision::AtExecution }
-    );
-    assert_eq!(cold.plan().only().specialized_cache, CacheWarmth::Cold);
+        // Cold caches: the rewrite decision honestly defers to execution.
+        let cold = session.prepare(&format!("EXPLAIN {sql}")).unwrap();
+        assert_eq!(
+            cold.plan().only().strategy,
+            PlanStrategy::SpecializedAggregate { decision: RewriteDecision::AtExecution }
+        );
+        assert_eq!(cold.plan().only().specialized_cache, CacheWarmth::Cold);
 
-    // Run the real query once (trains the NN, scores the held-out day).
-    session.query(sql).unwrap();
-    let charged = catalog.clock().total();
-    assert!(charged > 0.0);
-
-    // Warm caches: the plan resolves the decision — still for free.
-    let warm = session.prepare(&format!("EXPLAIN {sql}")).unwrap();
-    match &warm.plan().only().strategy {
-        PlanStrategy::SpecializedAggregate { decision } => {
-            assert_ne!(*decision, RewriteDecision::AtExecution, "warm caches must decide");
+        // Run the real query once (trains the NN, scores the held-out day).
+        match session.query(&sql).unwrap().output {
+            QueryOutput::Aggregate { method, .. } => assert_eq!(method, cold_method),
+            other => panic!("unexpected output {other:?}"),
         }
-        other => panic!("unexpected strategy {other:?}"),
+        let charged = catalog.clock().total();
+        assert!(charged > 0.0);
+
+        // Warm caches: the plan resolves the decision — still for free.
+        let warm = session.prepare(&format!("EXPLAIN {sql}")).unwrap();
+        match &warm.plan().only().strategy {
+            PlanStrategy::SpecializedAggregate { decision } => {
+                assert_ne!(*decision, RewriteDecision::AtExecution, "warm caches must decide");
+                assert_eq!(*decision, warm_decision, "planner and executor disagree");
+            }
+            other => panic!("unexpected strategy {other:?}"),
+        }
+        assert_eq!(warm.plan().only().specialized_cache, CacheWarmth::Memory);
+        assert!(warm.run().unwrap().output.explain_plan().is_some());
+        assert_eq!(catalog.clock().total(), charged, "planning and EXPLAIN stay free");
     }
-    assert_eq!(warm.plan().only().specialized_cache, CacheWarmth::Memory);
-    assert!(warm.run().unwrap().output.explain_plan().is_some());
-    assert_eq!(catalog.clock().total(), charged, "planning and EXPLAIN stay free");
 }
 
 // ---------------------------------------------------------------------------------
@@ -186,6 +201,27 @@ fn with_options_actually_changes_selection_execution() {
         naive.output.detection_calls()
     );
     assert_eq!(naive.output.detection_calls(), catalog.context("taipei").unwrap().video().len());
+}
+
+#[test]
+fn selection_trains_exactly_the_heads_its_plan_carries() {
+    // The label filter calibrates from `plan.heads`, like the aggregate and scrub
+    // executors: with the heads emptied it trains nothing and scans exactly what
+    // the same query scans with the label filter switched off.
+    let catalog = taipei_catalog(900);
+    let session = catalog.session();
+    let sql = "SELECT * FROM taipei WHERE class = 'bus' AND redness(content) >= 10 \
+               AND area(mask) > 20000 GROUP BY trackid HAVING COUNT(*) > 15";
+
+    let mut headless = session.prepare(sql).unwrap();
+    assert!(!headless.plan().only().heads.is_empty(), "the planner picks a bus head");
+    headless.plan_mut().only_mut().heads.clear();
+    let headless = headless.run().unwrap();
+
+    let no_label = SelectionOptions { use_label_filter: false, ..SelectionOptions::all() };
+    let unlabeled = session.prepare(sql).unwrap().with_options(no_label).run().unwrap();
+    assert_eq!(headless.output.detection_calls(), unlabeled.output.detection_calls());
+    assert_eq!(catalog.clock().breakdown().training, 0.0, "no heads, nothing to train");
 }
 
 #[test]

@@ -362,15 +362,15 @@ fn zero_and_one_max_count_heads_share_one_cache_entry() {
 
     // Every cache probe agrees, in both formulations.
     for heads in [[(ObjectClass::Car, 0)], [(ObjectClass::Car, 1)]] {
-        assert!(ctx.has_cached_specialized(&heads));
+        assert!(ctx.specialized_warmth(&heads).is_warm());
         assert_eq!(ctx.specialized_warmth(&heads), CacheWarmth::Memory);
         assert!(ctx.cached_specialized(&heads).is_some());
     }
 
     // And the score index keyed through the same normalization is shared too.
     let index = ctx.score_index(&nn_zero).unwrap();
-    assert!(ctx.has_cached_score_index(&[(ObjectClass::Car, 0)]));
-    assert!(ctx.has_cached_score_index(&[(ObjectClass::Car, 1)]));
+    assert!(ctx.score_index_warmth(&[(ObjectClass::Car, 0)]).is_warm());
+    assert!(ctx.score_index_warmth(&[(ObjectClass::Car, 1)]).is_warm());
     let specialized_before = catalog.clock().breakdown().specialized;
     let index_again = ctx.score_index(&nn_one).unwrap();
     assert!(std::sync::Arc::ptr_eq(&index, &index_again));

@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) on the core data structures and invariants.
 
-use blazeit::core::stats::{normal_critical_value, normal_ppf, RunningStats};
+use blazeit::core::stats::{normal_critical_value, normal_ppf};
 use blazeit::detect::{count_classes, Detection};
 use blazeit::frameql::parse_query;
 use blazeit::nn::features::Standardizer;
@@ -96,19 +96,6 @@ proptest! {
     }
 
     // ------------------------------------------------------------------ statistics --
-    #[test]
-    fn running_stats_matches_batch_formulas(values in prop::collection::vec(-100.0f64..100.0, 2..200)) {
-        let mut rs = RunningStats::new();
-        for &v in &values {
-            rs.push(v);
-        }
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
-        prop_assert!((rs.mean() - mean).abs() < 1e-6);
-        prop_assert!((rs.variance() - var).abs() < 1e-6 * (1.0 + var));
-    }
-
     #[test]
     fn normal_ppf_is_monotone_and_symmetric(p in 0.001f64..0.499) {
         prop_assert!(normal_ppf(p) < normal_ppf(p + 0.5));

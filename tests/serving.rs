@@ -160,6 +160,36 @@ fn duplicate_storm_computes_once() {
     assert_eq!(stats.hits + stats.coalesced, 7, "everyone else attached or hit: {stats:?}");
 }
 
+/// Two sessions computing different cold queries at the same time each report
+/// their own cost: an answer's `cost` is what its session's ledger was charged
+/// (each ledger starts at zero and sees one query), category by category — not
+/// the shared clock's movement meanwhile, which includes the other session's.
+/// Both queries train a network, so whichever finishes last spans the other's
+/// charges.
+#[test]
+fn concurrent_answers_report_their_own_sessions_cost() {
+    let catalog = Catalog::new();
+    catalog.register_preset(DatasetPreset::Taipei, 600).expect("register taipei");
+    catalog.register_preset(DatasetPreset::Rialto, 600).expect("register rialto");
+    let server = Server::new(Arc::new(catalog));
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for (video, class) in [("taipei", "car"), ("rialto", "boat")] {
+            let (server, start) = (&server, &start);
+            scope.spawn(move || {
+                let session = server.session();
+                let sql = format!(
+                    "SELECT FCOUNT(*) FROM {video} WHERE class = '{class}' ERROR WITHIN 0.1"
+                );
+                start.wait();
+                let result = session.query(&sql).expect("served query");
+                assert!(result.cost.training > 0.0, "{video}: a cold query trains");
+                assert_eq!(result.cost, session.cost(), "{video}: not the session's own cost");
+            });
+        }
+    });
+}
+
 /// Three clients race cold scrubs on one fresh server: two single-video `LIMIT`
 /// scrubs and a `FROM *` scrub whose fan-out queues ranking jobs on the pool
 /// while the other two score their videos under their `live_index` locks.
