@@ -37,8 +37,12 @@ pub struct ClockRule {
 ///   `predict_*` family wraps it without charging and is therefore restricted
 ///   too, all the way up to `SpecializedNN::{score_batch, score_frame}` — the
 ///   two places that charge `CostCategory::SpecializedInference`.
-/// * `Dense::forward` / `forward_into` / `forward_inference` are the layer
-///   kernels under all of the above plus the (training-charged) fit loop.
+/// * `Dense::forward_into` / `forward_inference` are the layer kernels under
+///   all of the above plus the training step.
+/// * Training: `Network::train_step` does real work and charges nothing; it may
+///   run only inside `Trainer::fit`, and `fit` only inside
+///   `SpecializedNN::train` — the one place that charges
+///   `CostCategory::Training`, once per example-visit.
 pub const RULES: &[ClockRule] = &[
     ClockRule {
         callee: "detect_uncharged",
@@ -77,19 +81,24 @@ pub const RULES: &[ClockRule] = &[
     },
     ClockRule {
         callee: "accuracy",
-        allowed_callers: &["train"],
-        note: "uncharged evaluation (full forward pass per example); \
-               SpecializedNN::train charges CostCategory::Training beforehand",
-    },
-    ClockRule {
-        callee: "forward",
-        allowed_callers: &["train_batch"],
-        note: "uncharged layer forward pass (training-cached variant)",
+        allowed_callers: &[],
+        note: "uncharged evaluation (full forward pass per example; test-only)",
     },
     ClockRule {
         callee: "forward_into",
-        allowed_callers: &["logits_batch", "forward_inference"],
+        allowed_callers: &["logits_batch", "forward_inference", "train_step"],
         note: "uncharged layer forward pass into scratch",
+    },
+    ClockRule {
+        callee: "train_step",
+        allowed_callers: &["fit"],
+        note: "uncharged SGD step: forward, backward and update",
+    },
+    ClockRule {
+        callee: "fit",
+        allowed_callers: &["train"],
+        note: "uncharged training loop (and the standardizer fit beside it); \
+               SpecializedNN::train charges CostCategory::Training per example-visit",
     },
     ClockRule {
         callee: "forward_inference",

@@ -9,13 +9,14 @@
 //!
 //! Every feature depends only on the `grid_side × grid_side` nearest-neighbor sample
 //! of the frame. That property is what makes the batched scoring pipeline fast: the
-//! fast path ([`FrameFeaturizer::features_for_video_frame`]) renders *only* those
+//! fast path ([`FrameFeaturizer::features_for_video_frame_into`]) renders *only* those
 //! sampled pixels via [`Video::frame_sampled`] (bit-identical to decoding the full
 //! frame and resizing) instead of materializing the whole buffer per frame.
 
 // blazeit-lint: allow-file(panic-site::index) -- feature-extraction kernels: indices are derived
 // from the frame's own width/height and fixed channel strides
 
+use crate::tensor::Matrix;
 use crate::Result;
 use blazeit_videostore::ingest::resize;
 use blazeit_videostore::{BoundingBox, Frame, FrameIndex, Video};
@@ -99,22 +100,15 @@ impl FrameFeaturizer {
         Ok(out)
     }
 
-    /// Featurizes a frame of `video` through the sparse-render fast path.
+    /// Featurizes a frame of `video` through the sparse-render fast path, into a
+    /// caller-provided slice of length [`FrameFeaturizer::dim`].
     ///
     /// Renders only the `grid_side × grid_side` pixels featurization samples
     /// ([`Video::frame_sampled`]) instead of decoding the full frame — the same
     /// feature vector as `features(&video.frame(f)?)`, at a fraction of the
-    /// per-frame cost.
-    pub fn features_for_video_frame(&self, video: &Video, frame: FrameIndex) -> Result<Vec<f32>> {
-        let mut out = vec![0.0f32; self.dim()];
-        self.features_for_video_frame_into(video, frame, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`FrameFeaturizer::features_for_video_frame`], but writes into a
-    /// caller-provided slice of length [`FrameFeaturizer::dim`] — the
-    /// allocation-free featurization kernel of the batched scoring pipeline
-    /// (each worker fills its rows of the batch feature matrix directly).
+    /// per-frame cost. This is the featurization kernel of batched scoring and
+    /// of training: each worker fills its rows of the flat feature matrix
+    /// directly, with no per-frame buffers of its own.
     pub fn features_for_video_frame_into(
         &self,
         video: &Video,
@@ -217,8 +211,8 @@ impl FrameFeaturizer {
                 sq[c] += v * v;
             }
         }
-        let mean: Vec<f64> = sums.iter().map(|s| s / n).collect();
-        let var: Vec<f64> = sq.iter().zip(&mean).map(|(s, m)| (s / n - m * m).max(0.0)).collect();
+        let mean = sums.map(|s| s / n);
+        let var = [0, 1, 2].map(|c| (sq[c] / n - mean[c] * mean[c]).max(0.0));
         [
             mean[0] as f32,
             mean[1] as f32,
@@ -248,12 +242,13 @@ pub struct Standardizer {
 }
 
 impl Standardizer {
-    /// Fits standardization statistics from training feature rows.
-    pub fn fit(rows: &[Vec<f32>]) -> Standardizer {
-        let dim = rows.first().map(|r| r.len()).unwrap_or(0);
-        let n = rows.len().max(1) as f64;
+    /// Fits standardization statistics from the rows of a training feature matrix
+    /// (accumulated in `f64`, rows ascending).
+    pub fn fit(rows: &Matrix) -> Standardizer {
+        let dim = rows.cols();
+        let n = rows.rows().max(1) as f64;
         let mut means = vec![0.0f64; dim];
-        for row in rows {
+        for row in rows.data().chunks_exact(dim.max(1)) {
             for (m, &v) in means.iter_mut().zip(row) {
                 *m += f64::from(v);
             }
@@ -262,7 +257,7 @@ impl Standardizer {
             *m /= n;
         }
         let mut vars = vec![0.0f64; dim];
-        for row in rows {
+        for row in rows.data().chunks_exact(dim.max(1)) {
             for ((v, &x), m) in vars.iter_mut().zip(row).zip(&means) {
                 let d = f64::from(x) - m;
                 *v += d * d;
@@ -314,11 +309,10 @@ impl Standardizer {
         }
     }
 
-    /// Standardizes a copy of one feature vector.
-    pub fn transform(&self, features: &[f32]) -> Vec<f32> {
-        let mut out = features.to_vec();
-        self.transform_in_place(&mut out);
-        out
+    /// Standardizes every row of a feature matrix in place.
+    pub fn transform_rows_in_place(&self, rows: &mut Matrix) {
+        let cols = rows.cols().max(1);
+        rows.data_mut().chunks_exact_mut(cols).for_each(|row| self.transform_in_place(row));
     }
 }
 
@@ -329,15 +323,12 @@ mod tests {
 
     #[test]
     fn standardizer_zero_means_and_unit_variance() {
-        let rows = vec![
-            vec![1.0f32, 100.0, 5.0],
-            vec![2.0, 200.0, 5.0],
-            vec![3.0, 300.0, 5.0],
-            vec![4.0, 400.0, 5.0],
-        ];
-        let st = Standardizer::fit(&rows);
+        let rows = [[1.0f32, 100.0, 5.0], [2.0, 200.0, 5.0], [3.0, 300.0, 5.0], [4.0, 400.0, 5.0]];
+        let mut transformed = Matrix::from_vec(4, 3, rows.concat()).unwrap();
+        let st = Standardizer::fit(&transformed);
         assert_eq!(st.dim(), 3);
-        let transformed: Vec<Vec<f32>> = rows.iter().map(|r| st.transform(r)).collect();
+        st.transform_rows_in_place(&mut transformed);
+        let transformed: Vec<&[f32]> = transformed.data().chunks_exact(3).collect();
         for d in 0..2 {
             let mean: f32 = transformed.iter().map(|r| r[d]).sum::<f32>() / 4.0;
             let var: f32 = transformed.iter().map(|r| r[d] * r[d]).sum::<f32>() / 4.0;
@@ -384,7 +375,8 @@ mod tests {
         let featurizer = FrameFeaturizer::default();
         for f in (0..400).step_by(29) {
             let slow = featurizer.features(&video.frame(f).unwrap()).unwrap();
-            let fast = featurizer.features_for_video_frame(&video, f).unwrap();
+            let mut fast = vec![0.0f32; featurizer.dim()];
+            featurizer.features_for_video_frame_into(&video, f, &mut fast).unwrap();
             assert_eq!(slow, fast, "fast-path features diverge at frame {f}");
         }
     }

@@ -14,19 +14,6 @@ pub struct Dense {
     pub bias: Matrix,
     /// Whether a ReLU is applied after the affine transform.
     pub relu: bool,
-    #[serde(skip)]
-    cached_input: Option<Matrix>,
-    #[serde(skip)]
-    cached_pre_activation: Option<Matrix>,
-}
-
-/// Gradients of a dense layer's parameters for one batch.
-#[derive(Debug, Clone)]
-pub struct DenseGradients {
-    /// Gradient with respect to the weights.
-    pub d_weights: Matrix,
-    /// Gradient with respect to the bias.
-    pub d_bias: Matrix,
 }
 
 impl Dense {
@@ -36,8 +23,6 @@ impl Dense {
             weights: Matrix::xavier(input_dim, output_dim, rng),
             bias: Matrix::zeros(1, output_dim),
             relu,
-            cached_input: None,
-            cached_pre_activation: None,
         }
     }
 
@@ -55,7 +40,7 @@ impl Dense {
                 ),
             });
         }
-        Ok(Dense { weights, bias, relu, cached_input: None, cached_pre_activation: None })
+        Ok(Dense { weights, bias, relu })
     }
 
     /// Input dimensionality.
@@ -73,26 +58,20 @@ impl Dense {
         self.weights.rows() * self.weights.cols() + self.bias.cols()
     }
 
-    /// Forward pass, caching activations for a subsequent [`Dense::backward`] call.
-    pub fn forward(&mut self, input: &Matrix) -> Result<Matrix> {
-        let pre = input.matmul(&self.weights)?.add_row_broadcast(&self.bias)?;
-        let out = if self.relu { pre.map(|x| x.max(0.0)) } else { pre.clone() };
-        self.cached_input = Some(input.clone());
-        self.cached_pre_activation = Some(pre);
-        Ok(out)
-    }
-
-    /// Forward pass without caching (inference only).
+    /// Forward pass into a freshly allocated output (tests; see [`Dense::forward_into`]).
     pub fn forward_inference(&self, input: &Matrix) -> Result<Matrix> {
         let mut out = Matrix::zeros(0, 0);
         self.forward_into(input, &mut out)?;
         Ok(out)
     }
 
-    /// Forward pass writing into a caller-provided output matrix (inference only).
+    /// Forward pass writing into a caller-provided output matrix.
     ///
-    /// The batched-inference kernel: `out`'s storage is reused across calls, so a
-    /// steady-state forward pass performs no allocation and no per-layer clones.
+    /// The kernel under batched inference and the training step alike: `out`'s
+    /// storage is reused across calls, so a steady-state forward pass performs no
+    /// allocation and no per-layer clones. Nothing is cached on the layer; the
+    /// training step keeps each layer's output in its own scratch and recovers
+    /// the ReLU mask from it (`output > 0` iff the pre-activation was).
     pub fn forward_into(&self, input: &Matrix, out: &mut Matrix) -> Result<()> {
         input.matmul_into(&self.weights, out)?;
         out.add_row_broadcast_in_place(&self.bias)?;
@@ -100,30 +79,6 @@ impl Dense {
             out.relu_in_place();
         }
         Ok(())
-    }
-
-    /// Backward pass: takes the gradient of the loss with respect to this layer's
-    /// output, returns `(gradient wrt input, parameter gradients)`.
-    ///
-    /// Must be called after [`Dense::forward`] on the same batch.
-    pub fn backward(&mut self, d_output: &Matrix) -> Result<(Matrix, DenseGradients)> {
-        let input = self.cached_input.take().ok_or_else(|| {
-            crate::NnError::InvalidConfig("backward called before forward".into())
-        })?;
-        let pre = self.cached_pre_activation.take().ok_or_else(|| {
-            crate::NnError::InvalidConfig("backward called before forward".into())
-        })?;
-        // Gradient through the ReLU.
-        let d_pre = if self.relu {
-            let mask = pre.map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-            d_output.hadamard(&mask)?
-        } else {
-            d_output.clone()
-        };
-        let d_weights = input.transpose().matmul(&d_pre)?;
-        let d_bias = d_pre.sum_rows();
-        let d_input = d_pre.matmul(&self.weights.transpose())?;
-        Ok((d_input, DenseGradients { d_weights, d_bias }))
     }
 }
 
@@ -188,9 +143,9 @@ mod tests {
     #[test]
     fn forward_shapes() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut layer = Dense::new(4, 3, true, &mut rng);
+        let layer = Dense::new(4, 3, true, &mut rng);
         let x = Matrix::zeros(5, 4);
-        let y = layer.forward(&x).unwrap();
+        let y = layer.forward_inference(&x).unwrap();
         assert_eq!(y.rows(), 5);
         assert_eq!(y.cols(), 3);
         assert_eq!(layer.num_params(), 4 * 3 + 3);
@@ -202,62 +157,9 @@ mod tests {
         let mut layer = Dense::new(2, 2, true, &mut rng);
         layer.weights = Matrix::from_vec(2, 2, vec![-1.0, 1.0, -1.0, 1.0]).unwrap();
         let x = Matrix::row_from_slice(&[1.0, 1.0]);
-        let y = layer.forward(&x).unwrap();
+        let y = layer.forward_inference(&x).unwrap();
         assert_eq!(y.get(0, 0), 0.0);
         assert_eq!(y.get(0, 1), 2.0);
-    }
-
-    #[test]
-    fn backward_before_forward_is_error() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut layer = Dense::new(2, 2, false, &mut rng);
-        assert!(layer.backward(&Matrix::zeros(1, 2)).is_err());
-    }
-
-    #[test]
-    fn forward_inference_matches_forward() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut layer = Dense::new(6, 4, true, &mut rng);
-        let x = Matrix::xavier(3, 6, &mut rng);
-        let a = layer.forward(&x).unwrap();
-        let b = layer.forward_inference(&x).unwrap();
-        assert_eq!(a, b);
-    }
-
-    /// Numerical gradient check on a tiny layer: the analytic weight gradient from
-    /// `backward` must match finite differences of a scalar loss.
-    #[test]
-    fn gradient_check_weights() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut layer = Dense::new(3, 2, true, &mut rng);
-        let x = Matrix::from_vec(2, 3, vec![0.5, -0.2, 0.8, 1.0, 0.3, -0.7]).unwrap();
-
-        // Loss = sum of outputs (so dL/dy = all ones).
-        let loss_of = |layer: &Dense, x: &Matrix| -> f32 {
-            layer.forward_inference(x).unwrap().data().iter().sum()
-        };
-
-        let y = layer.forward(&x).unwrap();
-        let d_out = Matrix::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]).unwrap();
-        let (_, grads) = layer.backward(&d_out).unwrap();
-
-        let eps = 1e-3f32;
-        for r in 0..3 {
-            for c in 0..2 {
-                let orig = layer.weights.get(r, c);
-                layer.weights.set(r, c, orig + eps);
-                let up = loss_of(&layer, &x);
-                layer.weights.set(r, c, orig - eps);
-                let down = loss_of(&layer, &x);
-                layer.weights.set(r, c, orig);
-                let numeric = (up - down) / (2.0 * eps);
-                let analytic = grads.d_weights.get(r, c);
-                assert!(
-                    (numeric - analytic).abs() < 1e-2,
-                    "grad mismatch at ({r},{c}): numeric {numeric} vs analytic {analytic}"
-                );
-            }
-        }
     }
 
     #[test]

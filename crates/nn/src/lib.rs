@@ -8,14 +8,21 @@
 //! crate implements the minimum viable deep-learning stack needed to *actually train*
 //! such models on the synthetic frames:
 //!
-//! * [`tensor`] — a small dense matrix type with the operations the MLP needs.
+//! * [`tensor`] — a small dense matrix type and the three product kernels (`A·B`,
+//!   `Aᵀ·B`, `A·Bᵀ`) under scoring and training, with the crate's numerics contract:
+//!   separate multiplies and adds over ascending `k`, so results are bit-identical
+//!   across kernels, batch sizes and instruction sets.
 //! * [`layers`] — fully-connected layers with ReLU activations.
-//! * [`network`] — a sequential network with forward / backward passes and support for
-//!   *grouped softmax heads* (one softmax per queried object class, the "single NN that
-//!   detects each object class separately" of Section 7.1).
-//! * [`loss`] — softmax cross-entropy (per head) and mean-squared error.
-//! * [`optimizer`] — SGD with momentum (the paper trains with momentum 0.9).
-//! * [`train`] — a mini-batch training loop.
+//! * [`network`] — a sequential network with *grouped softmax heads* (one softmax per
+//!   queried object class, the "single NN that detects each object class separately" of
+//!   Section 7.1): scratch-buffer batched inference, and one allocation-free SGD step
+//!   ([`Network::train_step`]) working inside a [`network::TrainScratch`].
+//! * [`loss`] — grouped softmax cross-entropy, its gradient written in place.
+//! * [`optimizer`] — SGD with momentum (the paper trains with momentum 0.9), one fused
+//!   in-place pass per parameter tensor; the state lives in the training scratch, so a
+//!   trained network is weights only.
+//! * [`train`] — the mini-batch training loop over one flat feature matrix and flat
+//!   labels.
 //! * [`features`] — frame featurization (downsampled pixels + channel statistics),
 //!   standing in for the 65x65 CNN input.
 //! * [`score`] — the flat [`ScoreMatrix`] holding per-frame,
@@ -28,7 +35,8 @@
 //!   artifacts: score matrices and trained specialized networks, decoded
 //!   bit-identically and rejected (typed errors, no panics) when corrupt.
 //! * [`specialized`] — the [`SpecializedNN`] abstraction:
-//!   count / multi-class / binary heads, batched scoring
+//!   count / multi-class / binary heads, training on the scoring stack (pool-parallel
+//!   featurization straight into a flat matrix, then [`Trainer::fit`]), batched scoring
 //!   ([`score_batch`](specialized::SpecializedNN::score_batch) /
 //!   [`score_video`](specialized::SpecializedNN::score_video)), bootstrap error
 //!   estimation on a held-out day, and no-false-negative threshold calibration, with

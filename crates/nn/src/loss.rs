@@ -1,4 +1,4 @@
-//! Loss functions: grouped softmax cross-entropy and mean-squared error.
+//! The loss: grouped softmax cross-entropy.
 //!
 //! BlazeIt's specialized networks are classifiers: a counting network has one softmax
 //! over `0..=K` counts, and the multi-class scrubbing network has one softmax *per
@@ -6,7 +6,7 @@
 //! 'bus'", Section 7.1). The grouped cross-entropy below treats the network's output
 //! vector as a concatenation of independent softmax heads.
 
-use crate::layers::softmax_rows;
+use crate::layers::softmax_segments_into;
 use crate::tensor::Matrix;
 use crate::{NnError, Result};
 
@@ -16,88 +16,83 @@ use crate::{NnError, Result};
 /// `vec![k_bus + 1, k_car + 1]`.
 pub type HeadLayout = Vec<usize>;
 
-/// Computes the grouped softmax cross-entropy loss and its gradient with respect to the
-/// logits.
+/// Computes the grouped softmax cross-entropy loss, writing its gradient with respect
+/// to the logits into `d_logits` (resized as needed, so a training loop reuses one
+/// buffer).
 ///
 /// * `logits` — `batch x sum(heads)` raw network outputs.
-/// * `labels` — `batch x num_heads` integer class labels per head.
+/// * `labels` — flat `batch x num_heads` integer class labels: `labels[r * num_heads + h]`
+///   is the target class of head `h` for example `r`.
 ///
-/// Returns `(mean loss, d_logits)` where the gradient is already averaged over the
-/// batch.
+/// Returns the mean loss; the gradient is already averaged over the batch. Each head's
+/// probabilities come from [`softmax_segments_into`] — the same max-shift / exponentiate
+/// / normalize sequence as [`softmax_rows`](crate::layers::softmax_rows).
 pub fn grouped_cross_entropy(
     logits: &Matrix,
-    labels: &[Vec<usize>],
-    heads: &HeadLayout,
-) -> Result<(f32, Matrix)> {
+    labels: &[usize],
+    heads: &[usize],
+    d_logits: &mut Matrix,
+) -> Result<f32> {
     let total: usize = heads.iter().sum();
     if logits.cols() != total {
         return Err(NnError::ShapeMismatch {
             context: format!("logits have {} cols but heads sum to {}", logits.cols(), total),
         });
     }
-    if labels.len() != logits.rows() {
-        return Err(NnError::ShapeMismatch {
-            context: format!("{} label rows for {} logit rows", labels.len(), logits.rows()),
-        });
+    if labels.len() != logits.rows() * heads.len() {
+        return Err(NnError::InvalidTrainingData(format!(
+            "{} labels for {} logit rows of {} heads",
+            labels.len(),
+            logits.rows(),
+            heads.len()
+        )));
     }
     let batch = logits.rows().max(1);
-    let mut d_logits = Matrix::zeros(logits.rows(), logits.cols());
+    d_logits.reset_zeroed(logits.rows(), total);
     let mut loss = 0.0f64;
 
-    for (r, label_row) in labels.iter().enumerate() {
-        if label_row.len() != heads.len() {
-            return Err(NnError::InvalidTrainingData(format!(
-                "label row {r} has {} entries for {} heads",
-                label_row.len(),
-                heads.len()
-            )));
-        }
-        let mut offset = 0usize;
-        for (h, &head_size) in heads.iter().enumerate() {
-            // blazeit-lint: allow(panic-site::index) -- h enumerates heads, and label_row.len() ==
-            // heads.len() was validated above
-            let label = label_row[h];
+    let rows = logits.data().chunks_exact(total.max(1));
+    let d_rows = d_logits.data_mut().chunks_exact_mut(total.max(1));
+    for ((row, d_row), label_row) in rows.zip(d_rows).zip(labels.chunks_exact(heads.len().max(1))) {
+        softmax_segments_into(row, heads, d_row);
+        let mut segments = d_row;
+        for ((h, &head_size), &label) in heads.iter().enumerate().zip(label_row) {
             if label >= head_size {
                 return Err(NnError::InvalidTrainingData(format!(
                     "label {label} out of range for head {h} of size {head_size}"
                 )));
             }
-            // Softmax over this head's slice of the row.
-            let slice: Vec<f32> = (0..head_size).map(|c| logits.get(r, offset + c)).collect();
-            let head_logits = Matrix::row_from_slice(&slice);
-            let probs = softmax_rows(&head_logits);
-            let p_label = probs.get(0, label).max(1e-12);
+            let (probs, rest) = segments.split_at_mut(head_size);
+            segments = rest;
+            // blazeit-lint: allow(panic-site::index) -- label < head_size == probs.len() was
+            // checked directly above
+            let p_label = probs[label].max(1e-12);
             loss -= f64::from(p_label.ln());
-            for c in 0..head_size {
+            for (c, p) in probs.iter_mut().enumerate() {
                 let indicator = if c == label { 1.0 } else { 0.0 };
-                d_logits.set(r, offset + c, (probs.get(0, c) - indicator) / batch as f32);
+                *p = (*p - indicator) / batch as f32;
             }
-            offset += head_size;
         }
     }
 
-    Ok(((loss / (batch as f64 * heads.len().max(1) as f64)) as f32, d_logits))
-}
-
-/// Mean-squared error and its gradient with respect to the predictions.
-pub fn mse(predictions: &Matrix, targets: &Matrix) -> Result<(f32, Matrix)> {
-    let diff = predictions.sub(targets)?;
-    let n = (predictions.rows() * predictions.cols()).max(1) as f32;
-    let loss = diff.data().iter().map(|&x| x * x).sum::<f32>() / n;
-    let grad = diff.scale(2.0 / n);
-    Ok((loss, grad))
+    Ok((loss / (batch as f64 * heads.len().max(1) as f64)) as f32)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn loss_and_grad(logits: &Matrix, labels: &[usize], heads: &[usize]) -> Result<(f32, Matrix)> {
+        let mut grad = Matrix::zeros(0, 0);
+        let loss = grouped_cross_entropy(logits, labels, heads, &mut grad)?;
+        Ok((loss, grad))
+    }
+
     #[test]
     fn cross_entropy_perfect_prediction_has_low_loss() {
         // Logits strongly favoring the correct class.
         let logits = Matrix::from_vec(2, 3, vec![10.0, -10.0, -10.0, -10.0, 10.0, -10.0]).unwrap();
-        let labels = vec![vec![0], vec![1]];
-        let (loss, grad) = grouped_cross_entropy(&logits, &labels, &vec![3]).unwrap();
+        let (loss, grad) = loss_and_grad(&logits, &[0, 1], &[3]).unwrap();
         assert!(loss < 1e-3);
         assert!(grad.norm() < 1e-3);
     }
@@ -105,8 +100,7 @@ mod tests {
     #[test]
     fn cross_entropy_wrong_prediction_has_high_loss() {
         let logits = Matrix::from_vec(1, 2, vec![10.0, -10.0]).unwrap();
-        let labels = vec![vec![1]];
-        let (loss, grad) = grouped_cross_entropy(&logits, &labels, &vec![2]).unwrap();
+        let (loss, grad) = loss_and_grad(&logits, &[1], &[2]).unwrap();
         assert!(loss > 5.0);
         // Gradient pushes logit 0 down and logit 1 up.
         assert!(grad.get(0, 0) > 0.0);
@@ -117,8 +111,7 @@ mod tests {
     fn grouped_heads_are_independent() {
         // Two heads of size 2; first head correct, second head wrong.
         let logits = Matrix::from_vec(1, 4, vec![10.0, -10.0, 10.0, -10.0]).unwrap();
-        let labels = vec![vec![0, 1]];
-        let (loss, grad) = grouped_cross_entropy(&logits, &labels, &vec![2, 2]).unwrap();
+        let (loss, grad) = loss_and_grad(&logits, &[0, 1], &[2, 2]).unwrap();
         assert!(loss > 2.0);
         // First head's gradient is near zero, second head's is not.
         assert!(grad.get(0, 0).abs() < 1e-3);
@@ -128,17 +121,17 @@ mod tests {
     #[test]
     fn gradient_matches_finite_differences() {
         let logits = Matrix::from_vec(1, 3, vec![0.3, -0.2, 0.5]).unwrap();
-        let labels = vec![vec![2]];
-        let heads = vec![3usize];
-        let (_, grad) = grouped_cross_entropy(&logits, &labels, &heads).unwrap();
+        let labels = [2];
+        let heads = [3usize];
+        let (_, grad) = loss_and_grad(&logits, &labels, &heads).unwrap();
         let eps = 1e-3f32;
         for c in 0..3 {
             let mut up = logits.clone();
             up.set(0, c, logits.get(0, c) + eps);
             let mut down = logits.clone();
             down.set(0, c, logits.get(0, c) - eps);
-            let (lu, _) = grouped_cross_entropy(&up, &labels, &heads).unwrap();
-            let (ld, _) = grouped_cross_entropy(&down, &labels, &heads).unwrap();
+            let (lu, _) = loss_and_grad(&up, &labels, &heads).unwrap();
+            let (ld, _) = loss_and_grad(&down, &labels, &heads).unwrap();
             let numeric = (lu - ld) / (2.0 * eps);
             assert!(
                 (numeric - grad.get(0, c)).abs() < 1e-2,
@@ -151,18 +144,8 @@ mod tests {
     #[test]
     fn invalid_labels_rejected() {
         let logits = Matrix::zeros(1, 3);
-        assert!(grouped_cross_entropy(&logits, &[vec![5]], &vec![3]).is_err());
-        assert!(grouped_cross_entropy(&logits, &[vec![0, 0]], &vec![3]).is_err());
-        assert!(grouped_cross_entropy(&logits, &[vec![0]], &vec![2]).is_err());
-    }
-
-    #[test]
-    fn mse_basics() {
-        let pred = Matrix::from_vec(1, 2, vec![1.0, 2.0]).unwrap();
-        let target = Matrix::from_vec(1, 2, vec![0.0, 2.0]).unwrap();
-        let (loss, grad) = mse(&pred, &target).unwrap();
-        assert!((loss - 0.5).abs() < 1e-6);
-        assert!(grad.get(0, 0) > 0.0);
-        assert_eq!(grad.get(0, 1), 0.0);
+        assert!(loss_and_grad(&logits, &[5], &[3]).is_err());
+        assert!(loss_and_grad(&logits, &[0, 0], &[3]).is_err());
+        assert!(loss_and_grad(&logits, &[0], &[2]).is_err());
     }
 }

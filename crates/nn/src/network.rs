@@ -25,6 +25,45 @@ pub struct ForwardScratch {
     bufs: [Matrix; 2],
 }
 
+/// Every buffer one training run needs, owned by [`Trainer::fit`](crate::train::Trainer::fit)
+/// for the length of the run: each layer's output, two ping-pong matrices for the
+/// backpropagated delta, each layer's parameter gradients, and the SGD velocities.
+///
+/// [`Network::train_step`] allocates nothing once these have grown to the batch size,
+/// and because the optimizer state lives here — created zeroed from the
+/// [`SgdConfig`] in hand — a trained [`Network`] carries its weights and nothing else.
+#[derive(Debug)]
+pub struct TrainScratch {
+    /// `activations[l]` is layer `l`'s output for the current batch.
+    activations: Vec<Matrix>,
+    deltas: [Matrix; 2],
+    /// `(d_weights, d_bias)` per layer, before the clip's scale is applied.
+    gradients: Vec<(Matrix, Matrix)>,
+    /// `(weights, bias)` momentum state per layer.
+    optimizer: Vec<(SgdState, SgdState)>,
+}
+
+impl TrainScratch {
+    /// Zero-velocity scratch for training `network` with `sgd`.
+    pub fn new(network: &Network, sgd: SgdConfig) -> TrainScratch {
+        let layers = &network.layers;
+        TrainScratch {
+            activations: layers.iter().map(|_| Matrix::default()).collect(),
+            deltas: Default::default(),
+            gradients: layers.iter().map(|_| Default::default()).collect(),
+            optimizer: layers
+                .iter()
+                .map(|l| {
+                    (
+                        SgdState::new(l.weights.rows(), l.weights.cols(), sgd),
+                        SgdState::new(1, l.bias.cols(), sgd),
+                    )
+                })
+                .collect(),
+        }
+    }
+}
+
 /// Architecture of a specialized network: input size, hidden sizes and output heads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetworkConfig {
@@ -66,8 +105,6 @@ impl NetworkConfig {
 pub struct Network {
     config: NetworkConfig,
     layers: Vec<Dense>,
-    #[serde(skip)]
-    optimizer_state: Vec<(SgdState, SgdState)>,
 }
 
 impl Network {
@@ -83,7 +120,7 @@ impl Network {
             let is_last = i == dims.len() - 2;
             layers.push(Dense::new(dims[i], dims[i + 1], !is_last, &mut rng));
         }
-        Ok(Network { config, layers, optimizer_state: Vec::new() })
+        Ok(Network { config, layers })
     }
 
     /// Reassembles a network from a configuration and its layers (the persistence
@@ -121,7 +158,7 @@ impl Network {
                 });
             }
         }
-        Ok(Network { config, layers, optimizer_state: Vec::new() })
+        Ok(Network { config, layers })
     }
 
     /// The network's configuration.
@@ -236,7 +273,8 @@ impl Network {
     }
 
     /// Argmax class per head for each example (NaN-safe).
-    pub fn predict_classes(&self, input: &Matrix) -> Result<Vec<Vec<usize>>> {
+    #[cfg(test)]
+    fn predict_classes(&self, input: &Matrix) -> Result<Vec<Vec<usize>>> {
         let mut scratch = ForwardScratch::default();
         let scores = self.predict_scores(input, &mut scratch)?;
         Ok((0..scores.num_frames())
@@ -244,67 +282,86 @@ impl Network {
             .collect())
     }
 
-    fn ensure_optimizer(&mut self, sgd: SgdConfig) {
-        if self.optimizer_state.len() != self.layers.len() {
-            self.optimizer_state = self
-                .layers
-                .iter()
-                .map(|l| {
-                    (
-                        SgdState::new(l.weights.rows(), l.weights.cols(), sgd),
-                        SgdState::new(1, l.bias.cols(), sgd),
-                    )
-                })
-                .collect();
-        }
-    }
-
-    /// Runs one training step on a mini-batch, returning the batch loss.
+    /// Runs one SGD step on a mini-batch, returning the batch loss.
     ///
-    /// `labels[i][h]` is the target class of head `h` for example `i`.
-    pub fn train_batch(
+    /// `labels[r * num_heads + h]` is the target class of head `h` for example `r`.
+    /// `scratch` must come from [`TrainScratch::new`] on this network. Charges
+    /// nothing: [`SpecializedNN::train`](crate::specialized::SpecializedNN::train)
+    /// pays for every example-visit of the [`Trainer::fit`](crate::train::Trainer::fit)
+    /// loop this runs in.
+    ///
+    /// The arithmetic is pinned bit for bit by the test module's `reference_step`:
+    /// forward through [`Dense::forward_into`], the loss gradient written straight
+    /// into the delta buffer, then per layer (last first) `dW = inputᵀ·Δ` and
+    /// `Δ' = Δ·Wᵀ` read the transposed operand in place — and the first layer,
+    /// whose input gradient nobody reads, computes none.
+    pub fn train_step(
         &mut self,
         input: &Matrix,
-        labels: &[Vec<usize>],
-        sgd: SgdConfig,
+        labels: &[usize],
+        scratch: &mut TrainScratch,
     ) -> Result<f32> {
-        self.ensure_optimizer(sgd);
-        // Forward with caching.
-        let mut activations = input.clone();
-        for layer in self.layers.iter_mut() {
-            activations = layer.forward(&activations)?;
+        let TrainScratch { activations, deltas, gradients, optimizer } = scratch;
+        let depth = self.layers.len();
+        if depth == 0 || [activations.len(), gradients.len(), optimizer.len()] != [depth; 3] {
+            return Err(NnError::InvalidConfig(
+                "training scratch was built for another network".into(),
+            ));
         }
-        let (loss, mut grad) = grouped_cross_entropy(&activations, labels, &self.config.heads)?;
-        // Backward in reverse order.
-        let mut param_grads = Vec::with_capacity(self.layers.len());
-        for layer in self.layers.iter_mut().rev() {
-            let (d_input, grads) = layer.backward(&grad)?;
-            param_grads.push(grads);
-            grad = d_input;
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (before, rest) = activations.split_at_mut(l);
+            layer.forward_into(before.last().unwrap_or(input), &mut rest[0])?;
         }
-        param_grads.reverse();
+        let [delta, next_delta] = deltas;
+        let loss =
+            grouped_cross_entropy(&activations[depth - 1], labels, &self.config.heads, delta)?;
+
+        for (l, layer) in self.layers.iter().enumerate().rev() {
+            if layer.relu {
+                // Gradient through the ReLU: the output is positive exactly where
+                // the pre-activation was (NaN clamps to 0 and compares false).
+                for (d, &a) in delta.data_mut().iter_mut().zip(activations[l].data()) {
+                    *d *= if a > 0.0 { 1.0 } else { 0.0 };
+                }
+            }
+            let (d_weights, d_bias) = &mut gradients[l];
+            let layer_input = if l == 0 { input } else { &activations[l - 1] };
+            layer_input.matmul_at_b_into(delta, d_weights)?;
+            d_bias.reset_zeroed(1, delta.cols());
+            for row in delta.data().chunks_exact(delta.cols().max(1)) {
+                for (sum, &d) in d_bias.data_mut().iter_mut().zip(row) {
+                    *sum += d;
+                }
+            }
+            if l > 0 {
+                delta.matmul_a_bt_into(&layer.weights, next_delta)?;
+                std::mem::swap(delta, next_delta);
+            }
+        }
+
         // Global gradient-norm clipping keeps training stable at higher learning rates
-        // (standardized features produce occasional large batch gradients).
-        let total_norm: f32 = param_grads
-            .iter()
-            .map(|g| g.d_weights.norm().powi(2) + g.d_bias.norm().powi(2))
-            .sum::<f32>()
-            .sqrt();
+        // (standardized features produce occasional large batch gradients). The
+        // per-tensor sqrt-then-square is not the identity in f32; it stays.
+        let total_norm: f32 =
+            gradients.iter().map(|(w, b)| w.norm().powi(2) + b.norm().powi(2)).sum::<f32>().sqrt();
         let clip = 5.0f32;
         let scale = if total_norm > clip { clip / total_norm } else { 1.0 };
-        // Parameter update.
-        for (i, (layer, grads)) in self.layers.iter_mut().zip(param_grads).enumerate() {
-            let (w_state, b_state) = &mut self.optimizer_state[i];
-            w_state.step(&mut layer.weights, &grads.d_weights.scale(scale))?;
-            b_state.step(&mut layer.bias, &grads.d_bias.scale(scale))?;
+        for ((layer, (d_weights, d_bias)), (w_state, b_state)) in
+            self.layers.iter_mut().zip(gradients.iter()).zip(optimizer.iter_mut())
+        {
+            w_state.step(&mut layer.weights, d_weights, scale)?;
+            b_state.step(&mut layer.bias, d_bias, scale)?;
         }
         Ok(loss)
     }
 
-    /// Fraction of examples where every head's argmax matches the label.
-    pub fn accuracy(&self, input: &Matrix, labels: &[Vec<usize>]) -> Result<f64> {
+    /// Fraction of examples where every head's argmax matches its label
+    /// (`labels[r * num_heads + h]`).
+    #[cfg(test)]
+    pub(crate) fn accuracy(&self, input: &Matrix, labels: &[usize]) -> Result<f64> {
         let preds = self.predict_classes(input)?;
-        if preds.len() != labels.len() {
+        let heads = self.config.heads.len();
+        if preds.len() * heads != labels.len() {
             return Err(NnError::ShapeMismatch {
                 context: format!("{} predictions vs {} labels", preds.len(), labels.len()),
             });
@@ -312,7 +369,7 @@ impl Network {
         if preds.is_empty() {
             return Ok(0.0);
         }
-        let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
+        let correct = preds.iter().zip(labels.chunks(heads)).filter(|(p, l)| p == l).count();
         Ok(correct as f64 / preds.len() as f64)
     }
 }
@@ -322,7 +379,7 @@ mod tests {
     use super::*;
     use rand::Rng;
 
-    fn xor_like_data(n: usize, seed: u64) -> (Matrix, Vec<Vec<usize>>) {
+    fn xor_like_data(n: usize, seed: u64) -> (Matrix, Vec<usize>) {
         // Two clusters that are linearly separable with margin, plus noise.
         let mut rng = StdRng::seed_from_u64(seed);
         let mut rows = Vec::new();
@@ -335,7 +392,7 @@ mod tests {
                 -center + rng.gen_range(-0.3..0.3),
                 rng.gen_range(-0.1..0.1),
             ]);
-            labels.push(vec![class]);
+            labels.push(class);
         }
         (Matrix::from_rows(&rows).unwrap(), labels)
     }
@@ -379,9 +436,10 @@ mod tests {
             Network::new(NetworkConfig { input_dim: 3, hidden: vec![16], heads: vec![2], seed: 7 })
                 .unwrap();
         let sgd = SgdConfig { learning_rate: 0.1, momentum: 0.9, weight_decay: 0.0 };
+        let mut scratch = TrainScratch::new(&net, sgd);
         let initial_acc = net.accuracy(&x, &y).unwrap();
         for _ in 0..30 {
-            net.train_batch(&x, &y, sgd).unwrap();
+            net.train_step(&x, &y, &mut scratch).unwrap();
         }
         let final_acc = net.accuracy(&x, &y).unwrap();
         assert!(final_acc > 0.95, "accuracy only reached {final_acc} (started at {initial_acc})");
@@ -393,11 +451,11 @@ mod tests {
         let mut net =
             Network::new(NetworkConfig { input_dim: 3, hidden: vec![8], heads: vec![2], seed: 1 })
                 .unwrap();
-        let sgd = SgdConfig::default();
-        let first = net.train_batch(&x, &y, sgd).unwrap();
+        let mut scratch = TrainScratch::new(&net, SgdConfig::default());
+        let first = net.train_step(&x, &y, &mut scratch).unwrap();
         let mut last = first;
         for _ in 0..20 {
-            last = net.train_batch(&x, &y, sgd).unwrap();
+            last = net.train_step(&x, &y, &mut scratch).unwrap();
         }
         assert!(last < first, "loss did not decrease: {first} -> {last}");
     }
@@ -415,7 +473,7 @@ mod tests {
                 a as f32 * 2.0 - 1.0 + rng.gen_range(-0.2..0.2),
                 b as f32 - 1.0 + rng.gen_range(-0.2..0.2),
             ]);
-            labels.push(vec![a, b]);
+            labels.extend([a, b]);
         }
         let x = Matrix::from_rows(&rows).unwrap();
         let mut net = Network::new(NetworkConfig {
@@ -426,10 +484,241 @@ mod tests {
         })
         .unwrap();
         let sgd = SgdConfig { learning_rate: 0.1, momentum: 0.9, weight_decay: 0.0 };
+        let mut scratch = TrainScratch::new(&net, sgd);
         for _ in 0..60 {
-            net.train_batch(&x, &labels, sgd).unwrap();
+            net.train_step(&x, &labels, &mut scratch).unwrap();
         }
         assert!(net.accuracy(&x, &labels).unwrap() > 0.9);
+    }
+
+    /// The definition of one SGD step, and with it of the summation order every
+    /// kernel must reproduce: plain loops, every sum over ascending `k` from
+    /// `0.0`, separate multiplies and adds. Returns the loss and whether the
+    /// clip fired; `velocities[l]` is layer `l`'s `(weights, bias)` momentum.
+    fn reference_step(
+        net: &mut Network,
+        x: &Matrix,
+        labels: &[usize],
+        velocities: &mut [(Vec<f32>, Vec<f32>)],
+        sgd: SgdConfig,
+    ) -> (f32, bool) {
+        let batch = x.rows();
+        // Forward: pre = act · W + b, act' = max(pre, 0) on hidden layers.
+        let mut acts = vec![x.data().to_vec()];
+        let mut pres = Vec::new();
+        for layer in &net.layers {
+            let (k_dim, n) = (layer.input_dim(), layer.output_dim());
+            let (w, b, input) = (layer.weights.data(), layer.bias.data(), &acts[acts.len() - 1]);
+            let mut pre = vec![0.0f32; batch * n];
+            for r in 0..batch {
+                for j in 0..n {
+                    let mut sum = 0.0f32;
+                    for k in 0..k_dim {
+                        sum += input[r * k_dim + k] * w[k * n + j];
+                    }
+                    pre[r * n + j] = sum + b[j];
+                }
+            }
+            acts.push(if layer.relu {
+                pre.iter().map(|p| p.max(0.0)).collect()
+            } else {
+                pre.clone()
+            });
+            pres.push(pre);
+        }
+        // Grouped softmax cross-entropy and its gradient, averaged over the batch.
+        let heads = net.config.heads.clone();
+        let total: usize = heads.iter().sum();
+        let logits = &acts[acts.len() - 1];
+        let mut delta = vec![0.0f32; batch * total];
+        let mut loss = 0.0f64;
+        for r in 0..batch {
+            let mut offset = 0;
+            for (h, &size) in heads.iter().enumerate() {
+                let seg = &logits[r * total + offset..r * total + offset + size];
+                let max = seg.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                let mut probs: Vec<f32> = seg.iter().map(|&x| (x - max).exp()).collect();
+                let mut sum = 0.0f32;
+                for &e in &probs {
+                    sum += e;
+                }
+                if sum > 0.0 {
+                    probs.iter_mut().for_each(|p| *p /= sum);
+                }
+                let label = labels[r * heads.len() + h];
+                loss -= f64::from(probs[label].max(1e-12).ln());
+                for c in 0..size {
+                    let indicator = if c == label { 1.0 } else { 0.0 };
+                    delta[r * total + offset + c] = (probs[c] - indicator) / batch as f32;
+                }
+                offset += size;
+            }
+        }
+        let loss = (loss / (batch as f64 * heads.len() as f64)) as f32;
+        // Backward, last layer first: dW = inputᵀ · d_pre, db = column sums of
+        // d_pre, d_input = d_pre · Wᵀ.
+        let mut grads = Vec::new();
+        for (l, layer) in net.layers.iter().enumerate().rev() {
+            let (k_dim, n) = (layer.input_dim(), layer.output_dim());
+            if layer.relu {
+                for (d, &p) in delta.iter_mut().zip(&pres[l]) {
+                    *d *= if p > 0.0 { 1.0 } else { 0.0 };
+                }
+            }
+            let (w, input) = (layer.weights.data(), &acts[l]);
+            let mut d_w = vec![0.0f32; k_dim * n];
+            let mut d_b = vec![0.0f32; n];
+            let mut d_input = vec![0.0f32; batch * k_dim];
+            for r in 0..batch {
+                for j in 0..n {
+                    d_b[j] += delta[r * n + j];
+                    for i in 0..k_dim {
+                        d_w[i * n + j] += input[r * k_dim + i] * delta[r * n + j];
+                    }
+                }
+                for i in 0..k_dim {
+                    for j in 0..n {
+                        d_input[r * k_dim + i] += delta[r * n + j] * w[i * n + j];
+                    }
+                }
+            }
+            grads.push((d_w, d_b));
+            delta = d_input;
+        }
+        grads.reverse();
+        // Global-norm clip at 5: per-tensor sqrt-then-square, summed in layer order.
+        let norm = |g: &[f32]| {
+            let mut sum = 0.0f32;
+            for &x in g {
+                sum += x * x;
+            }
+            sum.sqrt()
+        };
+        let mut total_norm = 0.0f32;
+        for (d_w, d_b) in &grads {
+            total_norm += norm(d_w).powi(2) + norm(d_b).powi(2);
+        }
+        let total_norm = total_norm.sqrt();
+        let clipped = total_norm > 5.0;
+        let scale = if clipped { 5.0 / total_norm } else { 1.0 };
+        // SGD with momentum and L2 weight decay.
+        let update = |param: &mut [f32], grad: &[f32], velocity: &mut [f32]| {
+            for ((p, &g), v) in param.iter_mut().zip(grad).zip(velocity) {
+                let effective = g * scale + *p * sgd.weight_decay;
+                *v = *v * sgd.momentum - effective * sgd.learning_rate;
+                *p += *v;
+            }
+        };
+        for ((layer, (d_w, d_b)), (v_w, v_b)) in net.layers.iter_mut().zip(&grads).zip(velocities) {
+            update(layer.weights.data_mut(), d_w, v_w);
+            update(layer.bias.data_mut(), d_b, v_b);
+        }
+        (loss, clipped)
+    }
+
+    fn parameter_bits(net: &Network) -> Vec<u32> {
+        net.layers
+            .iter()
+            .flat_map(|l| l.weights.data().iter().chain(l.bias.data()))
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    /// The step that trains production networks against the reference above,
+    /// bit for bit after every step: four architectures (one, two and no hidden
+    /// layers; one and two heads; the production input width), 300 random
+    /// batches each, every 7th a ragged batch of 5.
+    #[test]
+    fn train_step_matches_the_reference_bit_for_bit() {
+        let architectures: [(usize, Vec<usize>, Vec<usize>, f32); 4] = [
+            (611, vec![32], vec![5], 1.5),
+            (611, vec![32], vec![4, 3], 1.5),
+            (37, vec![16, 8], vec![2, 6], 4.0),
+            (20, vec![], vec![3], 5.0),
+        ];
+        let sgd = SgdConfig::default();
+        for (a, (input_dim, hidden, heads, spread)) in architectures.into_iter().enumerate() {
+            let config =
+                NetworkConfig { input_dim, hidden, heads: heads.clone(), seed: 40 + a as u64 };
+            let mut net = Network::new(config.clone()).unwrap();
+            let mut scratch = TrainScratch::new(&net, sgd);
+            let mut reference = Network::new(config).unwrap();
+            let mut velocities: Vec<(Vec<f32>, Vec<f32>)> = reference
+                .layers
+                .iter()
+                .map(|l| (vec![0.0; l.weights.data().len()], vec![0.0; l.bias.data().len()]))
+                .collect();
+            let mut rng = StdRng::seed_from_u64(900 + a as u64);
+            let (mut fired, mut idle) = (0usize, 0usize);
+            for step in 0..300 {
+                let batch = if step % 7 == 6 { 5 } else { 16 };
+                let mut x = Matrix::zeros(batch, input_dim);
+                x.data_mut().iter_mut().for_each(|v| *v = rng.gen_range(-spread..spread));
+                let labels: Vec<usize> = (0..batch * heads.len())
+                    .map(|i| rng.gen_range(0..heads[i % heads.len()]))
+                    .collect();
+                let loss = net.train_step(&x, &labels, &mut scratch).unwrap();
+                let (expected, clipped) =
+                    reference_step(&mut reference, &x, &labels, &mut velocities, sgd);
+                assert_eq!(loss.to_bits(), expected.to_bits(), "arch {a} step {step}: loss");
+                assert_eq!(
+                    parameter_bits(&net),
+                    parameter_bits(&reference),
+                    "arch {a} step {step}: parameters"
+                );
+                if clipped {
+                    fired += 1;
+                } else {
+                    idle += 1;
+                }
+            }
+            // `spread` is chosen so both sides of the clip branch are compared.
+            assert!(fired > 0 && idle > 0, "arch {a}: clip fired {fired}, idled {idle}");
+        }
+    }
+
+    /// Numerical gradient check on a tiny network: the analytic weight gradients
+    /// the step leaves in its scratch must match finite differences of the loss.
+    #[test]
+    fn gradient_check_weights() {
+        let config = NetworkConfig { input_dim: 3, hidden: vec![4], heads: vec![2, 3], seed: 7 };
+        let mut net = Network::new(config).unwrap();
+        let x = Matrix::from_vec(2, 3, vec![0.5, -0.2, 0.8, 1.0, 0.3, -0.7]).unwrap();
+        let labels = [1, 0, 0, 2];
+        let heads = net.config.heads.clone();
+        let loss_of = |net: &Network| -> f32 {
+            let mut d_logits = Matrix::zeros(0, 0);
+            grouped_cross_entropy(&net.logits(&x).unwrap(), &labels, &heads, &mut d_logits).unwrap()
+        };
+
+        // A zero learning rate leaves the weights where they are and the
+        // gradients in the scratch.
+        let frozen = SgdConfig { learning_rate: 0.0, momentum: 0.0, weight_decay: 0.0 };
+        let mut scratch = TrainScratch::new(&net, frozen);
+        net.train_step(&x, &labels, &mut scratch).unwrap();
+
+        let eps = 1e-3f32;
+        for l in 0..net.layers.len() {
+            let (rows, cols) = (net.layers[l].weights.rows(), net.layers[l].weights.cols());
+            for r in 0..rows {
+                for c in 0..cols {
+                    let orig = net.layers[l].weights.get(r, c);
+                    net.layers[l].weights.set(r, c, orig + eps);
+                    let up = loss_of(&net);
+                    net.layers[l].weights.set(r, c, orig - eps);
+                    let down = loss_of(&net);
+                    net.layers[l].weights.set(r, c, orig);
+                    let numeric = (up - down) / (2.0 * eps);
+                    // The step's gradient is of the per-example mean summed over
+                    // heads; the reported loss also averages over heads.
+                    let analytic = scratch.gradients[l].0.get(r, c) / heads.len() as f32;
+                    assert!(
+                        (numeric - analytic).abs() < 1e-2,
+                        "layer {l} grad mismatch at ({r},{c}): numeric {numeric} vs analytic {analytic}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

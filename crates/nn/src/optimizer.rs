@@ -3,7 +3,7 @@
 //! The paper trains its specialized networks with SGD and momentum 0.9 (Section 9).
 
 use crate::tensor::Matrix;
-use crate::Result;
+use crate::{NnError, Result};
 use serde::{Deserialize, Serialize};
 
 /// Configuration for the SGD optimizer.
@@ -24,32 +24,52 @@ impl Default for SgdConfig {
 }
 
 /// SGD-with-momentum state for one parameter tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Lives in the training loop's scratch, not on the network: a trained
+/// [`Network`](crate::network::Network) is weights only.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SgdState {
     velocity: Matrix,
     config: SgdConfig,
 }
 
 impl SgdState {
-    /// Creates optimizer state for a parameter of the given shape.
+    /// Creates zero-velocity optimizer state for a parameter of the given shape.
     pub fn new(rows: usize, cols: usize, config: SgdConfig) -> SgdState {
         SgdState { velocity: Matrix::zeros(rows, cols), config }
     }
 
-    /// Applies one update step: `v = momentum*v - lr*(grad + wd*param); param += v`.
-    pub fn step(&mut self, param: &mut Matrix, grad: &Matrix) -> Result<()> {
-        let effective_grad = grad.add(&param.scale(self.config.weight_decay))?;
-        self.velocity = self
-            .velocity
-            .scale(self.config.momentum)
-            .sub(&effective_grad.scale(self.config.learning_rate))?;
-        *param = param.add(&self.velocity)?;
+    /// Applies one update step in place, with the gradient scaled by `grad_scale`
+    /// (the global-norm clip): `v = momentum*v - lr*(grad*grad_scale + wd*param);
+    /// param += v`. One fused pass, each element's operations separate multiplies
+    /// and adds in exactly that order (see the numerics contract in
+    /// [`tensor`](crate::tensor)).
+    pub fn step(&mut self, param: &mut Matrix, grad: &Matrix, grad_scale: f32) -> Result<()> {
+        let shape = (param.rows(), param.cols());
+        if (grad.rows(), grad.cols()) != shape
+            || (self.velocity.rows(), self.velocity.cols()) != shape
+        {
+            return Err(NnError::ShapeMismatch {
+                context: format!(
+                    "sgd step: parameter {}x{}, gradient {}x{}, velocity {}x{}",
+                    param.rows(),
+                    param.cols(),
+                    grad.rows(),
+                    grad.cols(),
+                    self.velocity.rows(),
+                    self.velocity.cols()
+                ),
+            });
+        }
+        let SgdConfig { learning_rate, momentum, weight_decay } = self.config;
+        for ((p, &g), v) in
+            param.data_mut().iter_mut().zip(grad.data()).zip(self.velocity.data_mut())
+        {
+            let effective = g * grad_scale + *p * weight_decay;
+            *v = *v * momentum - effective * learning_rate;
+            *p += *v;
+        }
         Ok(())
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> SgdConfig {
-        self.config
     }
 }
 
@@ -63,7 +83,7 @@ mod tests {
         let grad = Matrix::from_vec(1, 2, vec![1.0, -1.0]).unwrap();
         let mut state =
             SgdState::new(1, 2, SgdConfig { learning_rate: 0.1, momentum: 0.0, weight_decay: 0.0 });
-        state.step(&mut param, &grad).unwrap();
+        state.step(&mut param, &grad, 1.0).unwrap();
         assert!(param.get(0, 0) < 1.0);
         assert!(param.get(0, 1) > -1.0);
     }
@@ -78,8 +98,8 @@ mod tests {
         let mut with_mom =
             SgdState::new(1, 1, SgdConfig { learning_rate: 0.1, momentum: 0.9, weight_decay: 0.0 });
         for _ in 0..5 {
-            plain.step(&mut p_no_momentum, &grad).unwrap();
-            with_mom.step(&mut p_momentum, &grad).unwrap();
+            plain.step(&mut p_no_momentum, &grad, 1.0).unwrap();
+            with_mom.step(&mut p_momentum, &grad, 1.0).unwrap();
         }
         // With momentum the parameter has moved further in the same number of steps.
         assert!(p_momentum.get(0, 0) < p_no_momentum.get(0, 0));
@@ -92,7 +112,7 @@ mod tests {
         let mut state =
             SgdState::new(1, 1, SgdConfig { learning_rate: 0.1, momentum: 0.0, weight_decay: 0.5 });
         for _ in 0..10 {
-            state.step(&mut param, &zero_grad).unwrap();
+            state.step(&mut param, &zero_grad, 1.0).unwrap();
         }
         assert!(param.get(0, 0) < 10.0);
         assert!(param.get(0, 0) > 0.0);
@@ -109,7 +129,7 @@ mod tests {
         );
         for _ in 0..200 {
             let grad = Matrix::from_vec(1, 1, vec![2.0 * (x.get(0, 0) - 3.0)]).unwrap();
-            state.step(&mut x, &grad).unwrap();
+            state.step(&mut x, &grad, 1.0).unwrap();
         }
         assert!((x.get(0, 0) - 3.0).abs() < 1e-2, "converged to {}", x.get(0, 0));
     }

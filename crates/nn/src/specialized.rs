@@ -9,8 +9,10 @@
 //!
 //! This module provides:
 //!
-//! * [`SpecializedNN::train`] — featurize labeled frames and train the network with
-//!   SGD + momentum, charging simulated training time.
+//! * [`SpecializedNN::train`] — featurize the labeled frames in parallel straight into
+//!   one flat feature matrix, standardize it in place, and train the network with SGD +
+//!   momentum through [`Trainer::fit`] on the same flat matrices and kernels scoring
+//!   uses, charging simulated training time per example-visit.
 //! * [`SpecializedNN::score_batch`] / [`SpecializedNN::score_video`] — the batched
 //!   scoring pipeline: frames are featurized in parallel chunks, stacked into one
 //!   feature matrix per batch, pushed through a single scratch-buffer forward pass,
@@ -123,6 +125,16 @@ impl SpecializedConfig {
         }
     }
 
+    /// The training targets in [`Trainer::fit`]'s flat layout: entry
+    /// `i * heads.len() + h` is example `i`'s count of head `h`'s class, clamped to
+    /// the head's `max_count`.
+    fn flat_labels(&self, labels: &[CountVector]) -> Vec<usize> {
+        labels
+            .iter()
+            .flat_map(|counts| self.heads.iter().map(|h| counts.get(h.class).min(h.max_count)))
+            .collect()
+    }
+
     pub(crate) fn network_config(&self) -> NetworkConfig {
         NetworkConfig {
             input_dim: self.features.dim(),
@@ -142,8 +154,6 @@ pub struct TrainingReport {
     pub training_cost_secs: f64,
     /// Final-epoch mean loss.
     pub final_loss: f32,
-    /// Training-set exact-match accuracy (all heads correct).
-    pub train_accuracy: f64,
 }
 
 /// The bootstrap error estimate of a specialized network's frame-averaged count
@@ -213,43 +223,43 @@ impl SpecializedNN {
             return Err(NnError::InvalidConfig("at least one head required".into()));
         }
 
+        let mut network = Network::new(config.network_config())?;
+
+        // Featurize straight into one flat matrix, row `i` for `frames[i]`, in
+        // parallel chunks on the worker pool — `score_batch`'s kernel, minus the
+        // standardizer, which does not exist yet.
         let featurizer = FrameFeaturizer::new(config.features);
-        let mut xs = Vec::with_capacity(frames.len());
-        let mut ys = Vec::with_capacity(frames.len());
-        for (&f, counts) in frames.iter().zip(labels) {
-            xs.push(
+        let dim = featurizer.dim();
+        let mut features = Matrix::zeros(frames.len(), dim);
+        par_fill_chunks(features.data_mut(), dim, |offset, chunk| {
+            let first = offset / dim;
+            for (i, row) in chunk.chunks_mut(dim).enumerate() {
+                // blazeit-lint: allow(panic-site::index) -- par_fill_chunks hands each task a
+                // chunk of rows inside the matrix, so first + i < frames.len()
+                let frame = frames[first + i];
                 featurizer
-                    .features_for_video_frame(video, f)
-                    .map_err(|e| NnError::InvalidTrainingData(e.to_string()))?,
-            );
-            ys.push(
-                config
-                    .heads
-                    .iter()
-                    .map(|h| counts.get(h.class).min(h.max_count))
-                    .collect::<Vec<usize>>(),
-            );
-        }
+                    .features_for_video_frame_into(video, frame, row)
+                    .map_err(|e| NnError::InvalidTrainingData(e.to_string()))?;
+            }
+            Ok(())
+        })?;
+        let ys = config.flat_labels(labels);
 
         // Standardize features with training-set statistics (the stand-in for the
         // normalization layers of the paper's tiny ResNet); without this the tiny
         // per-object signal is swamped by the common-mode background component.
-        let standardizer = Standardizer::fit(&xs);
-        let xs: Vec<Vec<f32>> = xs.iter().map(|row| standardizer.transform(row)).collect();
+        let standardizer = Standardizer::fit(&features);
+        standardizer.transform_rows_in_place(&mut features);
 
-        let mut network = Network::new(config.network_config())?;
-        let trainer = Trainer::new(config.train);
-        let outcome = trainer.fit(&mut network, &xs, &ys)?;
+        let outcome = Trainer::new(config.train).fit(&mut network, &features, &ys)?;
 
         // Charge simulated training time: one training pass per example-visit, plus
-        // decode time for reading the labeled frames (reported separately).
+        // decode time for reading the labeled frames (reported separately). This is
+        // the only charge training makes, and `fit` has no other production caller.
         let training_cost =
             outcome.examples_processed as f64 * config.cost.training_cost_per_example();
         clock.charge(CostCategory::Training, training_cost);
         clock.charge(CostCategory::Decode, frames.len() as f64 * config.cost.decode_cost());
-
-        let x_matrix = crate::tensor::Matrix::from_rows(&xs)?;
-        let train_accuracy = network.accuracy(&x_matrix, &ys)?;
 
         let mut nn =
             SpecializedNN { config, featurizer, standardizer, network, clock, fingerprint: 0 };
@@ -258,7 +268,6 @@ impl SpecializedNN {
             num_examples: frames.len(),
             training_cost_secs: training_cost,
             final_loss: outcome.final_loss,
-            train_accuracy,
         };
         Ok((nn, report))
     }
@@ -414,7 +423,7 @@ impl SpecializedNN {
         );
         let mut feats = self.featurizer.features(&f)?;
         self.standardizer.transform_in_place(&mut feats);
-        let x = crate::tensor::Matrix::row_from_slice(&feats);
+        let x = Matrix::row_from_slice(&feats);
         let probs = self.network.predict_probs(&x)?;
         Ok(probs.into_iter().next().unwrap_or_default())
     }
@@ -617,6 +626,51 @@ mod tests {
                 "batched and serial scores diverge at frame {f}"
             );
         }
+    }
+
+    /// Training is a function of the labeled day alone: where it runs (the main
+    /// thread, or a pool task as the stream's drift refresh does — featurization
+    /// then nests `par_fill_chunks` inside `par_run`) and how the feature rows were
+    /// produced (pool-parallel sparse renders, or one full-frame decode at a time)
+    /// cannot reach the weights.
+    #[test]
+    fn training_is_independent_of_where_and_how_rows_are_featurized() {
+        let video = DatasetPreset::Taipei.generate_with_frames(DAY_TRAIN, 400).unwrap();
+        let frames: Vec<FrameIndex> = (0..400).step_by(3).collect();
+        let labels = labeled_counts(&video, &frames);
+        let mut config = SpecializedConfig::for_heads(vec![
+            SpecializedHead { class: ObjectClass::Car, max_count: 2 },
+            SpecializedHead { class: ObjectClass::Bus, max_count: 1 },
+        ]);
+        config.train.epochs = 2;
+        let train = || {
+            SpecializedNN::train(config.clone(), &video, &frames, &labels, SimClock::new())
+                .unwrap()
+                .0
+                .weights_fingerprint()
+        };
+        let on_main = train();
+        let in_pool_task = crate::parallel::par_run(vec![
+            Box::new(train) as Box<dyn FnOnce() -> u64 + Send + '_>,
+            Box::new(train),
+        ]);
+        assert_eq!(in_pool_task, [on_main, on_main]);
+
+        let featurizer = FrameFeaturizer::new(config.features);
+        let rows: Vec<Vec<f32>> = frames
+            .iter()
+            .map(|&f| featurizer.features(&video.frame(f).unwrap()).unwrap())
+            .collect();
+        let mut features = Matrix::from_rows(&rows).unwrap();
+        let standardizer = Standardizer::fit(&features);
+        standardizer.transform_rows_in_place(&mut features);
+        let ys = config.flat_labels(&labels);
+        let mut network = Network::new(config.network_config()).unwrap();
+        Trainer::new(config.train).fit(&mut network, &features, &ys).unwrap();
+        let serial =
+            SpecializedNN::from_parts(config.clone(), standardizer, network, SimClock::new())
+                .unwrap();
+        assert_eq!(serial.weights_fingerprint(), on_main);
     }
 
     #[test]

@@ -1,9 +1,17 @@
-//! A minimal dense matrix type.
+//! A minimal dense matrix type and the matmul kernels under scoring and training.
 //!
 //! Row-major `f32` storage, sized for the small MLPs this project trains (hundreds of
-//! inputs, tens of hidden units). The implementation favors clarity and testability
-//! over peak throughput; the simulated cost model, not wall-clock matmul speed, drives
-//! the experiments.
+//! inputs, tens of hidden units). The simulated cost model decides what a query is
+//! *charged*; the wall-clock cost of a cold query is these kernels, and the performance
+//! ledger (`benchmark/`, `docs/PERFORMANCE.md`) is what drives their shape.
+//!
+//! **Numerics contract.** Every product kernel computes each output element as
+//! `0.0 + a₀·b₀ + a₁·b₁ + …` over ascending `k`, with separate `f32` multiplies and
+//! adds: no FMA, no reassociation, no multi-accumulator reduction. Blocking and wider
+//! vector lanes only change which *independent* elements are computed side by side, so
+//! trained weights and scores are bit-identical across kernels, batch sizes and
+//! instruction sets (the AVX2 instantiation included) — which is what lets cache keys
+//! pin a network by its weights fingerprint across a kernel change.
 
 // blazeit-lint: allow-file(panic-site::index) -- dense matrix kernels: every index is derived from
 // the tensor's own dims, and shape mismatches return ShapeMismatch before any loop runs
@@ -107,14 +115,10 @@ impl Matrix {
 
     /// Matrix product `self * other`, written into `out` (resized as needed).
     ///
-    /// This is the allocation-free kernel behind batched inference: callers hold
-    /// a scratch matrix and reuse its backing storage across batches. Output
-    /// columns are processed in fixed-width tiles whose accumulators live in a
-    /// stack array the compiler keeps in vector registers across the whole
-    /// reduction — no per-element branching (the old zero-skip test is gone)
-    /// and no store traffic inside the inner loop. Each output element is still
-    /// the sum over `k` in ascending order, so results are element-wise
-    /// identical to the naive triple loop.
+    /// This is the allocation-free kernel behind batched inference and the
+    /// training step's forward pass: callers hold a scratch matrix and reuse its
+    /// backing storage across batches. Output is computed in 4-row × 16-column
+    /// register blocks; the module docs state the summation order that keeps.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != other.rows {
             return Err(NnError::ShapeMismatch {
@@ -124,85 +128,56 @@ impl Matrix {
                 ),
             });
         }
-        const TILE: usize = 16;
-        let n = other.cols;
-        out.rows = self.rows;
-        out.cols = n;
-        out.data.clear();
-        out.data.resize(self.rows * n, 0.0);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            let mut j0 = 0usize;
-            while j0 < n {
-                let width = TILE.min(n - j0);
-                let mut acc = [0.0f32; TILE];
-                if width == TILE {
-                    for (k, &a) in a_row.iter().enumerate() {
-                        let b_tile = &other.data[k * n + j0..k * n + j0 + TILE];
-                        for t in 0..TILE {
-                            acc[t] += a * b_tile[t];
-                        }
-                    }
-                } else {
-                    for (k, &a) in a_row.iter().enumerate() {
-                        let b_tile = &other.data[k * n + j0..k * n + j0 + width];
-                        for (t, &b) in b_tile.iter().enumerate() {
-                            acc[t] += a * b;
-                        }
-                    }
-                }
-                out_row[j0..j0 + width].copy_from_slice(&acc[..width]);
-                j0 += TILE;
-            }
-        }
+        out.reset_zeroed(self.rows, other.cols);
+        product::<false>(&self.data, self.cols, &other.data, &mut out.data, other.cols);
         Ok(())
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
-    }
-
-    /// Element-wise sum `self + other`.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, |a, b| a + b)
-    }
-
-    /// Element-wise difference `self - other`.
-    pub fn sub(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, |a, b| a - b)
-    }
-
-    /// Element-wise product.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, |a, b| a * b)
-    }
-
-    fn zip_with(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Result<Matrix> {
-        if self.rows != other.rows || self.cols != other.cols {
+    /// `selfᵀ * other` written into `out`, reading `self` transposed in place —
+    /// the weight gradient `XᵀΔ` of a dense layer. Element-wise identical to
+    /// multiplying a materialized transpose by `other`.
+    pub fn matmul_at_b_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
+        if self.rows != other.rows {
             return Err(NnError::ShapeMismatch {
                 context: format!(
-                    "elementwise: {}x{} vs {}x{}",
+                    "matmul_at_b: ({}x{})ᵀ * {}x{}",
                     self.rows, self.cols, other.rows, other.cols
                 ),
             });
         }
-        let data = self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect();
-        Ok(Matrix { rows: self.rows, cols: self.cols, data })
+        out.reset_zeroed(self.cols, other.cols);
+        product::<true>(&self.data, self.rows, &other.data, &mut out.data, other.cols);
+        Ok(())
     }
 
-    /// Adds a row vector (1 x cols) to every row.
-    pub fn add_row_broadcast(&self, row: &Matrix) -> Result<Matrix> {
-        let mut out = self.clone();
-        out.add_row_broadcast_in_place(row)?;
-        Ok(out)
+    /// `self * otherᵀ` written into `out`, reading `other` transposed in place —
+    /// the input gradient `ΔWᵀ` of a dense layer. A plain dot-product loop: the
+    /// first layer needs no input gradient, so this only ever sees the narrow
+    /// upper layers.
+    pub fn matmul_a_bt_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
+        if self.cols != other.cols {
+            return Err(NnError::ShapeMismatch {
+                context: format!(
+                    "matmul_a_bt: {}x{} * ({}x{})ᵀ",
+                    self.rows, self.cols, other.rows, other.cols
+                ),
+            });
+        }
+        out.reset_zeroed(self.rows, other.rows);
+        // `max(1)`: an empty dimension means empty data, and nothing to iterate.
+        let k = self.cols.max(1);
+        for (a_row, out_row) in
+            self.data.chunks_exact(k).zip(out.data.chunks_exact_mut(other.rows.max(1)))
+        {
+            for (b_row, o) in other.data.chunks_exact(k).zip(out_row) {
+                let mut acc = 0.0f32;
+                for (&a, &b) in a_row.iter().zip(b_row) {
+                    acc += a * b;
+                }
+                *o = acc;
+            }
+        }
+        Ok(())
     }
 
     /// Adds a row vector (1 x cols) to every row, in place.
@@ -230,27 +205,6 @@ impl Matrix {
         }
     }
 
-    /// Sums each column, producing a `1 x cols` matrix.
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self.get(r, c);
-            }
-        }
-        out
-    }
-
-    /// Applies `f` element-wise, producing a new matrix.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
-    }
-
-    /// Multiplies every element by a scalar.
-    pub fn scale(&self, s: f32) -> Matrix {
-        self.map(|x| x * s)
-    }
-
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
@@ -270,6 +224,112 @@ impl Matrix {
             data.extend_from_slice(r);
         }
         Ok(Matrix { rows: rows.len(), cols, data })
+    }
+}
+
+/// Output rows per register block.
+const BLOCK_ROWS: usize = 4;
+/// Output columns per register tile.
+const TILE: usize = 16;
+
+/// `out[i][j] = Σₖ lhs(i, k) · rhs[k][j]` for a `k_len × n` row-major `rhs` and
+/// an `m × n` row-major `out` (`m = out.len() / n`), where `lhs(i, k)` is
+/// `a[i * k_len + k]` (`a` is `m × k_len`) or, with `A_TRANSPOSED`,
+/// `a[k * m + i]` (`a` is `k_len × m`, read transposed in place).
+///
+/// Selects the AVX2 instantiation of [`product_body`] when the CPU has it. Both
+/// instantiations perform the same IEEE operations in the same order per output
+/// element, so the choice is invisible in the results.
+fn product<const A_TRANSPOSED: bool>(
+    a: &[f32],
+    k_len: usize,
+    rhs: &[f32],
+    out: &mut [f32],
+    n: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `product_avx2` only requires that the running CPU supports
+        // AVX2, which the run-time detection on the line above just confirmed.
+        return unsafe { product_avx2::<A_TRANSPOSED>(a, k_len, rhs, out, n) };
+    }
+    product_body::<A_TRANSPOSED>(a, k_len, rhs, out, n);
+}
+
+/// [`product_body`] compiled with 256-bit lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn product_avx2<const A_TRANSPOSED: bool>(
+    a: &[f32],
+    k_len: usize,
+    rhs: &[f32],
+    out: &mut [f32],
+    n: usize,
+) {
+    product_body::<A_TRANSPOSED>(a, k_len, rhs, out, n);
+}
+
+/// The one matmul body. Output is computed in `BLOCK_ROWS × TILE` register
+/// blocks: 64 accumulators the compiler keeps in vector registers across the
+/// whole reduction — 16 independent SSE add chains (8 of twice the width under
+/// AVX2) where a one-row tile gives 4 (or 2). The reduction is bound by add
+/// latency, so independent chains are what let wider lanes pay. Remainder rows
+/// and the narrow last column tile use a one-row loop. Every accumulator
+/// starts at `0.0` and adds `a * b` over ascending `k`.
+#[inline(always)]
+fn product_body<const A_TRANSPOSED: bool>(
+    a: &[f32],
+    k_len: usize,
+    rhs: &[f32],
+    out: &mut [f32],
+    n: usize,
+) {
+    if n == 0 {
+        return;
+    }
+    let m = out.len() / n;
+    let blocked_rows = m - m % BLOCK_ROWS;
+    let tiled_cols = n - n % TILE;
+    for i in (0..blocked_rows).step_by(BLOCK_ROWS) {
+        for j0 in (0..tiled_cols).step_by(TILE) {
+            let mut acc = [[0.0f32; TILE]; BLOCK_ROWS];
+            for k in 0..k_len {
+                let b_tile = &rhs[k * n + j0..k * n + j0 + TILE];
+                let a_block: [f32; BLOCK_ROWS] = if A_TRANSPOSED {
+                    // The block's four operands are neighbours: one bounds check.
+                    let mut block = [0.0f32; BLOCK_ROWS];
+                    block.copy_from_slice(&a[k * m + i..k * m + i + BLOCK_ROWS]);
+                    block
+                } else {
+                    std::array::from_fn(|r| a[(i + r) * k_len + k])
+                };
+                for (acc_row, a_ik) in acc.iter_mut().zip(a_block) {
+                    for t in 0..TILE {
+                        acc_row[t] += a_ik * b_tile[t];
+                    }
+                }
+            }
+            for (r, acc_row) in acc.iter().enumerate() {
+                out[(i + r) * n + j0..(i + r) * n + j0 + TILE].copy_from_slice(acc_row);
+            }
+        }
+    }
+    // What the blocks did not cover, one row and at most one tile at a time: the
+    // narrow last tile of the blocked rows and all of the remainder rows.
+    for i in 0..m {
+        let mut j0 = if i < blocked_rows { tiled_cols } else { 0 };
+        while j0 < n {
+            let width = TILE.min(n - j0);
+            let mut acc = [0.0f32; TILE];
+            for k in 0..k_len {
+                let a_ik = if A_TRANSPOSED { a[k * m + i] } else { a[i * k_len + k] };
+                for (acc_t, &b) in acc.iter_mut().zip(&rhs[k * n + j0..k * n + j0 + width]) {
+                    *acc_t += a_ik * b;
+                }
+            }
+            out[i * n + j0..i * n + j0 + width].copy_from_slice(&acc[..width]);
+            j0 += width;
+        }
     }
 }
 
@@ -311,39 +371,89 @@ mod tests {
     }
 
     #[test]
-    fn transpose_roundtrip() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let t = a.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.get(0, 1), 4.0);
-        assert_eq!(t.transpose(), a);
-    }
-
-    #[test]
-    fn elementwise_ops() {
-        let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]).unwrap();
-        let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]).unwrap();
-        assert_eq!(a.add(&b).unwrap().data(), &[5.0, 7.0, 9.0]);
-        assert_eq!(b.sub(&a).unwrap().data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.hadamard(&b).unwrap().data(), &[4.0, 10.0, 18.0]);
-        assert!(a.add(&Matrix::zeros(2, 2)).is_err());
-    }
-
-    #[test]
-    fn broadcast_and_sum_rows() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+    fn broadcast_in_place_and_norm() {
+        let mut a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let bias = Matrix::row_from_slice(&[10.0, 20.0]);
-        let out = a.add_row_broadcast(&bias).unwrap();
-        assert_eq!(out.data(), &[11.0, 22.0, 13.0, 24.0]);
-        assert_eq!(a.sum_rows().data(), &[4.0, 6.0]);
+        a.add_row_broadcast_in_place(&bias).unwrap();
+        assert_eq!(a.data(), &[11.0, 22.0, 13.0, 24.0]);
+        assert!(a.add_row_broadcast_in_place(&Matrix::zeros(1, 3)).is_err());
+        let b = Matrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
+        assert!((b.norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]
-    fn map_scale_norm() {
-        let a = Matrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
-        assert_eq!(a.scale(2.0).data(), &[6.0, 8.0]);
-        assert_eq!(a.map(|x| x - 3.0).data(), &[0.0, 1.0]);
-        assert!((a.norm() - 5.0).abs() < 1e-6);
+    fn transposed_products_reject_mismatched_shapes() {
+        let mut out = Matrix::zeros(0, 0);
+        assert!(Matrix::zeros(2, 3).matmul_at_b_into(&Matrix::zeros(3, 3), &mut out).is_err());
+        assert!(Matrix::zeros(2, 3).matmul_a_bt_into(&Matrix::zeros(2, 4), &mut out).is_err());
+    }
+
+    fn random_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+        let data = (0..rows * cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        Matrix::from_vec(rows, cols, data).unwrap()
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The three product kernels against a triple loop, bit for bit, on shapes
+    /// `(m, k, n)` that reach every remainder path (rows short of a block,
+    /// columns short of a tile, both, neither, an empty dimension) plus the
+    /// production layer shapes — through the entry points (the AVX2 instantiation on a host that
+    /// has it) and through the portable body directly.
+    #[test]
+    fn product_kernels_match_the_triple_loop_bit_for_bit() {
+        let shapes = [
+            (1, 1, 1),
+            (3, 5, 7),
+            (4, 16, 16),
+            (5, 17, 33),
+            (16, 611, 48),
+            (7, 48, 5),
+            (9, 2, 50),
+            (0, 3, 2),
+            (2, 0, 3),
+            (2, 3, 0),
+        ];
+        let mut rng = StdRng::seed_from_u64(17);
+        for (m, k, n) in shapes {
+            let a = random_matrix(m, k, &mut rng);
+            let a_t = random_matrix(k, m, &mut rng);
+            let b = random_matrix(k, n, &mut rng);
+            let b_t = random_matrix(n, k, &mut rng);
+            let naive = |lhs: &dyn Fn(usize, usize) -> f32, rhs: &dyn Fn(usize, usize) -> f32| {
+                let mut out = Matrix::zeros(m, n);
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut sum = 0.0f32;
+                        for kk in 0..k {
+                            sum += lhs(i, kk) * rhs(kk, j);
+                        }
+                        out.set(i, j, sum);
+                    }
+                }
+                bits(&out)
+            };
+            let a_b = naive(&|i, kk| a.get(i, kk), &|kk, j| b.get(kk, j));
+            let at_b = naive(&|i, kk| a_t.get(kk, i), &|kk, j| b.get(kk, j));
+            let a_bt = naive(&|i, kk| a.get(i, kk), &|kk, j| b_t.get(j, kk));
+
+            let mut out = Matrix::zeros(0, 0);
+            a.matmul_into(&b, &mut out).unwrap();
+            assert_eq!(bits(&out), a_b, "matmul_into {m}x{k}x{n}");
+            a_t.matmul_at_b_into(&b, &mut out).unwrap();
+            assert_eq!(bits(&out), at_b, "matmul_at_b_into {m}x{k}x{n}");
+            a.matmul_a_bt_into(&b_t, &mut out).unwrap();
+            assert_eq!((out.rows(), out.cols()), (m, n));
+            assert_eq!(bits(&out), a_bt, "matmul_a_bt_into {m}x{k}x{n}");
+
+            let mut out = Matrix::zeros(m, n);
+            product_body::<false>(a.data(), k, b.data(), out.data_mut(), n);
+            assert_eq!(bits(&out), a_b, "portable body {m}x{k}x{n}");
+            product_body::<true>(a_t.data(), k, b.data(), out.data_mut(), n);
+            assert_eq!(bits(&out), at_b, "portable transposed body {m}x{k}x{n}");
+        }
     }
 
     #[test]

@@ -4,8 +4,14 @@
 //! over ~150,000 frames (Section 6.2 / 9). The [`Trainer`] reproduces that procedure
 //! (epochs and batch size are configurable) and reports what it did so the engine can
 //! charge the simulated training cost.
+//!
+//! Training runs on the scoring stack: the training set is one flat feature
+//! [`Matrix`] with flat labels, each shuffled mini-batch is gathered into one reused
+//! matrix, and [`Network::train_step`] works entirely inside a [`TrainScratch`] that
+//! [`Trainer::fit`] owns — activations, gradients and the SGD velocities — so a
+//! steady-state step allocates nothing and the network keeps no optimizer state.
 
-use crate::network::Network;
+use crate::network::{Network, TrainScratch};
 use crate::optimizer::SgdConfig;
 use crate::tensor::Matrix;
 use crate::{NnError, Result};
@@ -64,20 +70,27 @@ impl Trainer {
         self.config
     }
 
-    /// Trains `network` on `(features, labels)` rows.
+    /// Trains `network` on the rows of `features`; `labels[r * num_heads + h]` is the
+    /// target class of head `h` for row `r`.
+    ///
+    /// Every call starts from zero momentum with this trainer's [`SgdConfig`]: the
+    /// optimizer state lives and dies with the call. Charges no simulated time —
+    /// [`SpecializedNN::train`](crate::specialized::SpecializedNN::train), the one
+    /// production caller, charges `examples_processed` example-visits.
     pub fn fit(
         &self,
         network: &mut Network,
-        features: &[Vec<f32>],
-        labels: &[Vec<usize>],
+        features: &Matrix,
+        labels: &[usize],
     ) -> Result<TrainOutcome> {
-        if features.is_empty() {
+        let num_examples = features.rows();
+        let heads = network.config().heads.len();
+        if num_examples == 0 {
             return Err(NnError::InvalidTrainingData("empty training set".into()));
         }
-        if features.len() != labels.len() {
+        if labels.len() != num_examples * heads {
             return Err(NnError::InvalidTrainingData(format!(
-                "{} feature rows vs {} label rows",
-                features.len(),
+                "{num_examples} feature rows vs {} labels for {heads} heads",
                 labels.len()
             )));
         }
@@ -86,7 +99,10 @@ impl Trainer {
         }
 
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut order: Vec<usize> = (0..features.len()).collect();
+        let mut order: Vec<usize> = (0..num_examples).collect();
+        let mut scratch = TrainScratch::new(network, self.config.sgd);
+        let mut batch = Matrix::zeros(0, 0);
+        let mut batch_labels = Vec::new();
         let mut first_epoch_loss = 0.0f32;
         let mut final_loss = 0.0f32;
 
@@ -95,16 +111,17 @@ impl Trainer {
             let mut epoch_loss = 0.0f64;
             let mut batches = 0usize;
             for chunk in order.chunks(self.config.batch_size) {
-                let batch_rows: Vec<Vec<f32>> =
+                batch.reset_zeroed(chunk.len(), features.cols());
+                batch_labels.clear();
+                for (dst, &i) in
+                    batch.data_mut().chunks_exact_mut(features.cols().max(1)).zip(chunk)
+                {
+                    dst.copy_from_slice(features.row(i));
                     // blazeit-lint: allow(panic-site::index) -- order is a permutation of
-                    // 0..features.len(), and labels has the same length (validated by fit)
-                    chunk.iter().map(|&i| features[i].clone()).collect();
-                let batch_labels: Vec<Vec<usize>> =
-                    // blazeit-lint: allow(panic-site::index) -- order is a permutation of
-                    // 0..features.len(), and labels has the same length (validated by fit)
-                    chunk.iter().map(|&i| labels[i].clone()).collect();
-                let x = Matrix::from_rows(&batch_rows)?;
-                let loss = network.train_batch(&x, &batch_labels, self.config.sgd)?;
+                    // 0..num_examples and labels.len() == num_examples * heads (checked above)
+                    batch_labels.extend_from_slice(&labels[i * heads..(i + 1) * heads]);
+                }
+                let loss = network.train_step(&batch, &batch_labels, &mut scratch)?;
                 epoch_loss += f64::from(loss);
                 batches += 1;
             }
@@ -116,8 +133,8 @@ impl Trainer {
         }
 
         Ok(TrainOutcome {
-            num_examples: features.len(),
-            examples_processed: features.len() * self.config.epochs,
+            num_examples,
+            examples_processed: num_examples * self.config.epochs,
             final_loss,
             first_epoch_loss,
         })
@@ -130,17 +147,17 @@ mod tests {
     use crate::network::NetworkConfig;
     use rand::Rng;
 
-    fn make_data(n: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<Vec<usize>>) {
+    fn make_data(n: usize, seed: u64) -> (Matrix, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for _ in 0..n {
             let label: usize = rng.gen_range(0..3);
             let base = label as f32;
-            xs.push(vec![base + rng.gen_range(-0.2..0.2), -base + rng.gen_range(-0.2..0.2)]);
-            ys.push(vec![label]);
+            xs.extend([base + rng.gen_range(-0.2..0.2), -base + rng.gen_range(-0.2..0.2)]);
+            ys.push(label);
         }
-        (xs, ys)
+        (Matrix::from_vec(n, 2, xs).unwrap(), ys)
     }
 
     fn network() -> Network {
@@ -157,18 +174,18 @@ mod tests {
         assert_eq!(outcome.num_examples, 600);
         assert_eq!(outcome.examples_processed, 3000);
         assert!(outcome.final_loss < outcome.first_epoch_loss);
-        let x = Matrix::from_rows(&xs).unwrap();
-        assert!(net.accuracy(&x, &ys).unwrap() > 0.9);
+        assert!(net.accuracy(&xs, &ys).unwrap() > 0.9);
     }
 
     #[test]
     fn fit_rejects_invalid_inputs() {
         let mut net = network();
         let trainer = Trainer::new(TrainConfig::default());
-        assert!(trainer.fit(&mut net, &[], &[]).is_err());
-        assert!(trainer.fit(&mut net, &[vec![0.0, 0.0]], &[vec![0], vec![1]]).is_err());
+        let one_row = Matrix::zeros(1, 2);
+        assert!(trainer.fit(&mut net, &Matrix::zeros(0, 2), &[]).is_err());
+        assert!(trainer.fit(&mut net, &one_row, &[0, 1]).is_err());
         let bad_cfg = Trainer::new(TrainConfig { batch_size: 0, ..TrainConfig::default() });
-        assert!(bad_cfg.fit(&mut net, &[vec![0.0, 0.0]], &[vec![0]]).is_err());
+        assert!(bad_cfg.fit(&mut net, &one_row, &[0]).is_err());
     }
 
     #[test]
@@ -187,7 +204,29 @@ mod tests {
         let mut b = network();
         trainer.fit(&mut a, &xs, &ys).unwrap();
         trainer.fit(&mut b, &xs, &ys).unwrap();
-        let x = Matrix::from_rows(&xs).unwrap();
-        assert_eq!(a.logits(&x).unwrap(), b.logits(&x).unwrap());
+        assert_eq!(a.logits(&xs).unwrap(), b.logits(&xs).unwrap());
+    }
+
+    /// The optimizer state belongs to the call, not the network: refitting a
+    /// network continues from its weights but from zero momentum and with the
+    /// second trainer's own SGD settings, exactly as a copy that never saw the
+    /// first call's state does.
+    #[test]
+    fn every_fit_starts_from_zero_velocity_with_its_own_config() {
+        let (xs, ys) = make_data(100, 8);
+        let first = Trainer::new(TrainConfig::default());
+        let second = Trainer::new(TrainConfig {
+            sgd: SgdConfig { learning_rate: 0.01, momentum: 0.5, weight_decay: 0.0 },
+            seed: 1,
+            ..TrainConfig::default()
+        });
+        let mut refit = network();
+        first.fit(&mut refit, &xs, &ys).unwrap();
+        // Through serialization-shaped reassembly: weights only, by construction.
+        let mut fresh =
+            Network::from_parts(refit.config().clone(), refit.layers().to_vec()).unwrap();
+        second.fit(&mut refit, &xs, &ys).unwrap();
+        second.fit(&mut fresh, &xs, &ys).unwrap();
+        assert_eq!(refit.logits(&xs).unwrap(), fresh.logits(&xs).unwrap());
     }
 }

@@ -4,6 +4,7 @@ use blazeit::core::stats::{normal_critical_value, normal_ppf};
 use blazeit::detect::{count_classes, Detection};
 use blazeit::frameql::parse_query;
 use blazeit::nn::features::Standardizer;
+use blazeit::nn::Matrix;
 use blazeit::prelude::*;
 use blazeit::videostore::datasets::occupancy_to_mean_concurrent;
 use proptest::prelude::*;
@@ -117,8 +118,10 @@ proptest! {
     fn standardizer_output_has_zero_mean_unit_variance(
         rows in prop::collection::vec(prop::collection::vec(-50.0f32..50.0, 4), 8..60)
     ) {
-        let st = Standardizer::fit(&rows);
-        let transformed: Vec<Vec<f32>> = rows.iter().map(|r| st.transform(r)).collect();
+        let mut flat = Matrix::from_rows(&rows).unwrap();
+        let st = Standardizer::fit(&flat);
+        st.transform_rows_in_place(&mut flat);
+        let transformed: Vec<&[f32]> = flat.data().chunks_exact(4).collect();
         for d in 0..4 {
             let n = transformed.len() as f32;
             let mean: f32 = transformed.iter().map(|r| r[d]).sum::<f32>() / n;
