@@ -58,6 +58,9 @@ pub const COUNTER_FRAMES_SCORED: &str = "frames_scored";
 pub const COUNTER_DETECTOR_CALLS: &str = "detector_calls";
 /// Span counter name: engine-level cache hits (specialized NN / score index).
 pub const COUNTER_CACHE_HITS: &str = "cache_hits";
+/// Span counter name: full frames rendered on the host (selection's content-filter
+/// scan, its calibration, and row evaluations that reached a content UDF).
+pub const COUNTER_FRAMES_RENDERED: &str = "frames_rendered";
 
 /// Span tags live far above the serving layer's session tags (which count up
 /// from 1), so a span's private ledger can never collide with a session's.

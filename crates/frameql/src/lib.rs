@@ -60,6 +60,9 @@ pub enum FrameQlError {
     UnknownUdf(String),
     /// Evaluation error (type mismatch, missing column, ...).
     EvalError(String),
+    /// A content UDF asked for the frame's pixels and the
+    /// [`PixelSource`](expr::PixelSource) could not produce them.
+    Pixels(blazeit_videostore::VideoError),
 }
 
 impl std::fmt::Display for FrameQlError {
@@ -72,6 +75,7 @@ impl std::fmt::Display for FrameQlError {
             FrameQlError::SemanticError { message } => write!(f, "semantic error: {message}"),
             FrameQlError::UnknownUdf(name) => write!(f, "unknown UDF: {name}"),
             FrameQlError::EvalError(msg) => write!(f, "evaluation error: {msg}"),
+            FrameQlError::Pixels(e) => write!(f, "frame content unavailable: {e}"),
         }
     }
 }

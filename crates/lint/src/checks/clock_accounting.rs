@@ -1,4 +1,4 @@
-//! `clock-accounting`: no un-charged simulated inference.
+//! `clock-accounting`: no un-charged simulated inference, no un-charged render.
 //!
 //! Every expensive operation in the engine must charge the shared `SimClock`
 //! before (or while) it runs — that is what makes simulated runtimes honest
@@ -7,7 +7,7 @@
 //! This check pins that layering: each *restricted* entry point below may only
 //! be called from its allowlisted charged wrappers (or from test code). A new
 //! call site anywhere else means somebody found a way to run detector or NN
-//! scoring without paying for it.
+//! scoring, or to render a full frame, without paying for it.
 //!
 //! The table is part of the lint's project configuration on purpose: adding a
 //! new charged wrapper is a deliberate, reviewed act (edit the table), not
@@ -35,14 +35,21 @@ pub struct ClockRule {
 ///   the region-charging wrappers may reach it.
 /// * NN forward passes: `logits_batch` is the uncharged inner loop; the
 ///   `predict_*` family wraps it without charging and is therefore restricted
-///   too, all the way up to `SpecializedNN::{score_batch, score_frame}` — the
-///   two places that charge `CostCategory::SpecializedInference`.
+///   too, all the way up to `SpecializedNN::score_batch` — the one place that
+///   charges `CostCategory::SpecializedInference`.
 /// * `Dense::forward_into` / `forward_inference` are the layer kernels under
 ///   all of the above plus the training step.
 /// * Training: `Network::train_step` does real work and charges nothing; it may
 ///   run only inside `Trainer::fit`, and `fit` only inside
 ///   `SpecializedNN::train` — the one place that charges
 ///   `CostCategory::Training`, once per example-visit.
+/// * Full-frame renders: `Video::frame` is host work that stands for a decode,
+///   so production reaches it only through `select.rs`'s counting
+///   `render_full_frame`, and that only from the three sites that charge
+///   `CostCategory::Decode` for the same frame — the content-filter scan
+///   (`run_selection`), its held-out calibration, and the on-demand
+///   `PixelSource::pixels` of a frame the scan already charged. A render implies
+///   a Decode charge; a Decode charge does not imply a render.
 pub const RULES: &[ClockRule] = &[
     ClockRule {
         callee: "detect_uncharged",
@@ -71,8 +78,8 @@ pub const RULES: &[ClockRule] = &[
     },
     ClockRule {
         callee: "predict_probs",
-        allowed_callers: &["score_frame"],
-        note: "uncharged per-example scoring",
+        allowed_callers: &[],
+        note: "uncharged per-example scoring (nested layout; test-only)",
     },
     ClockRule {
         callee: "predict_classes",
@@ -104,6 +111,16 @@ pub const RULES: &[ClockRule] = &[
         callee: "forward_inference",
         allowed_callers: &[],
         note: "uncharged layer forward pass (allocating inference variant; test-only)",
+    },
+    ClockRule {
+        callee: "frame",
+        allowed_callers: &["render_full_frame"],
+        note: "Video::frame, an uncounted full-frame render",
+    },
+    ClockRule {
+        callee: "render_full_frame",
+        allowed_callers: &["calibrate_content_filters", "run_selection", "pixels"],
+        note: "full-frame render outside the sites that charge CostCategory::Decode for that frame",
     },
 ];
 

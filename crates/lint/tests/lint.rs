@@ -75,7 +75,11 @@ fn each_check_fires_on_its_fixture() {
     assert_eq!(count("panic-site"), 3, "unwrap, expect, unreachable!");
     assert_eq!(count("panic-site::index"), 1);
     assert_eq!(count("fault-coverage"), 2, "fallible-return + fs-call fns without failpoints");
-    assert_eq!(count("clock-accounting"), 2, "uncharged scoring + uncharged training step");
+    assert_eq!(
+        count("clock-accounting"),
+        3,
+        "uncharged scoring + uncharged training step + uncounted full-frame render"
+    );
     assert_eq!(
         count("sync-primitive"),
         6,

@@ -261,12 +261,11 @@ impl Network {
         Ok(())
     }
 
-    /// Per-head softmax probabilities for a batch: `probs[example][head][class]`.
-    ///
-    /// Legacy nested layout; batched callers should prefer
-    /// [`Network::predict_scores`], which produces the same numbers without the
-    /// per-example allocations.
-    pub fn predict_probs(&self, input: &Matrix) -> Result<Vec<Vec<Vec<f32>>>> {
+    /// Per-head softmax probabilities for a batch in the nested
+    /// `probs[example][head][class]` layout — the same numbers as
+    /// [`Network::predict_scores`].
+    #[cfg(test)]
+    pub(crate) fn predict_probs(&self, input: &Matrix) -> Result<Vec<Vec<Vec<f32>>>> {
         let mut scratch = ForwardScratch::default();
         let scores = self.predict_scores(input, &mut scratch)?;
         Ok((0..scores.num_frames()).map(|r| scores.frame_probs(r)).collect())

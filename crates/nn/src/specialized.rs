@@ -17,10 +17,9 @@
 //!   scoring pipeline: frames are featurized in parallel chunks, stacked into one
 //!   feature matrix per batch, pushed through a single scratch-buffer forward pass,
 //!   and written into a flat [`ScoreMatrix`]. Simulated inference time is charged
-//!   once per batch with the same per-frame totals as the serial path, and the
-//!   scores are element-wise identical to [`SpecializedNN::score_frame`].
-//! * [`SpecializedNN::score_frame`] — per-frame scoring with probability outputs per
-//!   head (the serial reference the batch API is tested against).
+//!   once per batch, per frame scored. This is the only scoring path: it renders just
+//!   the sampled grid pixels, never a full frame (a `#[cfg(test)]` serial full-frame
+//!   `score_frame` is the reference its scores must match element-wise).
 //! * [`SpecializedNN::estimate_fcount_error_from_scores`] — the bootstrap error
 //!   estimate on the held-out day used by Algorithm 1 to decide whether query
 //!   rewriting is safe.
@@ -359,10 +358,10 @@ impl SpecializedNN {
     /// `i` of the returned [`ScoreMatrix`] (row `i` corresponds to `frames[i]`).
     ///
     /// Simulated decode and specialized-inference time are charged once per
-    /// batch, with the same per-frame totals [`SpecializedNN::score_frame`]
-    /// charges. Scores are element-wise identical to the serial path: the
-    /// per-frame featurize → standardize → forward → per-head softmax sequence
-    /// is unchanged, only its batching differs.
+    /// batch, per frame scored. Scores are element-wise identical to the
+    /// test-only serial reference (`score_frame`): the per-frame featurize →
+    /// standardize → forward → per-head softmax sequence is unchanged, only its
+    /// batching differs.
     pub fn score_batch(&self, video: &Video, frames: &[FrameIndex]) -> Result<ScoreMatrix> {
         let mut scores = ScoreMatrix::zeros(frames.len(), self.head_sizes());
         let dim = self.featurizer.dim();
@@ -408,13 +407,11 @@ impl SpecializedNN {
         self.score_batch(video, &frames)
     }
 
-    /// Scores one frame: per-head probability distributions over counts.
-    ///
-    /// Charges simulated specialized-inference time (plus decode time, tracked
-    /// separately and excluded from reported runtimes, as in the paper). This is
-    /// the serial compatibility path; full-video scans should use
-    /// [`SpecializedNN::score_batch`] / [`SpecializedNN::score_video`].
-    pub fn score_frame(&self, video: &Video, frame: FrameIndex) -> Result<Vec<Vec<f32>>> {
+    /// Scores one frame from a full-frame render: per-head probability
+    /// distributions over counts, with the charges [`SpecializedNN::score_batch`]
+    /// makes per frame. The serial reference the batch API is tested against.
+    #[cfg(test)]
+    fn score_frame(&self, video: &Video, frame: FrameIndex) -> Result<Vec<Vec<f32>>> {
         let f = video.frame(frame).map_err(|e| NnError::InvalidConfig(e.to_string()))?;
         self.clock.charge(CostCategory::Decode, self.config.cost.decode_cost());
         self.clock.charge(
