@@ -61,6 +61,9 @@ pub const COUNTER_CACHE_HITS: &str = "cache_hits";
 /// Span counter name: full frames rendered on the host (selection's content-filter
 /// scan, its calibration, and row evaluations that reached a content UDF).
 pub const COUNTER_FRAMES_RENDERED: &str = "frames_rendered";
+/// Span counter name: scrub candidates put in visit order (counted on
+/// `detect-verify`; the whole video only when verification walks all of it).
+pub const COUNTER_FRAMES_RANKED: &str = "frames_ranked";
 
 /// Span tags live far above the serving layer's session tags (which count up
 /// from 1), so a span's private ledger can never collide with a session's.

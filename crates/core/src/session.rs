@@ -451,9 +451,9 @@ impl PreparedQuery {
         Ok(QueryOutput::CatalogAggregate { value, standard_error, detection_calls, per_video })
     }
 
-    /// Multi-video scrub: per-video candidate rankings in parallel, then one global
-    /// `LIMIT` over the confidence-interleaved candidates, verified in that
-    /// deterministic order.
+    /// Multi-video scrub: per-video candidate confidences in parallel, then one
+    /// global `LIMIT` over the merged candidates, verified in that deterministic
+    /// order.
     fn execute_catalog_scrub(&self) -> Result<QueryOutput> {
         let opts = self.plan.subplans[0].scrub.ok_or_else(|| {
             BlazeItError::Internal("catalog scrub plan carries no scrub options".into())
@@ -479,7 +479,7 @@ impl PreparedQuery {
             })
             .into_iter()
             .collect::<Result<Vec<_>>>()?;
-        Ok(scrub::verify_catalog(&per_video, opts, budget))
+        Ok(scrub::verify_catalog(per_video, opts, budget))
     }
 
     /// Multi-video selection: per-video filtered scans in parallel, rows

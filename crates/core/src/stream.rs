@@ -661,12 +661,12 @@ impl VideoContext {
                     outcome.scores
                 };
                 let generation = index.get(&outcome.key).map_or(0, |e| e.generation) + 1;
-                // Heal the store: retire the old generation's index artifact,
-                // persist the new one, and record the refreshed network under
-                // an honest refresh key (its training identity is the stream
-                // window, not the labeled set, so it must never be stored
-                // under the labeled-set key). All write-behind: a failing
-                // store is recorded in [`HealthState`], never fails the swap.
+                // Heal the store: retire the old generation's index artifact
+                // and persist the new one. The refreshed network itself is not
+                // persisted: its training identity is the stream window, not
+                // the labeled set, so no later lookup could ask for it. All
+                // write-behind: a failing store is recorded in
+                // [`HealthState`], never fails the swap.
                 if let Some(old) = index.get(&outcome.key) {
                     let old_key = Self::score_key(&current, current.len() as usize, &old.nn);
                     self.store_op("retire pre-refresh score index", |store, dir| {
@@ -676,20 +676,6 @@ impl VideoContext {
                 let new_key = Self::score_key(&current, current.len() as usize, &outcome.nn);
                 self.store_op("store refreshed score index", |store, dir| {
                     store.store_scores(dir, &new_key, &scores)
-                });
-                let nn_key = format!(
-                    "nnrefresh#{}#day{}#vseed{}#upto{}#window{}#stride{}#gen{}#{}",
-                    current.name(),
-                    current.config().day,
-                    current.config().seed,
-                    current.len(),
-                    drift.window,
-                    drift.retrain_stride,
-                    generation,
-                    Self::head_key(&outcome.heads),
-                );
-                self.store_op("store refreshed nn", |store, dir| {
-                    store.store_network(dir, &nn_key, &outcome.nn)
                 });
                 nns.insert(outcome.key.clone(), Arc::clone(&outcome.nn));
                 index.insert(outcome.key.clone(), LiveIndex { nn: outcome.nn, scores, generation });

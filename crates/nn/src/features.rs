@@ -18,8 +18,7 @@
 
 use crate::tensor::Matrix;
 use crate::Result;
-use blazeit_videostore::ingest::resize;
-use blazeit_videostore::{BoundingBox, Frame, FrameIndex, Video};
+use blazeit_videostore::{Frame, FrameIndex, Video};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the frame featurizer.
@@ -55,7 +54,7 @@ impl FeatureConfig {
     }
 }
 
-/// Converts frames (or frame regions) into fixed-length feature vectors.
+/// Converts frames into fixed-length feature vectors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FrameFeaturizer {
     config: FeatureConfig,
@@ -77,7 +76,20 @@ impl FrameFeaturizer {
         self.config.dim()
     }
 
-    /// Featurizes a whole frame.
+    /// Featurizes a whole decoded frame: the full-frame reference the sparse-render
+    /// fast path is tested against.
+    #[cfg(test)]
+    pub(crate) fn features(&self, frame: &Frame) -> Result<Vec<f32>> {
+        let side = self.config.grid_side;
+        let small = blazeit_videostore::ingest::resize(frame, side, side)
+            .map_err(|e| crate::NnError::InvalidConfig(e.to_string()))?;
+        let mut out = vec![0.0f32; self.dim()];
+        self.features_into_grid(&small, &mut out);
+        Ok(out)
+    }
+
+    /// Featurizes a frame of `video` through the sparse-render fast path, into a
+    /// caller-provided slice of length [`FrameFeaturizer::dim`].
     ///
     /// The representation is what the first layers of a small counting CNN would
     /// compute, made explicit so a modest MLP can learn counting from a few thousand
@@ -91,22 +103,11 @@ impl FrameFeaturizer {
     ///   scales directly with the number of visible objects;
     /// * optional per-channel statistics over the grid (mean, variance,
     ///   redness/blueness summaries).
-    pub fn features(&self, frame: &Frame) -> Result<Vec<f32>> {
-        let side = self.config.grid_side;
-        let small =
-            resize(frame, side, side).map_err(|e| crate::NnError::InvalidConfig(e.to_string()))?;
-        let mut out = vec![0.0f32; self.dim()];
-        self.features_into_grid(&small, &mut out);
-        Ok(out)
-    }
-
-    /// Featurizes a frame of `video` through the sparse-render fast path, into a
-    /// caller-provided slice of length [`FrameFeaturizer::dim`].
     ///
     /// Renders only the `grid_side × grid_side` pixels featurization samples
     /// ([`Video::frame_sampled`]) instead of decoding the full frame — the same
-    /// feature vector as `features(&video.frame(f)?)`, at a fraction of the
-    /// per-frame cost. This is the featurization kernel of batched scoring and
+    /// feature vector as featurizing the decoded frame (the tests check this bit
+    /// for bit), at a fraction of the per-frame cost. This is the featurization kernel of batched scoring and
     /// of training: each worker fills its rows of the flat feature matrix
     /// directly, with no per-frame buffers of its own.
     pub fn features_for_video_frame_into(
@@ -130,9 +131,9 @@ impl FrameFeaturizer {
 
     /// Assembles the feature vector from an already-downsampled `grid_side ×
     /// grid_side` frame into `out` (length [`FrameFeaturizer::dim`]); the shared
-    /// back half of [`FrameFeaturizer::features`] and the fast paths. Writes
-    /// every position, in the same order and with the same arithmetic as the
-    /// original push-based construction.
+    /// back half of the fast paths and of the full-frame test reference
+    /// (`features`). Writes every position, in the same order and with the same
+    /// arithmetic as the original push-based construction.
     fn features_into_grid(&self, small: &Frame, out: &mut [f32]) {
         let side = self.config.grid_side;
         let cells = side * side;
@@ -185,13 +186,6 @@ impl FrameFeaturizer {
         if self.config.include_stats {
             out[cursor..cursor + 8].copy_from_slice(&Self::channel_stats(small));
         }
-    }
-
-    /// Featurizes a region of a frame (used by spatially filtered pipelines).
-    pub fn features_in(&self, frame: &Frame, region: &BoundingBox) -> Result<Vec<f32>> {
-        let cropped = blazeit_videostore::ingest::crop(frame, region)
-            .map_err(|e| crate::NnError::InvalidConfig(e.to_string()))?;
-        self.features(&cropped)
     }
 
     /// Per-channel mean/variance and redness/blueness summaries of the grid.
@@ -413,15 +407,5 @@ mod tests {
         let fb = featurizer.features(&video.frame(b).unwrap()).unwrap();
         let dist: f32 = fe.iter().zip(&fb).map(|(a, b)| (a - b).abs()).sum();
         assert!(dist > 1.0, "feature distance between empty and busy frame was {dist}");
-    }
-
-    #[test]
-    fn region_features_work() {
-        let video = DatasetPreset::Taipei.generate_with_frames(DAY_TEST, 200).unwrap();
-        let featurizer = FrameFeaturizer::default();
-        let frame = video.frame(50).unwrap();
-        let region = BoundingBox::new(0.0, 360.0, 1280.0, 720.0);
-        let feats = featurizer.features_in(&frame, &region).unwrap();
-        assert_eq!(feats.len(), featurizer.dim());
     }
 }

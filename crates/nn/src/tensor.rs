@@ -60,7 +60,8 @@ impl Matrix {
     }
 
     /// Creates a single-row matrix from a slice.
-    pub fn row_from_slice(values: &[f32]) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn row_from_slice(values: &[f32]) -> Matrix {
         Matrix { rows: 1, cols: values.len(), data: values.to_vec() }
     }
 
