@@ -2,7 +2,8 @@
 //! frame-averaged counts across days? Used to tune training hyperparameters; not part
 //! of the paper's experiment suite.
 
-use blazeit_core::{baselines, BlazeItConfig, Catalog};
+use blazeit_bench::{fcount_sql, run_plan, specialized_fcount};
+use blazeit_core::{baselines, BlazeItConfig, Catalog, RewriteDecision};
 use blazeit_nn::train::TrainConfig;
 use blazeit_videostore::{DatasetPreset, Video};
 
@@ -33,8 +34,13 @@ fn main() {
         let calibration = engine.heldout_calibration(&nn).expect("held-out calibration");
         let est = &calibration.head(class).expect("head for the primary class").fcount_error;
 
-        // Test-day rewrite vs detector ground truth.
-        let rewrite = blazeit_core::aggregate::rewrite_fcount(engine, &nn, class).expect("rewrite");
+        // Test-day rewrite (the plan forced to answer from the network alone) vs
+        // detector ground truth.
+        let force_rewrite = specialized_fcount(engine, class, RewriteDecision::Rewrite);
+        let rewrite = run_plan(&catalog, &fcount_sql(preset, class, 0.1), force_rewrite)
+            .output
+            .aggregate_value()
+            .expect("rewrite answers an FCOUNT");
         let (truth, _) = baselines::oracle_fcount(engine, Some(class));
 
         // Does the per-frame prediction vary at all, and does it correlate with truth?

@@ -5,28 +5,37 @@
 //! seconds from the shared cost model (decode excluded), exactly the accounting the
 //! paper uses; "samples" are object-detection invocations.
 
-use crate::{catalog_for, context_of, ExperimentScale, AGGREGATION_PRESETS, ALL_PRESETS};
-use blazeit_core::aggregate::{
-    control_variate_fcount_with_scores, naive_aqp_fcount, specialized_scores, SamplingOptions,
+use crate::{
+    catalog_for, context_of, fcount_sql, run_plan, scrub_sql, specialized_fcount, ExperimentScale,
+    AGGREGATION_PRESETS, ALL_PRESETS,
 };
 use blazeit_core::baselines;
 use blazeit_core::metrics::{format_speedup_table, RuntimeReport};
-use blazeit_core::scrub::{
-    blazeit_scrub, score_frames, specialized_for_requirements, verify_ranked, ScrubOptions,
+use blazeit_core::scrub::ScrubOptions;
+use blazeit_core::select::{ground_truth_tracks, red_bus_query, SelectionOptions};
+use blazeit_core::{
+    Catalog, PlanStrategy, QueryOutput, QueryResult, RewriteDecision, VideoContext, VideoPlan,
 };
-use blazeit_core::select::{
-    execute_with_options, ground_truth_tracks, red_bus_query, SelectionOptions,
-};
-use blazeit_core::VideoContext;
 use blazeit_detect::clock::CostBreakdown;
-use blazeit_frameql::parse_query;
-use blazeit_frameql::query::analyze;
 use blazeit_videostore::stats::VideoStats;
 use blazeit_videostore::{DatasetPreset, ObjectClass};
 use std::fmt::Write as _;
 
 fn cost_since(ctx: &VideoContext, before: &CostBreakdown) -> CostBreakdown {
     ctx.clock().breakdown().since(before)
+}
+
+/// A query result as one bar of a figure.
+fn report(name: &str, result: &QueryResult) -> RuntimeReport {
+    RuntimeReport::from_cost(name, result.cost, result.output.detection_calls())
+}
+
+/// The rewrite's FCOUNT of the preset's primary class on its test day.
+fn rewrite_fcount(catalog: &Catalog, preset: DatasetPreset) -> f64 {
+    let class = preset.primary_class();
+    let rewrite = specialized_fcount(&context_of(catalog, preset), class, RewriteDecision::Rewrite);
+    let result = run_plan(catalog, &fcount_sql(preset, class, 0.1), rewrite);
+    result.output.aggregate_value().expect("rewrite answers an FCOUNT")
 }
 
 /// The red-bus selection query used for Figures 10 and 11, with thresholds adapted to
@@ -103,11 +112,13 @@ pub fn fig4(scale: ExperimentScale) -> (Vec<Fig4Row>, String) {
         let engine = &*engine;
         let class = preset.primary_class();
         let (truth, _) = baselines::oracle_fcount(engine, Some(class));
+        let sql = fcount_sql(preset, class, 0.1);
 
-        // Naive.
-        let before = engine.clock().breakdown();
-        let (_, naive_calls) = baselines::naive_fcount(engine, Some(class)).expect("naive");
-        let naive = RuntimeReport::from_cost("naive", cost_since(engine, &before), naive_calls);
+        // Naive: the exact plan, detector on every frame.
+        let naive = report(
+            "naive",
+            &run_plan(&catalog, &sql, |sub| sub.strategy = PlanStrategy::ExactScan),
+        );
 
         // NoScope oracle.
         let before = engine.clock().breakdown();
@@ -115,34 +126,18 @@ pub fn fig4(scale: ExperimentScale) -> (Vec<Fig4Row>, String) {
         let noscope =
             RuntimeReport::from_cost("noscope (oracle)", cost_since(engine, &before), ns_calls);
 
-        // Naive AQP.
-        let before = engine.clock().breakdown();
-        let aqp_outcome = naive_aqp_fcount(
-            engine,
-            Some(class),
-            SamplingOptions::new(0.1, 0.95, engine.config().sampling_seed),
-        )
-        .expect("aqp");
-        let aqp = RuntimeReport::from_cost(
-            "aqp (naive)",
-            cost_since(engine, &before),
-            aqp_outcome.samples,
-        );
+        // Naive AQP: adaptive sampling without a specialized network.
+        let aqp = run_plan(&catalog, &sql, |sub| sub.strategy = PlanStrategy::NaiveSampling);
+        let aqp = report("aqp (naive)", &aqp);
 
-        // BlazeIt (Algorithm 1), including training time.
-        let sql = format!(
-            "SELECT FCOUNT(*) FROM {} WHERE class = '{}' ERROR WITHIN 0.1 AT CONFIDENCE 95%",
-            preset.name().replace('-', "_"),
-            class.name()
-        );
-        let result = catalog.session().query(&sql).expect("blazeit aggregate");
+        // BlazeIt (Algorithm 1), as planned, including training time.
+        let result = run_plan(&catalog, &sql, |_| {});
         let blazeit_value = result.output.aggregate_value().unwrap_or(0.0);
         let method = match &result.output {
-            blazeit_core::QueryOutput::Aggregate { method, .. } => format!("{method:?}"),
+            QueryOutput::Aggregate { method, .. } => format!("{method:?}"),
             _ => "unknown".into(),
         };
-        let blazeit =
-            RuntimeReport::from_cost("blazeit", result.cost, result.output.detection_calls());
+        let blazeit = report("blazeit", &result);
         let mut no_train = blazeit.clone();
         no_train.name = "blazeit (no train)".into();
         no_train.runtime_secs = blazeit.runtime_excluding_training();
@@ -180,14 +175,8 @@ pub fn table4(scale: ExperimentScale) -> String {
             let config =
                 blazeit_core::BlazeItConfig::for_preset(preset).with_seed(0xB1A2_E175 + run * 7919);
             let catalog = crate::catalog_with_config(preset, scale, config);
-            let engine = context_of(&catalog, preset);
-            let engine = &*engine;
-            let nn = engine
-                .specialized_for(&[(class, engine.default_max_count(class, 1))])
-                .expect("train specialized NN");
-            let value =
-                blazeit_core::aggregate::rewrite_fcount(engine, &nn, class).expect("rewrite");
-            let (truth, _) = baselines::oracle_fcount(engine, Some(class));
+            let value = rewrite_fcount(&catalog, preset);
+            let (truth, _) = baselines::oracle_fcount(&context_of(&catalog, preset), Some(class));
             errors.push((value - truth).abs());
         }
         let avg = errors.iter().sum::<f64>() / errors.len().max(1) as f64;
@@ -224,7 +213,7 @@ pub fn table5(scale: ExperimentScale) -> String {
         let heldout = &calibration.head(class).expect("head for the primary class").fcount_error;
         let (pred1, actual1) = (heldout.mean_predicted, heldout.mean_true);
 
-        let pred2 = blazeit_core::aggregate::rewrite_fcount(engine, &nn, class).expect("rewrite");
+        let pred2 = rewrite_fcount(&catalog, preset);
         let (actual2, _) = baselines::oracle_fcount(engine, Some(class));
 
         let _ = writeln!(
@@ -257,30 +246,29 @@ pub fn fig5(scale: ExperimentScale) -> String {
     );
     for preset in ALL_PRESETS {
         let catalog = catalog_for(preset, scale);
-        let engine = context_of(&catalog, preset);
-        let engine = &*engine;
+        let ctx = context_of(&catalog, preset);
+        let first_seed = ctx.config().sampling_seed;
         let class = preset.primary_class();
-        let nn = engine
-            .specialized_for(&[(class, engine.default_max_count(class, 1))])
-            .expect("train specialized NN");
-        let scores = specialized_scores(engine, &nn, class).expect("scores");
+        let naive = |sub: &mut VideoPlan| sub.strategy = PlanStrategy::NaiveSampling;
+        let control_variates = specialized_fcount(&ctx, class, RewriteDecision::ControlVariates);
         for &error in &FIG5_ERRORS {
+            let sql = fcount_sql(preset, class, error);
+            // Detector samples of one sampling strategy under one seed.
+            let samples = |strategy: &dyn Fn(&mut VideoPlan), seed: u64| {
+                let result = run_plan(&catalog, &sql, |sub| {
+                    strategy(sub);
+                    if let Some(sampling) = &mut sub.sampling {
+                        sampling.seed = seed;
+                    }
+                });
+                result.output.detection_calls()
+            };
             let mut naive_total = 0u64;
             let mut cv_total = 0u64;
             for run in 0..scale.runs {
-                let seed = engine.config().sampling_seed + run * 104_729;
-                let naive =
-                    naive_aqp_fcount(engine, Some(class), SamplingOptions::new(error, 0.95, seed))
-                        .expect("naive aqp");
-                let cv = control_variate_fcount_with_scores(
-                    engine,
-                    &scores,
-                    class,
-                    SamplingOptions::new(error, 0.95, seed),
-                )
-                .expect("control variates");
-                naive_total += naive.samples;
-                cv_total += cv.samples;
+                let seed = first_seed + run * 104_729;
+                naive_total += samples(&naive, seed);
+                cv_total += samples(&control_variates, seed);
             }
             let naive_avg = naive_total as f64 / scale.runs.max(1) as f64;
             let cv_avg = cv_total as f64 / scale.runs.max(1) as f64;
@@ -362,35 +350,43 @@ pub fn table6(scale: ExperimentScale) -> String {
 /// Runs the four scrubbing variants of Figure 6 for one requirement set and returns the
 /// runtime reports (naive, noscope, blazeit, blazeit-indexed).
 pub fn scrub_variants(
-    ctx: &VideoContext,
+    catalog: &Catalog,
+    preset: DatasetPreset,
     requirements: &[(ObjectClass, usize)],
     opts: ScrubOptions,
 ) -> Vec<RuntimeReport> {
+    let sql = scrub_sql(preset, requirements, opts);
+
     // Naive sequential scan.
-    let before = ctx.clock().breakdown();
-    let (_, naive_calls) =
-        baselines::naive_scrub(ctx, requirements, opts.limit, opts.gap).expect("naive scrub");
-    let naive = RuntimeReport::from_cost("naive", cost_since(ctx, &before), naive_calls);
+    let naive = run_plan(catalog, &sql, |sub| sub.strategy = PlanStrategy::ScrubScan);
+    let naive = report("naive", &naive);
 
     // NoScope oracle.
+    let ctx = context_of(catalog, preset);
     let before = ctx.clock().breakdown();
     let (_, ns_calls) =
-        baselines::noscope_scrub(ctx, requirements, opts.limit, opts.gap).expect("noscope scrub");
-    let noscope = RuntimeReport::from_cost("noscope (oracle)", cost_since(ctx, &before), ns_calls);
+        baselines::noscope_scrub(&ctx, requirements, opts.limit, opts.gap).expect("noscope scrub");
+    let noscope = RuntimeReport::from_cost("noscope (oracle)", cost_since(&ctx, &before), ns_calls);
 
-    // BlazeIt: training + scoring + verification.
-    let before = ctx.clock().breakdown();
-    let nn = specialized_for_requirements(ctx, requirements).expect("specialized NN");
-    let ranked = score_frames(ctx, &nn, requirements).expect("scoring");
-    let after_scoring = ctx.clock().breakdown();
-    let outcome = verify_ranked(ctx, &ranked, requirements, opts);
-    let total = cost_since(ctx, &before);
-    let verification_only = ctx.clock().breakdown().since(&after_scoring);
-    let blazeit = RuntimeReport::from_cost("blazeit", total, outcome.detection_calls);
+    // BlazeIt: training + scoring + verification in the specialized network's order.
+    // The heads are the planner's, named so that a requirement the labeled days never
+    // show is still ranked rather than planned as the scan.
+    let heads: Vec<(ObjectClass, usize)> =
+        requirements.iter().map(|&(class, n)| (class, ctx.default_max_count(class, n))).collect();
+    let result = run_plan(catalog, &sql, |sub| {
+        sub.strategy = PlanStrategy::ScrubRanked;
+        sub.heads = heads;
+    });
+    let blazeit = report("blazeit", &result);
     // Indexed: the specialized NN was trained and run ahead of time (e.g. by a previous
     // aggregate query), so only detector verification is charged.
-    let indexed =
-        RuntimeReport::from_cost("blazeit (indexed)", verification_only, outcome.detection_calls);
+    let verification_only =
+        CostBreakdown { detection: result.cost.detection, ..Default::default() };
+    let indexed = RuntimeReport::from_cost(
+        "blazeit (indexed)",
+        verification_only,
+        result.output.detection_calls(),
+    );
     vec![naive, noscope, blazeit, indexed]
 }
 
@@ -399,10 +395,9 @@ pub fn fig6(scale: ExperimentScale) -> String {
     let mut out = String::new();
     for spec in table6_specs(scale) {
         let catalog = catalog_for(spec.preset, scale);
-        let engine = context_of(&catalog, spec.preset);
-        let engine = &*engine;
         let requirements = [(spec.class, spec.threshold)];
-        let reports = scrub_variants(engine, &requirements, ScrubOptions { limit: 10, gap: 300 });
+        let opts = ScrubOptions { limit: 10, gap: 300 };
+        let reports = scrub_variants(&catalog, spec.preset, &requirements, opts);
         let _ = writeln!(
             out,
             "--- {} (>= {} {}, {} instances) ---",
@@ -422,7 +417,6 @@ pub fn fig6(scale: ExperimentScale) -> String {
 pub fn fig7(scale: ExperimentScale) -> String {
     let catalog = catalog_for(DatasetPreset::Taipei, scale);
     let engine = context_of(&catalog, DatasetPreset::Taipei);
-    let engine = &*engine;
     let opts = ScrubOptions { limit: 10, gap: 300 };
     let mut out = String::new();
     let _ = writeln!(
@@ -430,23 +424,31 @@ pub fn fig7(scale: ExperimentScale) -> String {
         "{:>7} {:>14} {:>16} {:>14} {:>10}",
         "N cars", "naive samples", "noscope samples", "blazeit", "instances"
     );
-    let counts = baselines::oracle_counts(engine, &engine.video());
+    let counts = baselines::oracle_counts(&engine, &engine.video());
     for n in 1..=6usize {
         let requirements = [(ObjectClass::Car, n)];
         let instances = counts.iter().filter(|c| c.get(ObjectClass::Car) >= n).count();
-        let (_, naive_calls) =
-            baselines::naive_scrub(engine, &requirements, opts.limit, opts.gap).expect("naive");
-        let (_, ns_calls) =
-            baselines::noscope_scrub(engine, &requirements, opts.limit, opts.gap).expect("noscope");
-        let nn = specialized_for_requirements(engine, &requirements).expect("specialized NN");
-        let outcome = blazeit_scrub(engine, &nn, &requirements, opts).expect("blazeit scrub");
+        let [naive, noscope, blazeit] =
+            scrub_calls(&catalog, DatasetPreset::Taipei, &requirements, opts);
         let _ = writeln!(
             out,
             "{:>7} {:>14} {:>16} {:>14} {:>10}",
-            n, naive_calls, ns_calls, outcome.detection_calls, instances
+            n, naive, noscope, blazeit, instances
         );
     }
     out
+}
+
+/// The detector calls of the naive scan, the NoScope oracle and BlazeIt for one scrub
+/// (the sample complexity of Figures 7 and 9).
+fn scrub_calls(
+    catalog: &Catalog,
+    preset: DatasetPreset,
+    requirements: &[(ObjectClass, usize)],
+    opts: ScrubOptions,
+) -> [u64; 3] {
+    let reports = scrub_variants(catalog, preset, requirements, opts);
+    [0, 1, 2].map(|i| reports[i].detection_calls)
 }
 
 /// The multi-class scrubbing requirement used for Figures 8 and 9: at least one bus and
@@ -477,9 +479,9 @@ pub fn multiclass_requirements(
 pub fn fig8(scale: ExperimentScale) -> String {
     let catalog = catalog_for(DatasetPreset::Taipei, scale);
     let engine = context_of(&catalog, DatasetPreset::Taipei);
-    let engine = &*engine;
-    let (requirements, instances) = multiclass_requirements(engine, 15);
-    let reports = scrub_variants(engine, &requirements, ScrubOptions { limit: 10, gap: 300 });
+    let (requirements, instances) = multiclass_requirements(&engine, 15);
+    let opts = ScrubOptions { limit: 10, gap: 300 };
+    let reports = scrub_variants(&catalog, DatasetPreset::Taipei, &requirements, opts);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -493,11 +495,8 @@ pub fn fig8(scale: ExperimentScale) -> String {
 /// Figure 9: sample complexity as a function of the LIMIT for the multi-class query.
 pub fn fig9(scale: ExperimentScale) -> String {
     let catalog = catalog_for(DatasetPreset::Taipei, scale);
-    let engine = context_of(&catalog, DatasetPreset::Taipei);
-    let engine = &*engine;
-    let (requirements, _) = multiclass_requirements(engine, 15);
-    let nn = specialized_for_requirements(engine, &requirements).expect("specialized NN");
-    let ranked = score_frames(engine, &nn, &requirements).expect("scoring");
+    let (requirements, _) =
+        multiclass_requirements(&context_of(&catalog, DatasetPreset::Taipei), 15);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -506,16 +505,9 @@ pub fn fig9(scale: ExperimentScale) -> String {
     );
     for limit in [1u64, 5, 10, 15, 20, 25, 30] {
         let opts = ScrubOptions { limit, gap: 300 };
-        let (_, naive_calls) =
-            baselines::naive_scrub(engine, &requirements, limit, opts.gap).expect("naive");
-        let (_, ns_calls) =
-            baselines::noscope_scrub(engine, &requirements, limit, opts.gap).expect("noscope");
-        let outcome = verify_ranked(engine, &ranked, &requirements, opts);
-        let _ = writeln!(
-            out,
-            "{:>6} {:>14} {:>16} {:>14}",
-            limit, naive_calls, ns_calls, outcome.detection_calls
-        );
+        let [naive, noscope, blazeit] =
+            scrub_calls(&catalog, DatasetPreset::Taipei, &requirements, opts);
+        let _ = writeln!(out, "{:>6} {:>14} {:>16} {:>14}", limit, naive, noscope, blazeit);
     }
     out
 }
@@ -530,18 +522,10 @@ pub fn fig10(scale: ExperimentScale) -> String {
     let engine = context_of(&catalog, DatasetPreset::Taipei);
     let engine = &*engine;
     let sql = selection_query("taipei");
-    let query = parse_query(&sql).expect("parse");
-    let info = analyze(&query, &engine.udfs()).expect("analyze");
 
-    // Naive: detection on every frame (the unfiltered plan).
-    let before = engine.clock().breakdown();
-    let naive_outcome =
-        execute_with_options(engine, &query, &info, &SelectionOptions::none()).expect("naive");
-    let naive = RuntimeReport::from_cost(
-        "naive",
-        cost_since(engine, &before),
-        naive_outcome.detection_calls,
-    );
+    // Naive: detection on every frame (the plan with every filter off).
+    let naive_result = run_plan(&catalog, &sql, |sub| sub.selection = SelectionOptions::none());
+    let naive = report("naive", &naive_result);
 
     // NoScope oracle: detection on frames with any bus present.
     let before = engine.clock().breakdown();
@@ -551,20 +535,17 @@ pub fn fig10(scale: ExperimentScale) -> String {
         RuntimeReport::from_cost("noscope (oracle)", cost_since(engine, &before), ns_calls);
 
     // BlazeIt with all inferred filters.
-    let before = engine.clock().breakdown();
-    let blazeit_outcome =
-        execute_with_options(engine, &query, &info, &SelectionOptions::all()).expect("blazeit");
-    let blazeit = RuntimeReport::from_cost(
-        "blazeit",
-        cost_since(engine, &before),
-        blazeit_outcome.detection_calls,
-    );
+    let blazeit_result = run_plan(&catalog, &sql, |sub| sub.selection = SelectionOptions::all());
+    let blazeit = report("blazeit", &blazeit_result);
 
     // False-negative rate at the (ground-truth) track level versus the naive result
     // set. Tracker ids are scan-local, so result sets are compared through the scene's
     // ground-truth track identities.
-    let naive_tracks = ground_truth_tracks(engine, &naive_outcome.rows);
-    let blazeit_tracks = ground_truth_tracks(engine, &blazeit_outcome.rows);
+    let tracks = |result: &QueryResult| {
+        ground_truth_tracks(engine, result.output.rows().unwrap_or_default())
+    };
+    let naive_tracks = tracks(&naive_result);
+    let blazeit_tracks = tracks(&blazeit_result);
     let found = naive_tracks.iter().filter(|t| blazeit_tracks.contains(t)).count();
     let fnr =
         if naive_tracks.is_empty() { 0.0 } else { 1.0 - found as f64 / naive_tracks.len() as f64 };
@@ -586,18 +567,12 @@ pub fn fig10(scale: ExperimentScale) -> String {
 /// each filter from the full plan) for the red-bus query.
 pub fn fig11(scale: ExperimentScale) -> String {
     let catalog = catalog_for(DatasetPreset::Taipei, scale);
-    let engine = context_of(&catalog, DatasetPreset::Taipei);
-    let engine = &*engine;
     let sql = selection_query("taipei");
-    let query = parse_query(&sql).expect("parse");
-    let info = analyze(&query, &engine.udfs()).expect("analyze");
-    let video_frames = engine.video().len() as f64;
+    let video_frames = context_of(&catalog, DatasetPreset::Taipei).video().len() as f64;
 
     let run = |opts: &SelectionOptions| -> (f64, u64) {
-        let before = engine.clock().breakdown();
-        let outcome = execute_with_options(engine, &query, &info, opts).expect("selection");
-        let cost = cost_since(engine, &before);
-        (cost.total() - cost.decode, outcome.detection_calls)
+        let report = report("", &run_plan(&catalog, &sql, |sub| sub.selection = *opts));
+        (report.runtime_secs, report.detection_calls)
     };
 
     let configs_factor: Vec<(&str, SelectionOptions)> = vec![

@@ -13,6 +13,16 @@
 //! per stream (small enough for a laptop, large enough for every relative comparison);
 //! set `BLAZEIT_FRAMES` (frames per day) and `BLAZEIT_RUNS` (sampling repetitions) to
 //! run closer to paper scale.
+//!
+//! Every BlazeIt-side number is a FrameQL query through the planner: the plan the
+//! optimizer picks, or — for the variants the figures compare against (naive
+//! sampling, a forced rewrite, the sequential scan scrub, a filter lesion) — that plan
+//! with its strategy or options overridden ([`run_plan`]). A strategy that needs a
+//! specialized network also gets the heads the planner would pick
+//! ([`specialized_fcount`], and the ranked scrub of [`experiments::scrub_variants`]),
+//! so the figures train one even where the planner would fall back for want of
+//! labeled examples. Only the NoScope oracle, which no plan can express, and the
+//! uncharged ground truth come from [`blazeit_core::baselines`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -21,8 +31,11 @@ pub mod experiments;
 
 use std::sync::Arc;
 
-use blazeit_core::{BlazeItConfig, Catalog, VideoContext};
-use blazeit_videostore::DatasetPreset;
+use blazeit_core::scrub::ScrubOptions;
+use blazeit_core::{
+    BlazeItConfig, Catalog, PlanStrategy, QueryResult, RewriteDecision, VideoContext, VideoPlan,
+};
+use blazeit_videostore::{DatasetPreset, ObjectClass};
 
 /// How large to make each experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +96,60 @@ pub fn catalog_with_config(
 /// The registered context of a preset inside `catalog`.
 pub fn context_of(catalog: &Catalog, preset: DatasetPreset) -> Arc<VideoContext> {
     catalog.context(preset.name()).expect("preset is registered in this catalog")
+}
+
+/// Plans `sql` (a one-video query), lets `edit` override its sub-plan, and runs it.
+/// The result's `cost` is exactly what the run charged.
+pub fn run_plan(catalog: &Catalog, sql: &str, edit: impl FnOnce(&mut VideoPlan)) -> QueryResult {
+    let mut prepared = catalog.session().prepare(sql).expect("experiment query plans");
+    edit(prepared.plan_mut().only_mut());
+    prepared.run().expect("experiment query runs")
+}
+
+/// The sub-plan override that answers a one-class FCOUNT from the specialized network
+/// under `decision` (Algorithm 1's rewrite or control variates, whatever the held-out
+/// check would say). It names the head the planner picks for `class`, so the network
+/// is trained even where the planner would fall back to naive sampling for want of
+/// labeled examples.
+pub fn specialized_fcount(
+    ctx: &VideoContext,
+    class: ObjectClass,
+    decision: RewriteDecision,
+) -> impl Fn(&mut VideoPlan) {
+    let heads = vec![(class, ctx.default_max_count(class, 1))];
+    move |sub| {
+        sub.strategy = PlanStrategy::SpecializedAggregate { decision };
+        sub.heads = heads.clone();
+    }
+}
+
+/// `FCOUNT` of `class` on the preset's video within `error` at 95% confidence.
+pub fn fcount_sql(preset: DatasetPreset, class: ObjectClass, error: f64) -> String {
+    format!(
+        "SELECT FCOUNT(*) FROM {} WHERE class = '{}' ERROR WITHIN {error} AT CONFIDENCE 95%",
+        preset.name(),
+        class.name()
+    )
+}
+
+/// The scrub for frames holding at least `n` of each `(class, n)` requirement on the
+/// preset's video, `LIMIT`ed and `GAP`ped by `opts`.
+pub fn scrub_sql(
+    preset: DatasetPreset,
+    requirements: &[(ObjectClass, usize)],
+    opts: ScrubOptions,
+) -> String {
+    let having: Vec<String> = requirements
+        .iter()
+        .map(|(class, n)| format!("SUM(class='{}') >= {n}", class.name()))
+        .collect();
+    format!(
+        "SELECT timestamp FROM {} GROUP BY timestamp HAVING {} LIMIT {} GAP {}",
+        preset.name(),
+        having.join(" AND "),
+        opts.limit,
+        opts.gap
+    )
 }
 
 /// The five videos used for the aggregation experiments (Figure 4 / Table 4); the paper

@@ -54,16 +54,13 @@ impl SamplingOptions {
 }
 
 /// The outcome of an adaptive sampling run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SamplingOutcome {
+struct SamplingOutcome {
     /// The estimate of the frame-averaged count.
-    pub estimate: f64,
+    estimate: f64,
     /// Number of frames sampled (= object-detection calls).
-    pub samples: u64,
+    samples: u64,
     /// Standard error of the estimator at termination.
-    pub standard_error: f64,
-    /// The fitted control-variate coefficient (0 for naive sampling).
-    pub control_coefficient: f64,
+    standard_error: f64,
 }
 
 /// Executes an aggregate query against one video, following the strategy the planner
@@ -97,7 +94,7 @@ pub fn execute(ctx: &VideoContext, info: &QueryPlanInfo, plan: &VideoPlan) -> Re
         }
         // Not enough training data (or no single class): plain adaptive sampling.
         PlanStrategy::NaiveSampling => {
-            let outcome = naive_aqp_fcount(ctx, class, budgeted_sampling(plan)?)?;
+            let outcome = adaptive_sampling(ctx, class, budgeted_sampling(plan)?, None)?;
             Ok(QueryOutput::Aggregate {
                 value: finalize_kind(kind, outcome.estimate, ctx),
                 standard_error: Some(outcome.standard_error),
@@ -173,11 +170,7 @@ fn finalize_kind(kind: &AggregateKind, fcount: f64, ctx: &VideoContext) -> f64 {
 /// mean of the NN's expected count over every frame of the unseen video. No object
 /// detection is performed; the per-frame scores come from the context's cached
 /// batched score index, so only the first query per class set pays inference.
-pub fn rewrite_fcount(
-    ctx: &VideoContext,
-    nn: &Arc<SpecializedNN>,
-    class: ObjectClass,
-) -> Result<f64> {
+fn rewrite_fcount(ctx: &VideoContext, nn: &Arc<SpecializedNN>, class: ObjectClass) -> Result<f64> {
     let _rewrite = obs::span("query rewrite");
     let head = nn
         .head_index(class)
@@ -192,7 +185,7 @@ pub fn rewrite_fcount(
 
 /// The number of detector samples at which adaptive sampling starts: `K / ε`, where `K`
 /// is the range of the estimated quantity (max count + 1).
-pub fn initial_sample_size(range_k: usize, error: f64) -> u64 {
+fn initial_sample_size(range_k: usize, error: f64) -> u64 {
     ((range_k.max(1) as f64) / error.max(1e-6)).ceil() as u64
 }
 
@@ -204,16 +197,6 @@ fn detector_count(ctx: &VideoContext, frame: u64, class: Option<ObjectClass>) ->
     }
 }
 
-/// Plain adaptive sampling (naive AQP): uniform random frames, detector counts, CLT
-/// stopping rule.
-pub fn naive_aqp_fcount(
-    ctx: &VideoContext,
-    class: Option<ObjectClass>,
-    opts: SamplingOptions,
-) -> Result<SamplingOutcome> {
-    adaptive_sampling(ctx, class, opts, None)
-}
-
 /// Adaptive sampling with the specialized NN as a control variate.
 ///
 /// The NN's expected count is computed for *every* frame of the unseen video (cheap:
@@ -221,41 +204,20 @@ pub fn naive_aqp_fcount(
 /// Each sampled frame contributes the pair `(m_i, t_i)`; the coefficient
 /// `c = -Cov(m, t) / Var(t)` is re-estimated every round and the estimator
 /// `m̂ = m̄ + c (t̄ - τ)` replaces the plain sample mean, shrinking the variance by the
-/// squared correlation.
-pub fn control_variate_fcount(
+/// squared correlation. The per-frame values come from the context's cached batched
+/// score index, so only the first query per class set pays inference.
+fn control_variate_fcount(
     ctx: &VideoContext,
     nn: &Arc<SpecializedNN>,
     class: ObjectClass,
     opts: SamplingOptions,
 ) -> Result<SamplingOutcome> {
-    let t_all = specialized_scores(ctx, nn, class)?;
-    control_variate_fcount_with_scores(ctx, &t_all, class, opts)
-}
-
-/// Computes the specialized NN's expected count for every frame of the unseen video
-/// (the control variate's values), reading from the context's cached batched score
-/// index. The first call per class set charges (batched) specialized-inference
-/// time; repeated calls are free.
-pub fn specialized_scores(
-    ctx: &VideoContext,
-    nn: &Arc<SpecializedNN>,
-    class: ObjectClass,
-) -> Result<Vec<f64>> {
     let head = nn
         .head_index(class)
         .ok_or_else(|| BlazeItError::Internal(format!("no head for class {class}")))?;
     let scores = ctx.score_index(nn)?;
-    Ok((0..scores.num_frames()).map(|frame| scores.expected_count(frame, head)).collect())
-}
-
-/// Control-variate sampling reusing precomputed per-frame specialized-NN scores (the
-/// "indexed" scenario, and what lets sweep harnesses score each video only once).
-pub fn control_variate_fcount_with_scores(
-    ctx: &VideoContext,
-    t_all: &[f64],
-    class: ObjectClass,
-    opts: SamplingOptions,
-) -> Result<SamplingOutcome> {
+    let t_all: Vec<f64> =
+        (0..scores.num_frames()).map(|frame| scores.expected_count(frame, head)).collect();
     if t_all.len() != ctx.video().len() as usize {
         return Err(BlazeItError::Internal(format!(
             "control variate scores cover {} frames but the video has {}",
@@ -263,13 +225,8 @@ pub fn control_variate_fcount_with_scores(
             ctx.video().len()
         )));
     }
-    let (tau, var_t) = mean_and_variance(t_all);
-    adaptive_sampling(
-        ctx,
-        Some(class),
-        opts,
-        Some(ControlVariate { t_all: t_all.to_vec(), tau, var_t }),
-    )
+    let (tau, var_t) = mean_and_variance(&t_all);
+    adaptive_sampling(ctx, Some(class), opts, Some(ControlVariate { t_all, tau, var_t }))
 }
 
 struct ControlVariate {
@@ -323,13 +280,12 @@ fn adaptive_sampling(
     }
 
     loop {
-        let (estimate, std_err, coefficient) = estimator_state(&m_samples, &t_samples, &control);
+        let (estimate, std_err) = estimator_state(&m_samples, &t_samples, &control);
         if z * std_err < opts.error || m_samples.len() as u64 >= max_samples {
             return Ok(SamplingOutcome {
                 estimate,
                 samples: m_samples.len() as u64,
                 standard_error: std_err,
-                control_coefficient: coefficient,
             });
         }
         // The hard cap also truncates the final batch, never just the between-batch
@@ -341,18 +297,19 @@ fn adaptive_sampling(
     }
 }
 
-/// Computes the current estimate, its standard error, and the control coefficient.
+/// Computes the current estimate and its standard error (re-fitting the control
+/// coefficient when there is a control variate).
 fn estimator_state(
     m_samples: &[f64],
     t_samples: &[f64],
     control: &Option<ControlVariate>,
-) -> (f64, f64, f64) {
+) -> (f64, f64) {
     let n = m_samples.len().max(1) as f64;
     let mean_m = m_samples.iter().sum::<f64>() / n;
     match control {
         None => {
             let std = sample_std(m_samples);
-            (mean_m, std / n.sqrt(), 0.0)
+            (mean_m, std / n.sqrt())
         }
         Some(cv) => {
             let mean_t = t_samples.iter().sum::<f64>() / n;
@@ -366,7 +323,7 @@ fn estimator_state(
                 m_samples.iter().zip(t_samples).map(|(m, t)| m + c * (t - cv.tau)).collect();
             let estimate = mean_m + c * (mean_t - cv.tau);
             let std = sample_std(&adjusted);
-            (estimate, std / n.sqrt(), c)
+            (estimate, std / n.sqrt())
         }
     }
 }
@@ -392,6 +349,7 @@ fn sample_cov(xs: &[f64], ys: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use crate::session::run_edited;
     use blazeit_videostore::DatasetPreset;
 
     fn engine() -> (Catalog, Arc<VideoContext>) {
@@ -405,46 +363,93 @@ mod tests {
         assert_eq!(initial_sample_size(0, 0.1), 10);
     }
 
+    /// Runs a taipei car FCOUNT within `error` through the planner with its sub-plan
+    /// edited by `edit`, returning the estimate, the detector calls and how it was
+    /// answered.
+    fn run_fcount(
+        catalog: &Catalog,
+        error: f64,
+        edit: impl FnOnce(&mut VideoPlan),
+    ) -> Result<(f64, u64, AggregateMethod)> {
+        let sql = format!(
+            "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' ERROR WITHIN {error} \
+             AT CONFIDENCE 95%"
+        );
+        match run_edited(catalog, &sql, edit)?.output {
+            QueryOutput::Aggregate { value, detection_calls, method, .. } => {
+                Ok((value, detection_calls, method))
+            }
+            other => panic!("unexpected output {other:?}"),
+        }
+    }
+
     #[test]
     fn naive_sampling_estimates_fcount_within_tolerance() {
-        let (_, e) = engine();
+        let (catalog, e) = engine();
         let (true_fcount, _) = baselines::oracle_fcount(&e, Some(ObjectClass::Car));
-        let outcome =
-            naive_aqp_fcount(&e, Some(ObjectClass::Car), SamplingOptions::new(0.1, 0.95, 17))
-                .unwrap();
-        assert!(outcome.samples >= initial_sample_size(2, 0.1));
+        let (estimate, samples, method) = run_fcount(&catalog, 0.1, |sub| {
+            sub.strategy = PlanStrategy::NaiveSampling;
+            sub.sampling.as_mut().unwrap().seed = 17;
+        })
+        .unwrap();
+        assert_eq!(method, AggregateMethod::NaiveSampling);
+        assert!(samples >= initial_sample_size(2, 0.1));
         assert!(
-            (outcome.estimate - true_fcount).abs() < 0.25,
-            "estimate {} vs truth {true_fcount}",
-            outcome.estimate
+            (estimate - true_fcount).abs() < 0.25,
+            "estimate {estimate} vs truth {true_fcount}"
         );
-        assert_eq!(outcome.control_coefficient, 0.0);
     }
 
     #[test]
     fn control_variates_use_fewer_samples_than_naive() {
-        let (_, e) = engine();
-        let class = ObjectClass::Car;
-        let nn = e.specialized_for(&[(class, e.default_max_count(class, 1))]).unwrap();
-        let opts = SamplingOptions::new(0.03, 0.95, 5);
-        let naive = naive_aqp_fcount(&e, Some(class), opts).unwrap();
-        let cv = control_variate_fcount(&e, &nn, class, opts).unwrap();
-        assert!(
-            cv.samples <= naive.samples,
-            "control variates used {} samples vs naive {}",
-            cv.samples,
-            naive.samples
-        );
-        assert!(cv.control_coefficient.abs() > 0.0);
+        let (catalog, _) = engine();
+        // An error target neither strategy needs every frame for (at 0.03 both stop
+        // at the 2000-frame cap).
+        let error = 0.05;
+        let seed = |sub: &mut VideoPlan| sub.sampling.as_mut().unwrap().seed = 5;
+        let (_, naive, _) = run_fcount(&catalog, error, |sub| {
+            seed(sub);
+            sub.strategy = PlanStrategy::NaiveSampling;
+        })
+        .unwrap();
+        let (_, cv, method) = run_fcount(&catalog, error, |sub| {
+            seed(sub);
+            sub.strategy =
+                PlanStrategy::SpecializedAggregate { decision: RewriteDecision::ControlVariates };
+        })
+        .unwrap();
+        assert_eq!(method, AggregateMethod::ControlVariates);
+        // Both runs draw the same frames, so equal counts would mean the control
+        // variate changed nothing (here 1050 vs 1325).
+        assert!(cv < naive, "control variates used {cv} samples vs naive {naive}");
+    }
+
+    #[test]
+    fn control_variate_fits_a_coefficient_that_shrinks_the_standard_error() {
+        // `m` follows `t` up to small noise: the fitted coefficient must be non-zero
+        // (≈ −1) and cut the standard error well below plain sampling's.
+        let t: Vec<f64> = (0..200).map(|i| ((i * 37) % 11) as f64 / 4.0).collect();
+        let m: Vec<f64> =
+            t.iter().enumerate().map(|(i, t)| t + ((i * 13) % 5) as f64 * 0.1).collect();
+        let (tau, var_t) = mean_and_variance(&t);
+        let control = Some(ControlVariate { t_all: t.clone(), tau, var_t });
+        let (plain_estimate, plain) = estimator_state(&m, &t, &None);
+        let (cv_estimate, cv) = estimator_state(&m, &t, &control);
+        assert!(cv < 0.25 * plain, "control-variate error {cv} vs plain {plain}");
+        // Every frame sampled: t̄ = τ, so the correction leaves the mean unchanged.
+        assert!((cv_estimate - plain_estimate).abs() < 1e-12);
     }
 
     #[test]
     fn rewriting_matches_ground_truth_roughly() {
-        let (_, e) = engine();
-        let class = ObjectClass::Car;
-        let nn = e.specialized_for(&[(class, e.default_max_count(class, 1))]).unwrap();
-        let value = rewrite_fcount(&e, &nn, class).unwrap();
-        let (true_fcount, _) = baselines::oracle_fcount(&e, Some(class));
+        let (catalog, e) = engine();
+        let (value, calls, method) = run_fcount(&catalog, 0.1, |sub| {
+            sub.strategy =
+                PlanStrategy::SpecializedAggregate { decision: RewriteDecision::Rewrite };
+        })
+        .unwrap();
+        assert_eq!((calls, method), (0, AggregateMethod::QueryRewriting));
+        let (true_fcount, _) = baselines::oracle_fcount(&e, Some(ObjectClass::Car));
         assert!(
             (value - true_fcount).abs() < 0.5,
             "rewriting gave {value}, detector ground truth {true_fcount}"
@@ -453,9 +458,14 @@ mod tests {
 
     #[test]
     fn invalid_options_rejected() {
-        let (_, e) = engine();
-        assert!(naive_aqp_fcount(&e, None, SamplingOptions::new(0.0, 0.95, 1)).is_err());
-        assert!(naive_aqp_fcount(&e, None, SamplingOptions::new(0.1, 1.5, 1)).is_err());
+        let (catalog, _) = engine();
+        for (error, confidence) in [(0.0, 0.95), (0.1, 1.5)] {
+            let run = run_fcount(&catalog, 0.1, |sub| {
+                sub.strategy = PlanStrategy::NaiveSampling;
+                sub.sampling = Some(SamplingOptions::new(error, confidence, 1));
+            });
+            assert!(matches!(run, Err(BlazeItError::Unsupported(_))), "{run:?}");
+        }
     }
 
     #[test]

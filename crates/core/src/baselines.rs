@@ -1,13 +1,19 @@
 //! The baselines every experiment in the paper compares against.
 //!
-//! * **Naive**: run the object detector on every frame (or scan sequentially until the
-//!   requested number of events is found, for scrubbing).
+//! * **Naive**: run the object detector on every frame. For aggregates this is the
+//!   planner's `ExactScan` strategy (its executor body lives here, crate-private); for
+//!   scrubbing it is the `ScrubScan` strategy (scan sequentially until the requested
+//!   number of events is found), run by the scrub executor like every scrub.
 //! * **NoScope (oracle)**: a strictly-more-powerful idealization of NoScope — an oracle
 //!   that knows, for free, whether each frame contains at least one object of a class.
 //!   The detector is then only run on frames the oracle says are occupied (Section
 //!   10.1.1 of the paper). Because NoScope cannot count or localize, every occupied
 //!   frame still needs full detection for counting / scrubbing / selection queries.
-//! * **Naive AQP** lives in [`crate::aggregate::naive_aqp_fcount`].
+//! * **Naive AQP** is the planner's `NaiveSampling` strategy ([`crate::aggregate`]).
+//!
+//! A plan the optimizer would not pick is measured by overriding the prepared query's
+//! sub-plan (`PreparedQuery::plan_mut`) and running it, so every BlazeIt-side number
+//! comes through the one executor path the planner drives.
 //!
 //! The functions here also provide *oracle* (uncharged) ground-truth computations used
 //! by harnesses and tests to measure accuracy without perturbing the cost accounting.
@@ -63,7 +69,7 @@ fn count_for(detections: &[Detection], class: Option<ObjectClass>) -> usize {
 
 /// Naive exact FCOUNT: object detection on every frame (in batches).
 /// Returns `(fcount, detector calls)`.
-pub fn naive_fcount(ctx: &VideoContext, class: Option<ObjectClass>) -> Result<(f64, u64)> {
+pub(crate) fn naive_fcount(ctx: &VideoContext, class: Option<ObjectClass>) -> Result<(f64, u64)> {
     let video = ctx.video();
     let video = &*video;
     let mut total = 0usize;
@@ -125,7 +131,10 @@ pub fn oracle_counts(ctx: &VideoContext, video: &Video) -> Vec<CountVector> {
 
 /// Exact `COUNT(DISTINCT trackid)`: batched detection + sequential entity resolution
 /// over every frame. Returns `(distinct track count, detector calls)`.
-pub fn exact_distinct_count(ctx: &VideoContext, class: Option<ObjectClass>) -> Result<(f64, u64)> {
+pub(crate) fn exact_distinct_count(
+    ctx: &VideoContext,
+    class: Option<ObjectClass>,
+) -> Result<(f64, u64)> {
     let video = ctx.video();
     let video = &*video;
     let mut builder = RelationBuilder::new(ctx.detector(), ctx.config().tracker_iou, 1);
@@ -146,45 +155,10 @@ pub fn respects_gap(accepted: &[FrameIndex], frame: FrameIndex, gap: u64) -> boo
     accepted.iter().all(|&a| a.abs_diff(frame) >= gap)
 }
 
-/// Naive scrubbing: scan frames in order, running the detector on each, until `limit`
-/// frames satisfying the requirements (and the GAP constraint) are found.
-/// Returns `(matching frames, detector calls)`.
-///
-/// Deliberately *not* batched: the scan stops at the `limit`-th hit and the GAP
-/// check depends on previously accepted frames, so batching detection ahead of
-/// the cursor would change the number of detector calls the baseline reports.
-pub fn naive_scrub(
-    ctx: &VideoContext,
-    requirements: &[(ObjectClass, usize)],
-    limit: u64,
-    gap: u64,
-) -> Result<(Vec<FrameIndex>, u64)> {
-    if requirements.is_empty() {
-        return Err(BlazeItError::Unsupported("scrubbing requires class requirements".into()));
-    }
-    let video = ctx.video();
-    let video = &*video;
-    let mut accepted = Vec::new();
-    let mut calls = 0u64;
-    for frame in 0..video.len() {
-        if accepted.len() as u64 >= limit {
-            break;
-        }
-        if !respects_gap(&accepted, frame, gap) {
-            continue;
-        }
-        let detections = ctx.detector().detect(video, frame);
-        calls += 1;
-        let counts = CountVector::from_detections(&detections);
-        if counts.satisfies_all(requirements) {
-            accepted.push(frame);
-        }
-    }
-    Ok((accepted, calls))
-}
-
-/// NoScope-oracle scrubbing: like [`naive_scrub`], but frames lacking binary presence of
-/// *any* required class are skipped for free.
+/// NoScope-oracle scrubbing: like the naive scan (the planner's `ScrubScan` strategy,
+/// detector on every frame in order until `limit` frames satisfy the requirements
+/// and the GAP constraint), but frames lacking binary presence of *any* required
+/// class are skipped for free. Returns `(matching frames, detector calls)`.
 pub fn noscope_scrub(
     ctx: &VideoContext,
     requirements: &[(ObjectClass, usize)],
@@ -247,6 +221,8 @@ pub fn noscope_selection_scan(
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use crate::plan::{PlanStrategy, VideoPlan};
+    use crate::session::run_edited;
     use blazeit_videostore::DatasetPreset;
     use std::sync::Arc;
 
@@ -294,11 +270,21 @@ mod tests {
         assert!(respects_gap(&[80], 100, 20));
     }
 
+    /// The naive scan scrub: the planner's scan strategy, forced.
+    fn scan_scrub(catalog: &Catalog, class: &str, limit: u64, gap: u64) -> (Vec<FrameIndex>, u64) {
+        let sql = format!(
+            "SELECT timestamp FROM taipei GROUP BY timestamp \
+             HAVING SUM(class='{class}') >= 1 LIMIT {limit} GAP {gap}"
+        );
+        let scan = |sub: &mut VideoPlan| sub.strategy = PlanStrategy::ScrubScan;
+        let output = run_edited(catalog, &sql, scan).unwrap().output;
+        (output.frames().unwrap().to_vec(), output.detection_calls())
+    }
+
     #[test]
     fn naive_scrub_finds_events_in_order_with_gap() {
-        let e = engine();
-        let reqs = [(ObjectClass::Car, 1usize)];
-        let (frames, calls) = naive_scrub(&e, &reqs, 5, 30).unwrap();
+        let (catalog, _) = Catalog::one_video(DatasetPreset::Taipei, 1_200);
+        let (frames, calls) = scan_scrub(&catalog, "car", 5, 30);
         assert!(frames.len() <= 5);
         assert!(calls >= frames.len() as u64);
         let mut sorted = frames.clone();
@@ -311,10 +297,9 @@ mod tests {
 
     #[test]
     fn noscope_scrub_uses_no_more_calls_than_naive() {
-        let e = engine();
-        let reqs = [(ObjectClass::Bus, 1usize)];
-        let (naive_frames, naive_calls) = naive_scrub(&e, &reqs, 3, 30).unwrap();
-        let (ns_frames, ns_calls) = noscope_scrub(&e, &reqs, 3, 30).unwrap();
+        let (catalog, e) = Catalog::one_video(DatasetPreset::Taipei, 1_200);
+        let (naive_frames, naive_calls) = scan_scrub(&catalog, "bus", 3, 30);
+        let (ns_frames, ns_calls) = noscope_scrub(&e, &[(ObjectClass::Bus, 1)], 3, 30).unwrap();
         assert!(ns_calls <= naive_calls);
         // Both must find (roughly) the same events; the oracle only skips frames with
         // no bus at all.
@@ -324,7 +309,6 @@ mod tests {
     #[test]
     fn scrub_requires_requirements() {
         let e = engine();
-        assert!(naive_scrub(&e, &[], 3, 0).is_err());
         assert!(noscope_scrub(&e, &[], 3, 0).is_err());
     }
 

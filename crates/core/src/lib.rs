@@ -20,8 +20,12 @@
 //!   confidence for cardinality-limited (LIMIT/GAP) queries (Section 7).
 //! * **Content-based selection** ([`select`]) — automatically inferred label / content
 //!   / temporal / spatial filters applied before object detection (Section 8).
-//! * **Baselines** ([`baselines`]) — the naive full-scan, the NoScope oracle, and naive
-//!   AQP, against which every experiment in the paper compares.
+//! * **Baselines** ([`baselines`]) — the naive full scan and the NoScope oracle,
+//!   against which every experiment in the paper compares. The naive plans BlazeIt
+//!   itself can run (exact scan, naive AQP, the sequential scan scrub, selection with
+//!   filters off) are plan strategies: the experiments override a prepared query's
+//!   sub-plan ([`PreparedQuery::plan_mut`]) rather than call an executor directly —
+//!   every executor is entered through [`PreparedQuery::run`].
 //! * **Durable indexes** ([`store`]) — [`Catalog::with_index_store`](catalog::Catalog::with_index_store)
 //!   persists trained specialized networks and score indexes on disk
 //!   (read-through / write-behind under the per-video caches), so the

@@ -58,6 +58,14 @@ pub const COUNTER_FRAMES_SCORED: &str = "frames_scored";
 pub const COUNTER_DETECTOR_CALLS: &str = "detector_calls";
 /// Span counter name: engine-level cache hits (specialized NN / score index).
 pub const COUNTER_CACHE_HITS: &str = "cache_hits";
+/// Span counter name: frames a selection scan visits after temporal subsampling
+/// (counted on `filter-detect`, like the two stage counts after it).
+pub const COUNTER_FRAMES_CONSIDERED: &str = "frames_considered";
+/// Span counter name: frames that pass a selection's content filter.
+pub const COUNTER_FRAMES_AFTER_CONTENT: &str = "frames_after_content";
+/// Span counter name: frames that pass a selection's label filter, i.e. the frames
+/// it sends to the detector.
+pub const COUNTER_FRAMES_AFTER_LABEL: &str = "frames_after_label";
 /// Span counter name: full frames rendered on the host (selection's content-filter
 /// scan, its calibration, and row evaluations that reached a content UDF).
 pub const COUNTER_FRAMES_RENDERED: &str = "frames_rendered";

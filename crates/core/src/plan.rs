@@ -149,9 +149,10 @@ pub struct VideoPlan {
     pub selection: SelectionOptions,
     /// Hard cap on detector invocations (set via
     /// [`PreparedQuery::with_budget`](crate::session::PreparedQuery::with_budget)).
-    /// Caps this video's sampler / scan. A fan-out scrub applies it as one
-    /// *global* verification cap and therefore requires every sub-plan to carry
-    /// the same value (divergent overrides are rejected at run time).
+    /// Caps this video's sampler or scrub verification (ranked or scanned). A
+    /// fan-out scrub applies it as one *global* verification cap and therefore
+    /// requires every sub-plan to carry the same value (divergent overrides are
+    /// rejected at run time).
     pub detection_budget: Option<u64>,
     /// How warm the trained-network cache is for `heads`: in memory, persisted
     /// in the catalog's index store (a free disk load away), or cold (training
@@ -430,8 +431,6 @@ fn trainable_heads(
 
 /// The heads a selection's label filter trains: one presence head for the single
 /// target class when it has enough labeled data to calibrate on, none otherwise.
-/// (Also asked by [`select::plan_filters`](crate::select::plan_filters), the harness
-/// entry that runs without a [`VideoPlan`].)
 pub(crate) fn label_filter_heads(
     ctx: &VideoContext,
     info: &QueryPlanInfo,

@@ -10,22 +10,29 @@
 //! true positives is found. Only detector-verified frames are returned, so the result
 //! contains no false positives (the paper reports only runtime for these queries).
 //!
+//! **One shape for one video or many.** Every scrub runs in two phases. Per video,
+//! `rank_candidates` turns the sub-plan's strategy into a candidate stream: the
+//! specialized NN's confidences (`ScrubRanked`), or every frame in frame order
+//! (`ScrubScan`, the fallback when the labeled set holds no example of the event).
+//! Then `verify` merges the streams into one visit order and verifies it against
+//! one `LIMIT`, `GAP` and detector budget. A single-video scrub is the one-stream case
+//! of the same merge, so the window rules, the budget and the early exit cannot
+//! differ between `FROM taipei` and `FROM *`.
+//!
 //! **Ordering is lazy.** Verification typically reads a few dozen of a video's
 //! candidates, so nothing puts all of them in order up front: a video's ranking holds
 //! every frame's confidence and orders only as far as verification reads, one block
 //! at a time (a selection of the block from the unordered rest, then a sort of the
 //! block alone). The visit order itself is defined once — confidence descending by
-//! `total_cmp`, then video ascending, then frame ascending — and single-video scrubs,
-//! [`score_frames`] and the `FROM *` k-way merge all walk it. `EXPLAIN ANALYZE`
-//! reports how many candidates a scrub put in order as `frames_ranked` on its
-//! `detect-verify` span.
+//! `total_cmp`, then video ascending, then frame ascending — and the k-way merge walks
+//! it for every scrub. `EXPLAIN ANALYZE` reports how many candidates a scrub put in
+//! order as `frames_ranked` on its `detect-verify` span.
 
 use crate::baselines::{requirement_pairs, respects_gap};
 use crate::context::VideoContext;
 use crate::obs;
-use crate::plan::{heads_for, PlanStrategy, VideoPlan};
-use crate::result::{QueryOutput, SourcedFrame};
-use crate::{baselines, BlazeItError, Result};
+use crate::plan::{PlanStrategy, VideoPlan};
+use crate::{BlazeItError, Result};
 use blazeit_detect::{CountVector, ObjectDetector};
 use blazeit_frameql::query::QueryPlanInfo;
 use blazeit_nn::specialized::SpecializedNN;
@@ -43,58 +50,6 @@ pub struct ScrubOptions {
     pub limit: u64,
     /// Minimum spacing between returned frames.
     pub gap: u64,
-}
-
-/// The outcome of a scrubbing run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScrubOutcome {
-    /// Frames satisfying the predicate, in the order they were verified.
-    pub frames: Vec<FrameIndex>,
-    /// Number of detector invocations (the "sample complexity" of Figures 7 and 9).
-    pub detection_calls: u64,
-    /// Number of frames that got a specialized-NN confidence: every frame of the
-    /// unseen video, whether its scores came from the cached index or were computed.
-    pub frames_scored: u64,
-}
-
-/// Executes a scrubbing query against one video, following the strategy the planner
-/// resolved into its sub-plan.
-pub fn execute(ctx: &VideoContext, info: &QueryPlanInfo, plan: &VideoPlan) -> Result<QueryOutput> {
-    let requirements = requirement_pairs(&info.requirements);
-    let opts = plan
-        .scrub
-        .ok_or_else(|| BlazeItError::Internal("scrub plan carries no scrub options".into()))?;
-
-    match &plan.strategy {
-        // Section 7.1: with no training examples of the event, fall back to scanning
-        // (our NoScope-oracle analogue would be cheating here, so the naive scan is
-        // the conservative fallback).
-        PlanStrategy::ScrubScan => {
-            let (frames, calls) = baselines::naive_scrub(ctx, &requirements, opts.limit, opts.gap)?;
-            Ok(QueryOutput::Frames { frames, detection_calls: calls })
-        }
-        PlanStrategy::ScrubRanked => {
-            let nn = ctx.specialized_for(&plan.heads)?;
-            let outcome = scrub_ranked(ctx, &nn, &requirements, opts, plan.detection_budget)?;
-            Ok(QueryOutput::Frames {
-                frames: outcome.frames,
-                detection_calls: outcome.detection_calls,
-            })
-        }
-        other => Err(BlazeItError::Internal(format!(
-            "scrub::execute called with non-scrub strategy {other:?}"
-        ))),
-    }
-}
-
-/// Trains (or fetches from cache) the multi-head counting NN the planner would pick
-/// for a set of requirements (`plan::heads_for`) — the harness entry that runs without a
-/// [`VideoPlan`].
-pub fn specialized_for_requirements(
-    ctx: &VideoContext,
-    requirements: &[(ObjectClass, usize)],
-) -> Result<Arc<SpecializedNN>> {
-    ctx.specialized_for(&heads_for(ctx, requirements))
 }
 
 /// A candidate's key in the one order every scrub visits candidates in. Earlier in
@@ -190,51 +145,35 @@ impl Iterator for Ranking {
         self.next += 1;
         Some(candidate)
     }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.candidates.len() - self.next;
-        (left, Some(left))
-    }
 }
 
-impl ExactSizeIterator for Ranking {}
-
 /// One video's candidates as a stream of `(frame, confidence)` in visit order.
-enum Candidates<'r> {
+enum Candidates {
     /// Specialized-NN confidences, ordered lazily.
     Ranked(Ranking),
-    /// Candidates a caller already put in visit order (the public `verify_ranked*`
-    /// helpers).
-    Ordered { candidates: &'r [(FrameIndex, f64)], next: usize },
     /// The scan fallback: every frame in frame order at confidence `-1.0`, so the
     /// `FROM *` merge reaches a scanning video only after every ranked candidate of
     /// every video — scanning stays the last resort catalog-wide.
     Scan(Range<FrameIndex>),
 }
 
-impl Candidates<'_> {
+impl Candidates {
     /// Candidates put in visit order so far: a ranking's ordered prefix, and for a
-    /// stream that is in order already, the candidates it has yielded.
+    /// scan (in order already) the frames it has yielded.
     fn ranked(&self) -> u64 {
         match self {
             Candidates::Ranked(ranking) => ranking.ordered as u64,
-            Candidates::Ordered { next, .. } => *next as u64,
             Candidates::Scan(frames) => frames.start,
         }
     }
 }
 
-impl Iterator for Candidates<'_> {
+impl Iterator for Candidates {
     type Item = (FrameIndex, f64);
 
     fn next(&mut self) -> Option<(FrameIndex, f64)> {
         match self {
             Candidates::Ranked(ranking) => ranking.next(),
-            Candidates::Ordered { candidates, next } => {
-                let candidate = candidates.get(*next).copied()?;
-                *next += 1;
-                Some(candidate)
-            }
             Candidates::Scan(frames) => frames.next().map(|frame| (frame, -1.0)),
         }
     }
@@ -245,16 +184,16 @@ impl Iterator for Candidates<'_> {
 /// next candidates always holds the global next one. A stream's next candidate is
 /// pulled only when the candidate after its last one is asked for, so no video is
 /// put in order further than verification reads.
-struct Merge<'r> {
-    sources: Vec<Candidates<'r>>,
+struct Merge {
+    sources: Vec<Candidates>,
     heads: BinaryHeap<Reverse<Candidate>>,
     /// Streams whose next candidate has yet to join `heads`: every stream before the
     /// first pull, afterwards the stream of the candidate last yielded.
     pending: Vec<usize>,
 }
 
-impl<'r> Merge<'r> {
-    fn new(sources: Vec<Candidates<'r>>) -> Merge<'r> {
+impl Merge {
+    fn new(sources: Vec<Candidates>) -> Merge {
         let pending = (0..sources.len()).collect();
         Merge { heads: BinaryHeap::with_capacity(sources.len()), sources, pending }
     }
@@ -265,7 +204,7 @@ impl<'r> Merge<'r> {
     }
 }
 
-impl Iterator for Merge<'_> {
+impl Iterator for Merge {
     type Item = (usize, FrameIndex);
 
     fn next(&mut self) -> Option<(usize, FrameIndex)> {
@@ -311,106 +250,24 @@ fn rank_frames(
     ))
 }
 
-/// Scores every frame of the unseen video with the specialized NN's confidence that it
-/// satisfies the requirements, returning every `(frame, confidence)` pair in the
-/// scrub's visit order (confidence descending, then frame ascending).
-///
-/// This drains the same lazy ranking a scrub verifies from, so it orders all of the
-/// video; the scrub itself orders only what its verification reads. Scores come from
-/// the context's cached score index, as for every ranked scrub: the first query per
-/// class set builds it and charges the inference, repeated ones are free.
-pub fn score_frames(
-    ctx: &VideoContext,
-    nn: &Arc<SpecializedNN>,
-    requirements: &[(ObjectClass, usize)],
-) -> Result<Vec<(FrameIndex, f64)>> {
-    Ok(rank_frames(ctx, nn, requirements)?.collect())
-}
-
 /// How many candidate frames the verification loop hands to
 /// [`ObjectDetector::detect_batch`] at a time. Small enough that the early-exit
 /// (`LIMIT`) semantics keep a tight leash on wasted work, large enough to amortize
 /// per-call bookkeeping.
 const VERIFY_PREFETCH: usize = 16;
 
-/// Verifies candidate frames (already ranked by confidence) with the detector until
-/// `limit` satisfying frames are found, respecting `gap`.
-pub fn verify_ranked(
-    ctx: &VideoContext,
-    ranked: &[(FrameIndex, f64)],
-    requirements: &[(ObjectClass, usize)],
-    opts: ScrubOptions,
-) -> ScrubOutcome {
-    verify_ranked_with_budget(ctx, ranked, requirements, opts, None)
-}
-
-/// Like [`verify_ranked`], with an optional hard cap on detector invocations (the
-/// plan's detection budget).
-///
-/// Detection runs through a small pipelined prefetch window over
-/// [`ObjectDetector::detect_batch`], constructed so the verified frames, their order,
-/// and the number of charged detector calls are *identical* to the frame-by-frame
-/// loop: a window only ever contains frames the serial loop was guaranteed to reach —
-/// each window frame respects the gap against every already-accepted frame *and*
-/// against every earlier frame in the same window (so no in-window acceptance can
-/// retroactively disqualify it), and the window never exceeds the remaining limit (so
-/// the early exit cannot fire mid-window).
-pub fn verify_ranked_with_budget(
-    ctx: &VideoContext,
-    ranked: &[(FrameIndex, f64)],
-    requirements: &[(ObjectClass, usize)],
-    opts: ScrubOptions,
-    budget: Option<u64>,
-) -> ScrubOutcome {
-    let candidates = Candidates::Ordered { candidates: ranked, next: 0 };
-    verify_video(ctx, candidates, ranked.len() as u64, requirements, opts, budget)
-}
-
-/// The single-video ranked scrub: ranks the video lazily and verifies in visit order,
-/// ordering only as far as verification reads.
-fn scrub_ranked(
-    ctx: &VideoContext,
-    nn: &Arc<SpecializedNN>,
-    requirements: &[(ObjectClass, usize)],
-    opts: ScrubOptions,
-    budget: Option<u64>,
-) -> Result<ScrubOutcome> {
-    let ranking = rank_frames(ctx, nn, requirements)?;
-    let frames_scored = ranking.len() as u64;
-    Ok(verify_video(ctx, Candidates::Ranked(ranking), frames_scored, requirements, opts, budget))
-}
-
-/// Verifies one video's candidate stream through the shared windowed loop.
-fn verify_video(
-    ctx: &VideoContext,
-    candidates: Candidates<'_>,
-    frames_scored: u64,
-    requirements: &[(ObjectClass, usize)],
-    opts: ScrubOptions,
-    budget: Option<u64>,
-) -> ScrubOutcome {
-    let videos = [VerifyVideo { ctx, requirements: requirements.to_vec() }];
-    let (accepted, calls) = verify_windowed(&videos, Merge::new(vec![candidates]), opts, budget);
-    ScrubOutcome {
-        frames: accepted.into_iter().map(|(_, frame)| frame).collect(),
-        detection_calls: calls,
-        frames_scored,
-    }
-}
-
-/// One video's inputs to the shared windowed verification loop.
+/// One video's inputs to the windowed verification loop.
 struct VerifyVideo<'a> {
     ctx: &'a VideoContext,
     requirements: Vec<(ObjectClass, usize)>,
 }
 
-/// The windowed verification loop shared by single-video ranked verification and the
-/// multi-video global-limit merge: walks `candidates` (a `(video index, frame)` visit
-/// sequence), verifying through per-video [`ObjectDetector::detect_batch`] prefetch
-/// windows until `opts.limit` frames are accepted or `budget` detector calls are
-/// spent. Returns the accepted `(video index, frame)` pairs in acceptance order and
-/// the number of charged calls, and counts on its span how many candidates were put
-/// in order to get there.
+/// The windowed verification loop behind [`verify`]: walks `candidates` (a
+/// `(video index, frame)` visit sequence), verifying through per-video
+/// [`ObjectDetector::detect_batch`] prefetch windows until `opts.limit` frames are
+/// accepted or `budget` detector calls are spent. Returns the accepted
+/// `(video index, frame)` pairs in acceptance order and the number of charged calls,
+/// and counts on its span how many candidates were put in order to get there.
 ///
 /// The window rules make the outcome *identical* to a frame-by-frame walk of
 /// `candidates`: a window only ever contains consecutive candidates of one video, each
@@ -423,7 +280,7 @@ struct VerifyVideo<'a> {
 /// look-ahead the loop needs.
 fn verify_windowed(
     videos: &[VerifyVideo<'_>],
-    mut candidates: Merge<'_>,
+    mut candidates: Merge,
     opts: ScrubOptions,
     budget: Option<u64>,
 ) -> (Vec<(usize, FrameIndex)>, u64) {
@@ -492,16 +349,16 @@ fn verify_windowed(
     (accepted, calls)
 }
 
-/// One video's part in a multi-video scrub: what to verify against, and its
-/// candidates, in the order the per-video strategy visits them.
+/// One video's part in a scrub: what to verify against, and its candidates, in the
+/// order its sub-plan's strategy visits them.
 pub(crate) struct VideoCandidates<'a> {
     video: VerifyVideo<'a>,
-    candidates: Candidates<'a>,
+    candidates: Candidates,
 }
 
-/// Phase 1 of a multi-video scrub, for one video: gets its candidates ready —
-/// training (or loading) its specialized network and scoring its frames, leaving
-/// the ordering to verification. The session fans this out across videos on the
+/// Phase 1 of a scrub, for one video: gets its candidates ready — for a ranked
+/// sub-plan, training (or loading) its specialized network and scoring its frames,
+/// leaving the ordering to verification. A fan-out runs this per video on the
 /// persistent worker pool.
 pub(crate) fn rank_candidates<'a>(
     ctx: &'a VideoContext,
@@ -524,55 +381,33 @@ pub(crate) fn rank_candidates<'a>(
     Ok(VideoCandidates { video: VerifyVideo { ctx, requirements }, candidates })
 }
 
-/// Phase 2 of a multi-video scrub (deterministic): the per-video candidates of
-/// [`rank_candidates`] are merged into one global visit order (confidence descending,
-/// then video, then frame) and verified in it against one **global** `LIMIT`,
-/// charging the detector through per-video prefetch windows, until the limit is
-/// satisfied — at which point *no* video is charged another call (early
-/// cancellation) or put further in order, no matter how many candidates it still
-/// had. `GAP` constrains frames within a video; frames of different videos are never
-/// temporally related.
+/// Phase 2 of a scrub (deterministic): the videos' candidates, one stream per entry
+/// of `per_video`, are merged into the one visit order (confidence descending, then
+/// video, then frame) and verified in it against one `LIMIT`, charging the detector
+/// through per-video prefetch windows, until the limit is satisfied — at which point
+/// *no* video is charged another call (early cancellation) or put further in order,
+/// no matter how many candidates it still had. An optional `budget` caps detector
+/// invocations across all videos.
 ///
-/// An optional `budget` caps total detector invocations across all videos.
-pub(crate) fn verify_catalog(
+/// Returns the accepted `(index into per_video, frame)` pairs in acceptance order and
+/// the number of detector calls charged.
+pub(crate) fn verify(
     per_video: Vec<VideoCandidates<'_>>,
     opts: ScrubOptions,
     budget: Option<u64>,
-) -> QueryOutput {
-    // Verify through the shared windowed loop (the same code path single-video ranked
-    // verification uses, so the gap / limit / budget window rules cannot diverge
-    // between the two).
-    let (videos, sources): (Vec<VerifyVideo<'_>>, Vec<Candidates<'_>>) =
+) -> (Vec<(usize, FrameIndex)>, u64) {
+    let (videos, sources): (Vec<VerifyVideo<'_>>, Vec<Candidates>) =
         per_video.into_iter().map(|vc| (vc.video, vc.candidates)).unzip();
-    let (accepted, calls) = verify_windowed(&videos, Merge::new(sources), opts, budget);
-    let frames = accepted
-        .into_iter()
-        .map(|(video_idx, frame)| SourcedFrame {
-            // blazeit-lint: allow(panic-site::index) -- video_idx comes from enumerating this same
-            // videos slice
-            video: videos[video_idx].ctx.video().name().to_string(),
-            frame,
-        })
-        .collect();
-    QueryOutput::CatalogFrames { frames, detection_calls: calls }
-}
-
-/// The full BlazeIt scrubbing plan: score every frame with the specialized NN, then
-/// verify in descending-confidence order (ordering only as far as verification reads).
-pub fn blazeit_scrub(
-    ctx: &VideoContext,
-    nn: &Arc<SpecializedNN>,
-    requirements: &[(ObjectClass, usize)],
-    opts: ScrubOptions,
-) -> Result<ScrubOutcome> {
-    scrub_ranked(ctx, nn, requirements, opts, None)
+    verify_windowed(&videos, Merge::new(sources), opts, budget)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::result::QueryOutput;
+    use crate::plan::heads_for;
+    use crate::result::{QueryOutput, SourcedFrame};
+    use crate::session::run_edited;
     use blazeit_videostore::DatasetPreset;
     use proptest::prelude::*;
 
@@ -580,46 +415,68 @@ mod tests {
         Catalog::one_video(DatasetPreset::Taipei, 2_500)
     }
 
+    fn scrub_sql(min_cars: usize, limit: u64, gap: u64) -> String {
+        format!(
+            "SELECT timestamp FROM taipei GROUP BY timestamp \
+             HAVING SUM(class='car') >= {min_cars} LIMIT {limit} GAP {gap}"
+        )
+    }
+
+    /// Runs a one-video scrub through the planner with its sub-plan edited by `edit`,
+    /// returning the frames, the detector calls and the detection seconds charged.
+    fn run_scrub(
+        catalog: &Catalog,
+        sql: &str,
+        edit: impl FnOnce(&mut VideoPlan),
+    ) -> (Vec<FrameIndex>, u64, f64) {
+        let result = run_edited(catalog, sql, edit).unwrap();
+        let QueryOutput::Frames { frames, detection_calls } = result.output else {
+            panic!("unexpected output {:?}", result.output);
+        };
+        (frames, detection_calls, result.cost.detection)
+    }
+
+    /// The video's ranking for `requirements`, over the network the planner trains.
+    fn ranking(ctx: &VideoContext, requirements: &[(ObjectClass, usize)]) -> Ranking {
+        let nn = ctx.specialized_for(&heads_for(ctx, requirements)).unwrap();
+        rank_frames(ctx, &nn, requirements).unwrap()
+    }
+
     #[test]
     fn scrub_returns_only_true_positives() {
-        let (_, e) = engine();
+        let (catalog, e) = engine();
         let reqs = [(ObjectClass::Car, 2usize)];
-        let nn = specialized_for_requirements(&e, &reqs).unwrap();
-        let outcome = blazeit_scrub(&e, &nn, &reqs, ScrubOptions { limit: 5, gap: 10 }).unwrap();
-        assert!(outcome.frames.len() <= 5);
-        assert_eq!(outcome.frames_scored, e.video().len());
+        let (frames, _, _) = run_scrub(&catalog, &scrub_sql(2, 5, 10), |sub| {
+            assert_eq!(sub.strategy, PlanStrategy::ScrubRanked);
+        });
+        assert!(frames.len() <= 5);
         // Every returned frame must genuinely satisfy the predicate according to the
         // detector (which is exactly how they were verified).
-        for &frame in &outcome.frames {
+        for &frame in &frames {
             let dets = e.detector().detect(&e.video(), frame);
             let counts = CountVector::from_detections(&dets);
             assert!(counts.satisfies_all(&reqs), "frame {frame} fails the predicate");
         }
         // GAP respected.
-        for (i, &a) in outcome.frames.iter().enumerate() {
-            for &b in &outcome.frames[i + 1..] {
+        for (i, &a) in frames.iter().enumerate() {
+            for &b in &frames[i + 1..] {
                 assert!(a.abs_diff(b) >= 10);
             }
         }
     }
 
     #[test]
-    fn blazeit_scrub_uses_fewer_detector_calls_than_baselines_for_rare_events() {
-        let (_, e) = engine();
+    fn ranked_scrub_uses_fewer_detector_calls_than_the_scan_for_rare_events() {
+        let (catalog, _) = engine();
         // A moderately rare event: at least 3 cars simultaneously.
-        let reqs = [(ObjectClass::Car, 3usize)];
-        let opts = ScrubOptions { limit: 3, gap: 30 };
-        let nn = specialized_for_requirements(&e, &reqs).unwrap();
-        let blazeit = blazeit_scrub(&e, &nn, &reqs, opts).unwrap();
-        let (naive_frames, naive_calls) =
-            baselines::naive_scrub(&e, &reqs, opts.limit, opts.gap).unwrap();
-        if blazeit.frames.len() == opts.limit as usize && naive_frames.len() == opts.limit as usize
-        {
+        let sql = scrub_sql(3, 3, 30);
+        let (ranked, ranked_calls, _) = run_scrub(&catalog, &sql, |_| {});
+        let (scanned, scan_calls, _) =
+            run_scrub(&catalog, &sql, |sub| sub.strategy = PlanStrategy::ScrubScan);
+        if ranked.len() == 3 && scanned.len() == 3 {
             assert!(
-                blazeit.detection_calls <= naive_calls,
-                "BlazeIt used {} detector calls, naive used {}",
-                blazeit.detection_calls,
-                naive_calls
+                ranked_calls <= scan_calls,
+                "the ranked scrub used {ranked_calls} detector calls, the scan {scan_calls}"
             );
         }
     }
@@ -627,9 +484,7 @@ mod tests {
     #[test]
     fn scoring_is_ranked_descending() {
         let (_, e) = engine();
-        let reqs = [(ObjectClass::Car, 1usize)];
-        let nn = specialized_for_requirements(&e, &reqs).unwrap();
-        let ranked = score_frames(&e, &nn, &reqs).unwrap();
+        let ranked: Vec<(FrameIndex, f64)> = ranking(&e, &[(ObjectClass::Car, 1)]).collect();
         assert_eq!(ranked.len(), e.video().len() as usize);
         for pair in ranked.windows(2) {
             assert!(pair[0].1 >= pair[1].1);
@@ -680,7 +535,7 @@ mod tests {
         }
     }
 
-    /// Today's visit order as the eager implementation computed it: every
+    /// The visit order as an eager implementation computes it: every
     /// `(frame, confidence)` pair, fully sorted with a stable sort.
     fn eager_order(mut candidates: Vec<(FrameIndex, f64)>) -> Vec<(FrameIndex, f64)> {
         candidates.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -692,19 +547,20 @@ mod tests {
         candidates.iter().map(|&(frame, confidence)| (frame, confidence.to_bits())).collect()
     }
 
-    /// The frame-by-frame loop the prefetch window must be indistinguishable from.
-    fn verify_ranked_serial_reference(
+    /// The frame-by-frame loop the prefetch window must be indistinguishable from:
+    /// returns the accepted frames and the detector calls.
+    fn verify_serial_reference(
         ctx: &VideoContext,
-        ranked: &[(FrameIndex, f64)],
+        order: &[(FrameIndex, f64)],
         requirements: &[(ObjectClass, usize)],
         opts: ScrubOptions,
         budget: Option<u64>,
-    ) -> ScrubOutcome {
+    ) -> (Vec<FrameIndex>, u64) {
         let video = ctx.video();
         let video = &*video;
         let mut accepted: Vec<FrameIndex> = Vec::new();
         let mut calls = 0u64;
-        for &(frame, _confidence) in ranked {
+        for &(frame, _confidence) in order {
             if accepted.len() as u64 >= opts.limit || budget.is_some_and(|b| calls >= b) {
                 break;
             }
@@ -718,25 +574,24 @@ mod tests {
                 accepted.push(frame);
             }
         }
-        ScrubOutcome {
-            frames: accepted,
-            detection_calls: calls,
-            frames_scored: ranked.len() as u64,
-        }
+        (accepted, calls)
     }
 
     #[test]
     fn batched_verification_matches_serial_loop_exactly() {
-        // Two identical engines (deterministic substrate): one verifies through the
-        // pipelined detect_batch window — once over the lazy ranking, once over the
-        // eagerly sorted slice — the other through the frame-by-frame reference.
-        // Returned frames, order, call counts, and charged detection seconds must all
-        // agree — across gap/limit/budget combinations that exercise window
-        // truncation, pairwise-gap breaks, early exit, the budget cap, and walks to
-        // exhaustion (a LIMIT no gap-respecting set of satisfying frames can reach).
-        let (_, batched_engine) = engine();
+        // Two identical engines (deterministic substrate): one scrubs through the
+        // planner — the lazy ranking, or the scan — verifying through the pipelined
+        // detect_batch window, the other walks the eagerly sorted order (or every
+        // frame in order) through the frame-by-frame reference. Returned frames,
+        // order, call counts, and charged detection seconds must all agree — across
+        // gap/limit/budget combinations that exercise window truncation,
+        // pairwise-gap breaks, early exit, the budget cap, and walks to exhaustion
+        // (a LIMIT no gap-respecting set of satisfying frames can reach).
+        let (batched_catalog, _) = engine();
         let (_, serial_engine) = engine();
         let detection = |ctx: &VideoContext| ctx.clock().breakdown().detection;
+        let scan_order: Vec<(FrameIndex, f64)> =
+            (0..serial_engine.video().len()).map(|frame| (frame, -1.0)).collect();
         for (min_count, limit, gap) in [
             (1usize, 5u64, 0u64),
             (2, 5, 10),
@@ -747,38 +602,35 @@ mod tests {
         ] {
             let reqs = [(ObjectClass::Car, min_count)];
             let opts = ScrubOptions { limit, gap };
-            let nn_b = specialized_for_requirements(&batched_engine, &reqs).unwrap();
-            let nn_s = specialized_for_requirements(&serial_engine, &reqs).unwrap();
-            let eager = eager_order(rank_frames(&serial_engine, &nn_s, &reqs).unwrap().candidates);
-            assert_eq!(
-                bits(&score_frames(&batched_engine, &nn_b, &reqs).unwrap()),
-                bits(&eager),
-                "the drained ranking is the eager order"
-            );
+            let sql = scrub_sql(min_count, limit, gap);
+            let eager = eager_order(ranking(&serial_engine, &reqs).candidates);
+            let drained: Vec<(FrameIndex, f64)> = ranking(&serial_engine, &reqs).collect();
+            assert_eq!(bits(&drained), bits(&eager), "the drained ranking is the eager order");
 
-            for budget in [None, Some(7), Some(600)] {
-                let shape = format!("min_count={min_count} limit={limit} gap={gap} {budget:?}");
-                let before = detection(&batched_engine);
-                let lazy = scrub_ranked(&batched_engine, &nn_b, &reqs, opts, budget).unwrap();
-                let charged_lazy = detection(&batched_engine) - before;
+            for (strategy, order) in
+                [(PlanStrategy::ScrubRanked, &eager), (PlanStrategy::ScrubScan, &scan_order)]
+            {
+                for budget in [None, Some(7), Some(600)] {
+                    let shape = format!(
+                        "{strategy:?} min_count={min_count} limit={limit} gap={gap} {budget:?}"
+                    );
+                    let (frames, calls, charged) = run_scrub(&batched_catalog, &sql, |sub| {
+                        assert_eq!(sub.strategy, PlanStrategy::ScrubRanked, "{shape}");
+                        sub.strategy = strategy.clone();
+                        sub.detection_budget = budget;
+                    });
 
-                let before = detection(&batched_engine);
-                let sliced =
-                    verify_ranked_with_budget(&batched_engine, &eager, &reqs, opts, budget);
-                let charged_sliced = detection(&batched_engine) - before;
+                    let before = detection(&serial_engine);
+                    let serial =
+                        verify_serial_reference(&serial_engine, order, &reqs, opts, budget);
+                    let charged_serial = detection(&serial_engine) - before;
 
-                let before = detection(&serial_engine);
-                let serial =
-                    verify_ranked_serial_reference(&serial_engine, &eager, &reqs, opts, budget);
-                let charged_serial = detection(&serial_engine) - before;
-
-                assert_eq!(lazy, serial, "{shape}");
-                assert_eq!(sliced, serial, "{shape}");
-                assert_eq!(charged_lazy.to_bits(), charged_sliced.to_bits(), "{shape}");
-                assert!(
-                    (charged_lazy - charged_serial).abs() < 1e-9,
-                    "{shape}: charged detection time diverged: {charged_lazy} vs {charged_serial}"
-                );
+                    assert_eq!((frames, calls), serial, "{shape}");
+                    assert!(
+                        (charged - charged_serial).abs() < 1e-9,
+                        "{shape}: charged detection time diverged: {charged} vs {charged_serial}"
+                    );
+                }
             }
         }
     }
@@ -787,10 +639,7 @@ mod tests {
     fn explain_analyze_counts_frames_ranked_on_detect_verify() {
         let (catalog, e) = engine();
         let frames_ranked = |limit: u64, gap: u64| {
-            let sql = format!(
-                "EXPLAIN ANALYZE SELECT timestamp FROM taipei GROUP BY timestamp \
-                 HAVING SUM(class='car') >= 1 LIMIT {limit} GAP {gap}"
-            );
+            let sql = format!("EXPLAIN ANALYZE {}", scrub_sql(1, limit, gap));
             let result = catalog.session().query(&sql).unwrap();
             let trace = result.output.analyze_trace().unwrap().clone();
             let verify = trace.spans.iter().find(|s| s.label == "detect-verify").unwrap();
@@ -816,34 +665,32 @@ mod tests {
 
     #[test]
     fn budgeted_verification_stops_at_the_cap() {
-        let (_, e) = engine();
-        let reqs = [(ObjectClass::Car, 3usize)];
-        let nn = specialized_for_requirements(&e, &reqs).unwrap();
-        let ranked = score_frames(&e, &nn, &reqs).unwrap();
-        let opts = ScrubOptions { limit: 50, gap: 0 };
-        let unbudgeted = verify_ranked(&e, &ranked, &reqs, opts);
-        let capped = verify_ranked_with_budget(&e, &ranked, &reqs, opts, Some(7));
-        assert!(capped.detection_calls <= 7);
-        assert!(capped.detection_calls <= unbudgeted.detection_calls);
+        let (catalog, _) = engine();
+        let sql = scrub_sql(3, 50, 0);
+        let (unbudgeted, unbudgeted_calls, _) = run_scrub(&catalog, &sql, |_| {});
+        let (capped, capped_calls, _) =
+            run_scrub(&catalog, &sql, |sub| sub.detection_budget = Some(7));
+        assert!(capped_calls <= 7);
+        assert!(capped_calls <= unbudgeted_calls);
         // The budgeted run is a prefix of the unbudgeted one.
-        assert_eq!(
-            capped.frames[..],
-            unbudgeted.frames[..capped.frames.len().min(unbudgeted.frames.len())]
-        );
+        assert_eq!(capped[..], unbudgeted[..capped.len().min(unbudgeted.len())]);
     }
 
     #[test]
     fn limit_zero_returns_nothing() {
-        let (_, e) = engine();
-        let reqs = [(ObjectClass::Car, 1usize)];
-        let nn = specialized_for_requirements(&e, &reqs).unwrap();
-        let outcome = blazeit_scrub(&e, &nn, &reqs, ScrubOptions { limit: 0, gap: 0 }).unwrap();
-        assert!(outcome.frames.is_empty());
-        assert_eq!(outcome.detection_calls, 0);
+        let (catalog, _) = engine();
+        for strategy in [PlanStrategy::ScrubRanked, PlanStrategy::ScrubScan] {
+            let (frames, calls, _) = run_scrub(&catalog, &scrub_sql(1, 5, 0), |sub| {
+                sub.strategy = strategy;
+                sub.scrub = Some(ScrubOptions { limit: 0, gap: 0 });
+            });
+            assert!(frames.is_empty());
+            assert_eq!(calls, 0);
+        }
     }
 
-    /// Today's `FROM *` interleave: every video's candidates concatenated and sorted
-    /// by (confidence desc, video asc, frame asc).
+    /// The `FROM *` interleave computed eagerly: every video's candidates
+    /// concatenated and sorted by (confidence desc, video asc, frame asc).
     fn concatenate_and_sort(per_video: &[Vec<(FrameIndex, f64)>]) -> Vec<(usize, FrameIndex)> {
         let mut merged: Vec<(usize, FrameIndex, f64)> = Vec::new();
         for (video_idx, candidates) in per_video.iter().enumerate() {
@@ -998,12 +845,11 @@ mod tests {
                 pairs(&all[lo..hi]),
                 pairs(&all[hi..]),
             ];
-            let presorted = eager_order(per_video[3].clone());
             let sources = vec![
                 Candidates::Ranked(Ranking::new(per_video[0].clone())),
                 Candidates::Scan(0..scan_len),
                 Candidates::Ranked(Ranking::new(per_video[2].clone())),
-                Candidates::Ordered { candidates: &presorted, next: 0 },
+                Candidates::Ranked(Ranking::new(per_video[3].clone())),
             ];
             let mut merge = Merge::new(sources);
             let merged: Vec<(usize, FrameIndex)> = merge.by_ref().collect();

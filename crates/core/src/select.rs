@@ -30,13 +30,16 @@
 //! its predicate reaches a content UDF (the `PixelSource` contract of
 //! [`blazeit_frameql::expr`]). A render implies a `Decode` charge; a `Decode` charge
 //! does not imply a render. Every render goes through `render_full_frame` and is
-//! counted (`frames_rendered` on [`SelectionOutcome`] and on the `calibrate filters` /
-//! `filter-detect` spans), and `blazeit-lint`'s `clock-accounting` check pins the call
-//! sites.
+//! counted (`frames_rendered` on the `calibrate filters` / `filter-detect` spans),
+//! and `blazeit-lint`'s `clock-accounting` check pins the call sites.
+//!
+//! The scan's per-stage frame counts — the factor analysis of Figure 11 —
+//! are counters on the `filter-detect` span too: `frames_considered` after temporal
+//! subsampling, `frames_after_content`, `frames_after_label` (the frames detected).
 
 use crate::context::VideoContext;
 use crate::obs;
-use crate::plan::{label_filter_heads, VideoPlan};
+use crate::plan::VideoPlan;
 use crate::relation::RelationBuilder;
 use crate::result::QueryOutput;
 use crate::{BlazeItError, Result};
@@ -96,62 +99,29 @@ impl SelectionOptions {
 }
 
 /// A calibrated frame-level content filter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ContentFilter {
+struct ContentFilter {
     /// UDF name.
-    pub udf: String,
-    /// The original object-level operator (only `>` / `>=` predicates are lifted).
-    pub op: BinaryOp,
+    udf: String,
     /// The frame-level threshold below which frames are discarded.
-    pub frame_threshold: f64,
+    frame_threshold: f64,
 }
 
 /// The resolved filter plan for one selection query.
-pub struct FilterPlan {
+struct FilterPlan {
     /// Frame-scan stride (1 = every frame).
-    pub stride: u64,
+    stride: u64,
     /// Detection region of interest, if any.
-    pub region: Option<BoundingBox>,
+    region: Option<BoundingBox>,
     /// Calibrated frame-level content filters.
-    pub content_filters: Vec<ContentFilter>,
+    content_filters: Vec<ContentFilter>,
     /// Label filter: the unseen video's batched score index, the head to read,
     /// and the no-false-negative presence threshold. Scoring happened when the
     /// index was built (cached on the context), so applying the filter during the
     /// scan is a lookup, not an inference.
-    pub label_filter: Option<(Arc<ScoreMatrix>, usize, f64)>,
+    label_filter: Option<(Arc<ScoreMatrix>, usize, f64)>,
     /// Minimum number of *scanned* frames a track must appear in (derived from the
     /// track-duration constraint and the stride).
-    pub min_track_appearances: u64,
-}
-
-impl std::fmt::Debug for FilterPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FilterPlan")
-            .field("stride", &self.stride)
-            .field("region", &self.region)
-            .field("content_filters", &self.content_filters)
-            .field("has_label_filter", &self.label_filter.is_some())
-            .field("min_track_appearances", &self.min_track_appearances)
-            .finish()
-    }
-}
-
-/// The outcome of a selection run, with per-stage frame counts for the factor analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SelectionOutcome {
-    /// Rows satisfying the query.
-    pub rows: Vec<FrameQlRow>,
-    /// Number of detector invocations.
-    pub detection_calls: u64,
-    /// Frames considered after temporal subsampling.
-    pub frames_considered: u64,
-    /// Frames surviving the content filter.
-    pub frames_after_content: u64,
-    /// Frames surviving the label filter (and therefore sent to detection).
-    pub frames_after_label: u64,
-    /// Full frames rendered on the host: every frame a content filter scanned, plus
-    /// every detected frame whose row evaluation reached a content UDF without one.
-    pub frames_rendered: u64,
+    min_track_appearances: u64,
 }
 
 /// Renders one full frame on the host and counts it in `rendered`.
@@ -226,33 +196,8 @@ pub fn execute(
         let _calibrate = obs::span("calibrate filters");
         resolve_filters(ctx, info, &plan.selection, &plan.heads)?
     };
-    let outcome = run_selection(ctx, query, info, &filters)?;
-    Ok(QueryOutput::Rows { rows: outcome.rows, detection_calls: outcome.detection_calls })
-}
-
-/// Executes a selection query and returns the full outcome (used by the Figure 10/11
-/// harnesses, which need per-stage statistics and run without a [`VideoPlan`]).
-pub fn execute_with_options(
-    ctx: &VideoContext,
-    query: &Query,
-    info: &QueryPlanInfo,
-    options: &SelectionOptions,
-) -> Result<SelectionOutcome> {
-    let plan = {
-        let _calibrate = obs::span("calibrate filters");
-        plan_filters(ctx, info, options)?
-    };
-    run_selection(ctx, query, info, &plan)
-}
-
-/// Infers the filter plan from the query structure, the labeled set, and the options,
-/// with the label-filter heads the planner would pick.
-pub fn plan_filters(
-    ctx: &VideoContext,
-    info: &QueryPlanInfo,
-    options: &SelectionOptions,
-) -> Result<FilterPlan> {
-    resolve_filters(ctx, info, options, &label_filter_heads(ctx, info))
+    let (rows, detection_calls) = run_selection(ctx, query, info, &filters)?;
+    Ok(QueryOutput::Rows { rows, detection_calls })
 }
 
 /// Resolves the filter plan; `label_heads` are the heads the label filter trains
@@ -436,7 +381,6 @@ fn calibrate_content_filters(
         };
         filters.push(ContentFilter {
             udf: predicate.udf.clone(),
-            op: predicate.op,
             frame_threshold: min_positive - 0.05 * spread,
         });
     }
@@ -489,12 +433,12 @@ const DETECT_PREFETCH: usize = 16;
 /// Pixels are rendered on demand (see the module docs): the scan charges `Decode`
 /// for every detected frame as the eager loop did, but renders one only when its
 /// row evaluation pulls its `DetectedFramePixels` source.
-pub fn run_selection(
+fn run_selection(
     ctx: &VideoContext,
     query: &Query,
     info: &QueryPlanInfo,
     plan: &FilterPlan,
-) -> Result<SelectionOutcome> {
+) -> Result<(Vec<FrameQlRow>, u64)> {
     let _select = obs::span("filter-detect");
     let video = ctx.video();
     let video = &*video;
@@ -616,6 +560,9 @@ pub fn run_selection(
         frame += plan.stride;
     }
     flush(&mut window, &mut builder, &mut rows, &mut track_appearances, &mut detection_calls)?;
+    obs::count(obs::COUNTER_FRAMES_CONSIDERED, frames_considered);
+    obs::count(obs::COUNTER_FRAMES_AFTER_CONTENT, frames_after_content);
+    obs::count(obs::COUNTER_FRAMES_AFTER_LABEL, frames_after_label);
     obs::count(obs::COUNTER_FRAMES_RENDERED, rendered.get());
 
     // Track-duration (noise-reduction) constraint: keep only tracks seen often enough.
@@ -628,14 +575,7 @@ pub fn run_selection(
         rows.retain(|r| qualifying.contains(&r.trackid));
     }
 
-    Ok(SelectionOutcome {
-        rows,
-        detection_calls,
-        frames_considered,
-        frames_after_content,
-        frames_after_label,
-        frames_rendered: rendered.get(),
-    })
+    Ok((rows, detection_calls))
 }
 
 /// The paper's Figure 3c query, parameterized by video name and redness/area/duration
@@ -651,12 +591,66 @@ pub fn red_bus_query(video: &str, redness: f64, min_area: f64, min_frames: u64) 
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use crate::plan::label_filter_heads;
     use blazeit_frameql::parse_query;
     use blazeit_frameql::query::analyze;
     use blazeit_videostore::DatasetPreset;
 
     fn engine() -> (Catalog, Arc<VideoContext>) {
         Catalog::one_video(DatasetPreset::Taipei, 2_000)
+    }
+
+    /// The filter plan a fresh sub-plan resolves to under `options`.
+    fn plan_filters(
+        ctx: &VideoContext,
+        info: &QueryPlanInfo,
+        options: &SelectionOptions,
+    ) -> Result<FilterPlan> {
+        resolve_filters(ctx, info, options, &label_filter_heads(ctx, info))
+    }
+
+    /// One selection scan's rows, detector calls and per-stage frame counts.
+    struct SelectionOutcome {
+        rows: Vec<FrameQlRow>,
+        detection_calls: u64,
+        frames_considered: u64,
+        frames_after_content: u64,
+        frames_after_label: u64,
+        frames_rendered: u64,
+    }
+
+    /// Runs one selection scan under a trace collector and reads its per-stage frame
+    /// counts off the `filter-detect` span it opens, where `EXPLAIN ANALYZE` prints
+    /// them.
+    fn traced_scan(
+        ctx: &VideoContext,
+        scan: impl FnOnce() -> Result<(Vec<FrameQlRow>, u64)>,
+    ) -> Result<SelectionOutcome> {
+        let collector = obs::install_collector(Arc::clone(ctx.clock()));
+        let scanned = scan();
+        let trace = collector.finish();
+        let (rows, detection_calls) = scanned?;
+        let span = trace.spans.iter().find(|s| s.label == "filter-detect").unwrap();
+        let count = |name: &str| span.counters.iter().find(|(n, _)| n == name).map_or(0, |c| c.1);
+        Ok(SelectionOutcome {
+            rows,
+            detection_calls,
+            frames_considered: count(obs::COUNTER_FRAMES_CONSIDERED),
+            frames_after_content: count(obs::COUNTER_FRAMES_AFTER_CONTENT),
+            frames_after_label: count(obs::COUNTER_FRAMES_AFTER_LABEL),
+            frames_rendered: count(obs::COUNTER_FRAMES_RENDERED),
+        })
+    }
+
+    /// Resolves and runs a selection under `options`, with its per-stage counts.
+    fn execute_with_options(
+        ctx: &VideoContext,
+        query: &Query,
+        info: &QueryPlanInfo,
+        options: &SelectionOptions,
+    ) -> Result<SelectionOutcome> {
+        let plan = plan_filters(ctx, info, options)?;
+        traced_scan(ctx, || run_selection(ctx, query, info, &plan))
     }
 
     fn red_bus_info(engine: &VideoContext) -> (Query, QueryPlanInfo) {
@@ -799,13 +793,16 @@ mod tests {
 
     /// The frame-by-frame, render-everything scan the engine must be indistinguishable
     /// from (the pre-batching, pre-demand-rendering implementation, kept verbatim as
-    /// the reference; its `frames_rendered` is what eagerness costs).
+    /// the reference; its `frames_rendered` is what eagerness costs). It opens and
+    /// counts on the same span as `run_selection`, so a traced run of either charges
+    /// through the same span ledger.
     fn run_selection_serial_reference(
         ctx: &VideoContext,
         query: &Query,
         info: &QueryPlanInfo,
         plan: &FilterPlan,
-    ) -> Result<SelectionOutcome> {
+    ) -> Result<(Vec<FrameQlRow>, u64)> {
+        let _select = obs::span("filter-detect");
         let video = ctx.video();
         let video = &*video;
         let (width, height) = video.resolution();
@@ -902,14 +899,11 @@ mod tests {
             rows.retain(|r| qualifying.contains(&r.trackid));
         }
 
-        Ok(SelectionOutcome {
-            rows,
-            detection_calls,
-            frames_considered,
-            frames_after_content,
-            frames_after_label,
-            frames_rendered,
-        })
+        obs::count(obs::COUNTER_FRAMES_CONSIDERED, frames_considered);
+        obs::count(obs::COUNTER_FRAMES_AFTER_CONTENT, frames_after_content);
+        obs::count(obs::COUNTER_FRAMES_AFTER_LABEL, frames_after_label);
+        obs::count(obs::COUNTER_FRAMES_RENDERED, frames_rendered);
+        Ok((rows, detection_calls))
     }
 
     #[test]
@@ -970,12 +964,17 @@ mod tests {
                     let plan_s = plan_filters(serial_engine, &info, &options).unwrap();
 
                     let before_b = batched_engine.clock().breakdown();
-                    let batched = run_selection(batched_engine, &q, &info, &plan_b).unwrap();
+                    let batched = traced_scan(batched_engine, || {
+                        run_selection(batched_engine, &q, &info, &plan_b)
+                    })
+                    .unwrap();
                     let charged_b = batched_engine.clock().breakdown().since(&before_b);
 
                     let before_s = serial_engine.clock().breakdown();
-                    let serial =
-                        run_selection_serial_reference(serial_engine, &q, &info, &plan_s).unwrap();
+                    let serial = traced_scan(serial_engine, || {
+                        run_selection_serial_reference(serial_engine, &q, &info, &plan_s)
+                    })
+                    .unwrap();
                     let charged_s = serial_engine.clock().breakdown().since(&before_s);
 
                     let case = format!("{sql} with {options:?}");

@@ -32,7 +32,7 @@ use crate::context::VideoContext;
 use crate::fault;
 use crate::obs;
 use crate::plan::{plan_query, QueryPlan};
-use crate::result::{QueryOutput, QueryResult, SourcedRow, VideoAggregate};
+use crate::result::{QueryOutput, QueryResult, SourcedFrame, SourcedRow, VideoAggregate};
 use crate::scrub;
 use crate::select::{self, SelectionOptions};
 use crate::{BlazeItError, Result};
@@ -224,13 +224,13 @@ impl PreparedQuery {
 
     /// Caps the number of object-detector invocations the plan may spend.
     ///
-    /// The cap binds adaptive sampling (aggregates) and ranked verification
-    /// (scrubbing); exact scans and selection scans are not truncated, since cutting
+    /// The cap binds adaptive sampling (aggregates) and scrub verification, ranked
+    /// or scanned; exact scans and selection scans are not truncated, since cutting
     /// them off would silently change the result's meaning. For a multi-video
-    /// aggregate the cap applies per video (each sampler is independent); for a
-    /// multi-video scrub it caps the *global* verification loop, matching the
-    /// global `LIMIT`. The executors fold the budget into their own knobs at run
-    /// time, so later `plan_mut` edits compose.
+    /// aggregate the cap applies per video (each sampler is independent); a scrub
+    /// verifies every video in one loop, so for a multi-video scrub it caps that
+    /// *global* loop, matching the global `LIMIT`. The executors fold the budget
+    /// into their own knobs at run time, so later `plan_mut` edits compose.
     pub fn with_budget(mut self, max_detection_calls: u64) -> PreparedQuery {
         for sub in &mut self.plan.subplans {
             sub.detection_budget = Some(max_detection_calls);
@@ -340,7 +340,7 @@ impl PreparedQuery {
             let _video = obs::span_with(|| format!("video '{}'", target.ctx.video().name()));
             return match &target.info.class {
                 QueryClass::Aggregate { .. } => aggregate::execute(&target.ctx, &target.info, sub),
-                QueryClass::Scrub => scrub::execute(&target.ctx, &target.info, sub),
+                QueryClass::Scrub => self.execute_scrub(),
                 QueryClass::Select | QueryClass::Exhaustive => {
                     select::execute(&target.ctx, &self.query, &target.info, sub)
                 }
@@ -348,7 +348,7 @@ impl PreparedQuery {
         }
         match &self.targets[0].info.class {
             QueryClass::Aggregate { .. } => self.execute_catalog_aggregate(),
-            QueryClass::Scrub => self.execute_catalog_scrub(),
+            QueryClass::Scrub => self.execute_scrub(),
             QueryClass::Select | QueryClass::Exhaustive => self.execute_catalog_selection(),
         }
     }
@@ -451,13 +451,14 @@ impl PreparedQuery {
         Ok(QueryOutput::CatalogAggregate { value, standard_error, detection_calls, per_video })
     }
 
-    /// Multi-video scrub: per-video candidate confidences in parallel, then one
-    /// global `LIMIT` over the merged candidates, verified in that deterministic
-    /// order.
-    fn execute_catalog_scrub(&self) -> Result<QueryOutput> {
-        let opts = self.plan.subplans[0].scrub.ok_or_else(|| {
-            BlazeItError::Internal("catalog scrub plan carries no scrub options".into())
-        })?;
+    /// A scrub over one video or many, in one shape: each video's candidates (in
+    /// parallel when the query fans out), then one `LIMIT` over the merged
+    /// candidates, verified in that deterministic order. Only the output differs: a
+    /// fan-out tags each frame with its source video.
+    fn execute_scrub(&self) -> Result<QueryOutput> {
+        let opts = self.plan.subplans[0]
+            .scrub
+            .ok_or_else(|| BlazeItError::Internal("scrub plan carries no scrub options".into()))?;
         let budget = self.plan.subplans[0].detection_budget;
         // The limit, gap, and budget are global to the interleaved verification, so
         // a per-sub-plan override that diverges cannot be honored — reject it
@@ -472,14 +473,28 @@ impl PreparedQuery {
                 )));
             }
         }
-        let per_video = self
-            .fan_out(|idx| {
-                let target = &self.targets[idx];
-                scrub::rank_candidates(&target.ctx, &target.info, &self.plan.subplans[idx])
-            })
+        let rank = |idx: usize| {
+            let target = &self.targets[idx];
+            scrub::rank_candidates(&target.ctx, &target.info, &self.plan.subplans[idx])
+        };
+        let per_video = if self.plan.is_fan_out() {
+            self.fan_out(rank).into_iter().collect::<Result<Vec<_>>>()?
+        } else {
+            vec![rank(0)?]
+        };
+        let (accepted, detection_calls) = scrub::verify(per_video, opts, budget);
+        if !self.plan.is_fan_out() {
+            let frames = accepted.into_iter().map(|(_, frame)| frame).collect();
+            return Ok(QueryOutput::Frames { frames, detection_calls });
+        }
+        let frames = accepted
             .into_iter()
-            .collect::<Result<Vec<_>>>()?;
-        Ok(scrub::verify_catalog(per_video, opts, budget))
+            .map(|(idx, frame)| SourcedFrame {
+                video: self.targets[idx].ctx.video().name().to_string(),
+                frame,
+            })
+            .collect();
+        Ok(QueryOutput::CatalogFrames { frames, detection_calls })
     }
 
     /// Multi-video selection: per-video filtered scans in parallel, rows
@@ -510,4 +525,17 @@ impl PreparedQuery {
         }
         Ok(QueryOutput::CatalogRows { rows: all_rows, detection_calls })
     }
+}
+
+/// Prepares `sql` (a one-video query), lets `edit` override its sub-plan, and runs
+/// it — how unit tests drive a strategy the planner would not pick.
+#[cfg(test)]
+pub(crate) fn run_edited(
+    catalog: &Catalog,
+    sql: &str,
+    edit: impl FnOnce(&mut crate::plan::VideoPlan),
+) -> Result<QueryResult> {
+    let mut prepared = catalog.session().prepare(sql)?;
+    edit(prepared.plan_mut().only_mut());
+    prepared.run()
 }

@@ -21,11 +21,11 @@ fn main() {
     let class = ObjectClass::Car;
 
     println!("== traffic metering: average cars per frame ==");
-    // Naive baseline: detector on every frame.
-    let before = engine.clock().breakdown();
-    let (naive_value, naive_calls) = baselines::naive_fcount(engine, Some(class)).expect("naive");
-    let naive_cost = engine.clock().breakdown().since(&before);
-    let naive = RuntimeReport::from_cost("naive", naive_cost, naive_calls);
+    // Naive baseline: with no error tolerance the planner runs the exact plan,
+    // the detector on every frame.
+    let exact = session.query("SELECT FCOUNT(*) FROM taipei WHERE class = 'car'").expect("naive");
+    let naive_value = exact.output.aggregate_value().unwrap_or(f64::NAN);
+    let naive = RuntimeReport::from_cost("naive", exact.cost, exact.output.detection_calls());
 
     // NoScope oracle: detector only on frames that contain a car at all.
     let before = engine.clock().breakdown();
