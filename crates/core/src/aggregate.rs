@@ -22,12 +22,13 @@ use crate::context::VideoContext;
 use crate::obs;
 use crate::plan::{PlanStrategy, RewriteDecision, VideoPlan};
 use crate::result::{AggregateMethod, QueryOutput};
-use crate::stats::{mean_and_sample_variance, mean_and_variance, normal_critical_value};
+use crate::stats::{mean_and_sample_variance, normal_critical_value};
 use crate::{baselines, BlazeItError, Result};
 use blazeit_detect::{count_class, ObjectDetector};
 use blazeit_frameql::query::{AggregateKind, QueryClass, QueryPlanInfo};
 use blazeit_nn::specialized::SpecializedNN;
-use blazeit_videostore::ObjectClass;
+use blazeit_nn::ScoreMatrix;
+use blazeit_videostore::{ObjectClass, Video};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -61,6 +62,8 @@ struct SamplingOutcome {
     samples: u64,
     /// Standard error of the estimator at termination.
     standard_error: f64,
+    /// Frames of the video the samples were drawn from.
+    frames: u64,
 }
 
 /// Executes an aggregate query against one video, following the strategy the planner
@@ -84,9 +87,9 @@ pub fn execute(ctx: &VideoContext, info: &QueryPlanInfo, plan: &VideoPlan) -> Re
         }
         // No error tolerance: the user asked for the exact answer.
         PlanStrategy::ExactScan => {
-            let (fcount, calls) = baselines::naive_fcount(ctx, class)?;
+            let (fcount, frames, calls) = baselines::naive_fcount(ctx, class)?;
             Ok(QueryOutput::Aggregate {
-                value: finalize_kind(kind, fcount, ctx),
+                value: finalize_kind(kind, fcount, frames),
                 standard_error: None,
                 detection_calls: calls,
                 method: AggregateMethod::Exact,
@@ -94,9 +97,10 @@ pub fn execute(ctx: &VideoContext, info: &QueryPlanInfo, plan: &VideoPlan) -> Re
         }
         // Not enough training data (or no single class): plain adaptive sampling.
         PlanStrategy::NaiveSampling => {
-            let outcome = adaptive_sampling(ctx, class, budgeted_sampling(plan)?, None)?;
+            let video = ctx.video();
+            let outcome = adaptive_sampling(ctx, &video, class, budgeted_sampling(plan)?, None)?;
             Ok(QueryOutput::Aggregate {
-                value: finalize_kind(kind, outcome.estimate, ctx),
+                value: finalize_kind(kind, outcome.estimate, outcome.frames),
                 standard_error: Some(outcome.standard_error),
                 detection_calls: outcome.samples,
                 method: AggregateMethod::NaiveSampling,
@@ -121,22 +125,16 @@ pub fn execute(ctx: &VideoContext, info: &QueryPlanInfo, plan: &VideoPlan) -> Re
                 };
             match decision {
                 RewriteDecision::Rewrite => {
-                    let value = rewrite_fcount(ctx, &nn, class)?;
+                    let (value, frames) = rewrite_fcount(ctx, &nn, class)?;
                     Ok(QueryOutput::Aggregate {
-                        value: finalize_kind(kind, value, ctx),
+                        value: finalize_kind(kind, value, frames),
                         standard_error: None,
                         detection_calls: 0,
                         method: AggregateMethod::QueryRewriting,
                     })
                 }
                 _ => {
-                    let outcome = control_variate_fcount(ctx, &nn, class, opts)?;
-                    Ok(QueryOutput::Aggregate {
-                        value: finalize_kind(kind, outcome.estimate, ctx),
-                        standard_error: Some(outcome.standard_error),
-                        detection_calls: outcome.samples,
-                        method: AggregateMethod::ControlVariates,
-                    })
+                    control_variate_aggregate(ctx, &ctx.indexed_video(&nn)?, &nn, kind, class, opts)
                 }
             }
         }
@@ -157,30 +155,33 @@ fn budgeted_sampling(plan: &VideoPlan) -> Result<SamplingOptions> {
     Ok(opts)
 }
 
-/// Converts a frame-averaged count into the requested aggregate.
-fn finalize_kind(kind: &AggregateKind, fcount: f64, ctx: &VideoContext) -> f64 {
+/// Converts a frame-averaged count over `frames` frames into the requested
+/// aggregate.
+fn finalize_kind(kind: &AggregateKind, fcount: f64, frames: u64) -> f64 {
     match kind {
         AggregateKind::FrameAveragedCount => fcount,
-        AggregateKind::Count => fcount * ctx.video().len() as f64,
+        AggregateKind::Count => fcount * frames as f64,
         AggregateKind::CountDistinct(_) => fcount,
     }
 }
 
 /// Answers an FCOUNT query directly from the specialized NN (query rewriting): the
-/// mean of the NN's expected count over every frame of the unseen video. No object
-/// detection is performed; the per-frame scores come from the context's cached
-/// batched score index, so only the first query per class set pays inference.
-fn rewrite_fcount(ctx: &VideoContext, nn: &Arc<SpecializedNN>, class: ObjectClass) -> Result<f64> {
+/// mean of the NN's expected count over every frame of the unseen video, and the
+/// number of frames it averaged. No object detection is performed; the per-frame
+/// scores come from the context's cached batched score index, so only the first
+/// query per class set pays inference, and the sum is the index's running sum.
+fn rewrite_fcount(
+    ctx: &VideoContext,
+    nn: &Arc<SpecializedNN>,
+    class: ObjectClass,
+) -> Result<(f64, u64)> {
     let _rewrite = obs::span("query rewrite");
     let head = nn
         .head_index(class)
         .ok_or_else(|| BlazeItError::Internal(format!("no head for class {class}")))?;
     let scores = ctx.score_index(nn)?;
-    let mut total = 0.0f64;
-    for frame in 0..scores.num_frames() {
-        total += scores.expected_count(frame, head);
-    }
-    Ok(total / scores.num_frames().max(1) as f64)
+    let frames = scores.num_frames();
+    Ok((scores.expected_count_sum(head, frames) / frames.max(1) as f64, frames as u64))
 }
 
 /// The number of detector samples at which adaptive sampling starts: `K / ε`, where `K`
@@ -189,57 +190,96 @@ fn initial_sample_size(range_k: usize, error: f64) -> u64 {
     ((range_k.max(1) as f64) / error.max(1e-6)).ceil() as u64
 }
 
-fn detector_count(ctx: &VideoContext, frame: u64, class: Option<ObjectClass>) -> usize {
-    let detections = ctx.detector().detect(&ctx.video(), frame);
+fn detector_count(
+    ctx: &VideoContext,
+    video: &Video,
+    frame: u64,
+    class: Option<ObjectClass>,
+) -> usize {
+    let detections = ctx.detector().detect(video, frame);
     match class {
         Some(c) => count_class(&detections, c),
         None => detections.len(),
     }
 }
 
-/// Adaptive sampling with the specialized NN as a control variate.
+/// Answers `kind` by adaptive sampling with the specialized NN as a control variate.
 ///
-/// The NN's expected count is computed for *every* frame of the unseen video (cheap:
-/// ~10,000 fps simulated), giving the control variate's exact mean `τ` and variance.
-/// Each sampled frame contributes the pair `(m_i, t_i)`; the coefficient
-/// `c = -Cov(m, t) / Var(t)` is re-estimated every round and the estimator
-/// `m̂ = m̄ + c (t̄ - τ)` replaces the plain sample mean, shrinking the variance by the
-/// squared correlation. The per-frame values come from the context's cached batched
-/// score index, so only the first query per class set pays inference.
-fn control_variate_fcount(
+/// The NN's expected count of every frame of the unseen video (cheap: ~10,000 fps
+/// simulated) gives the control variate's exact mean `τ` and variance, both read
+/// off the score index (see [`control_moments`]). Each sampled frame contributes
+/// the pair `(m_i, t_i)`; the coefficient `c = -Cov(m, t) / Var(t)` is re-estimated
+/// every round and the estimator `m̂ = m̄ + c (t̄ - τ)` replaces the plain sample
+/// mean, shrinking the variance by the squared correlation.
+///
+/// `snapshot` is one `(video, score index)` pair ([`VideoContext::indexed_video`]):
+/// frames are drawn from exactly the frames the index covers, and COUNT is scaled
+/// by that frame count, however far a stream has grown since.
+fn control_variate_aggregate(
     ctx: &VideoContext,
-    nn: &Arc<SpecializedNN>,
+    snapshot: &(Arc<Video>, Arc<ScoreMatrix>),
+    nn: &SpecializedNN,
+    kind: &AggregateKind,
     class: ObjectClass,
     opts: SamplingOptions,
-) -> Result<SamplingOutcome> {
+) -> Result<QueryOutput> {
+    let (video, scores) = snapshot;
     let head = nn
         .head_index(class)
         .ok_or_else(|| BlazeItError::Internal(format!("no head for class {class}")))?;
-    let scores = ctx.score_index(nn)?;
-    let t_all: Vec<f64> =
-        (0..scores.num_frames()).map(|frame| scores.expected_count(frame, head)).collect();
-    if t_all.len() != ctx.video().len() as usize {
+    if scores.num_frames() as u64 != video.len() {
         return Err(BlazeItError::Internal(format!(
-            "control variate scores cover {} frames but the video has {}",
-            t_all.len(),
-            ctx.video().len()
+            "control variate scores cover {} frames but their video has {}",
+            scores.num_frames(),
+            video.len()
         )));
     }
-    let (tau, var_t) = mean_and_variance(&t_all);
-    adaptive_sampling(ctx, Some(class), opts, Some(ControlVariate { t_all, tau, var_t }))
+    let moments = control_moments(scores, head);
+    let control = ControlVariate { scores, head, moments };
+    let outcome = adaptive_sampling(ctx, video, Some(class), opts, Some(control))?;
+    Ok(QueryOutput::Aggregate {
+        value: finalize_kind(kind, outcome.estimate, outcome.frames),
+        standard_error: Some(outcome.standard_error),
+        detection_calls: outcome.samples,
+        method: AggregateMethod::ControlVariates,
+    })
 }
 
-struct ControlVariate {
-    t_all: Vec<f64>,
+/// The control variate's exact mean `τ` and population variance over every frame.
+#[derive(Debug, Clone, Copy)]
+struct Moments {
     tau: f64,
     var_t: f64,
 }
 
+/// `Moments` of head `head`'s expected counts over the whole index: `τ` from the
+/// running sum, the variance from one pass over the rows in frame order — the bits
+/// `stats::mean_and_variance` gives over the materialised column.
+fn control_moments(scores: &ScoreMatrix, head: usize) -> Moments {
+    let frames = scores.num_frames();
+    if frames == 0 {
+        return Moments { tau: 0.0, var_t: 0.0 };
+    }
+    let n = frames as f64;
+    let tau = scores.expected_count_sum(head, frames) / n;
+    let var_t =
+        scores.expected_counts(head, 0..frames).map(|t| (t - tau) * (t - tau)).sum::<f64>() / n;
+    Moments { tau, var_t }
+}
+
+/// Where a control-variate run reads each sampled frame's `t_i`, and the moments.
+struct ControlVariate<'a> {
+    scores: &'a ScoreMatrix,
+    head: usize,
+    moments: Moments,
+}
+
 fn adaptive_sampling(
     ctx: &VideoContext,
+    video: &Video,
     class: Option<ObjectClass>,
     opts: SamplingOptions,
-    control: Option<ControlVariate>,
+    control: Option<ControlVariate<'_>>,
 ) -> Result<SamplingOutcome> {
     let _sample = obs::span("sample-verify");
     if opts.error <= 0.0 {
@@ -248,7 +288,6 @@ fn adaptive_sampling(
     if !(0.0..1.0).contains(&opts.confidence) {
         return Err(BlazeItError::Unsupported("confidence must be in (0, 1)".into()));
     }
-    let video = ctx.video();
     let num_frames = video.len();
     let range_k = match class {
         Some(c) => ctx.default_max_count(c, 1) + 1,
@@ -267,11 +306,9 @@ fn adaptive_sampling(
 
     let draw = |rng: &mut StdRng, m: &mut Vec<f64>, t: &mut Vec<f64>| {
         let frame = rng.gen_range(0..num_frames);
-        m.push(detector_count(ctx, frame, class) as f64);
+        m.push(detector_count(ctx, video, frame, class) as f64);
         if let Some(cv) = &control {
-            // blazeit-lint: allow(panic-site::index) -- frame ranges over 0..num_frames and t_all
-            // was sized with one entry per frame
-            t.push(cv.t_all[frame as usize]);
+            t.push(cv.scores.expected_count(frame as usize, cv.head));
         }
     };
 
@@ -279,13 +316,15 @@ fn adaptive_sampling(
         draw(&mut rng, &mut m_samples, &mut t_samples);
     }
 
+    let moments = control.as_ref().map(|cv| cv.moments);
     loop {
-        let (estimate, std_err) = estimator_state(&m_samples, &t_samples, &control);
+        let (estimate, std_err) = estimator_state(&m_samples, &t_samples, moments);
         if z * std_err < opts.error || m_samples.len() as u64 >= max_samples {
             return Ok(SamplingOutcome {
                 estimate,
                 samples: m_samples.len() as u64,
                 standard_error: std_err,
+                frames: num_frames,
             });
         }
         // The hard cap also truncates the final batch, never just the between-batch
@@ -299,11 +338,7 @@ fn adaptive_sampling(
 
 /// Computes the current estimate and its standard error (re-fitting the control
 /// coefficient when there is a control variate).
-fn estimator_state(
-    m_samples: &[f64],
-    t_samples: &[f64],
-    control: &Option<ControlVariate>,
-) -> (f64, f64) {
+fn estimator_state(m_samples: &[f64], t_samples: &[f64], control: Option<Moments>) -> (f64, f64) {
     let n = m_samples.len().max(1) as f64;
     let mean_m = m_samples.iter().sum::<f64>() / n;
     match control {
@@ -350,6 +385,7 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::session::run_edited;
+    use crate::stats::mean_and_variance;
     use blazeit_videostore::DatasetPreset;
 
     fn engine() -> (Catalog, Arc<VideoContext>) {
@@ -432,12 +468,124 @@ mod tests {
         let m: Vec<f64> =
             t.iter().enumerate().map(|(i, t)| t + ((i * 13) % 5) as f64 * 0.1).collect();
         let (tau, var_t) = mean_and_variance(&t);
-        let control = Some(ControlVariate { t_all: t.clone(), tau, var_t });
-        let (plain_estimate, plain) = estimator_state(&m, &t, &None);
-        let (cv_estimate, cv) = estimator_state(&m, &t, &control);
+        let control = Some(Moments { tau, var_t });
+        let (plain_estimate, plain) = estimator_state(&m, &t, None);
+        let (cv_estimate, cv) = estimator_state(&m, &t, control);
         assert!(cv < 0.25 * plain, "control-variate error {cv} vs plain {plain}");
         // Every frame sampled: t̄ = τ, so the correction leaves the mean unchanged.
         assert!((cv_estimate - plain_estimate).abs() < 1e-12);
+    }
+
+    /// A deterministic index of `frames` rows over heads of sizes 4 and 3, grown
+    /// the way a stream grows one: a first batch, then ticks of uneven sizes.
+    fn synthetic_index(frames: usize) -> ScoreMatrix {
+        let heads = vec![4, 3];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut rows = Vec::with_capacity(frames * 7);
+        for _ in 0..frames {
+            for &size in &heads {
+                let raw: Vec<f32> = (0..size)
+                    .map(|_| {
+                        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        (state >> 40) as f32 / (1u64 << 24) as f32 + 1e-3
+                    })
+                    .collect();
+                let total: f32 = raw.iter().sum();
+                rows.extend(raw.iter().map(|p| p / total));
+            }
+        }
+        let mut index = ScoreMatrix::empty(heads.clone());
+        let mut at = 0;
+        for tick in [1_000, 256, 3_000, 1, 4_096, 999].into_iter().chain(std::iter::repeat(2_048)) {
+            let tick = tick.min(frames - at);
+            if tick == 0 {
+                break;
+            }
+            let tail =
+                ScoreMatrix::from_raw(tick, heads.clone(), rows[at * 7..(at + tick) * 7].to_vec())
+                    .unwrap();
+            index = index.extended(&tail).unwrap();
+            at += tick;
+        }
+        index
+    }
+
+    #[test]
+    fn control_moments_equal_the_materialised_column_bit_for_bit() {
+        // Over 10 000 frames: three chunks, the last one partial.
+        let frames = 2 * blazeit_nn::score::CHUNK_ROWS + 1_900;
+        let index = synthetic_index(frames);
+        assert_eq!(index.num_frames(), frames);
+        for head in 0..index.num_heads() {
+            let column: Vec<f64> = (0..frames).map(|f| index.expected_count(f, head)).collect();
+            let (tau, var_t) = mean_and_variance(&column);
+            let moments = control_moments(&index, head);
+            assert_eq!(moments.tau.to_bits(), tau.to_bits(), "head {head}: tau");
+            assert_eq!(moments.var_t.to_bits(), var_t.to_bits(), "head {head}: var_t");
+        }
+    }
+
+    #[test]
+    fn control_variate_count_samples_and_scales_the_snapshot_while_the_stream_grows() {
+        let class = ObjectClass::Car;
+        let count_sql = "SELECT COUNT(*) FROM taipei WHERE class = 'car' \
+                         ERROR WITHIN 0.1 AT CONFIDENCE 95%";
+        let stream = Catalog::new();
+        let ctx = stream
+            .register_stream_preset(
+                DatasetPreset::Taipei,
+                1_500,
+                1_000,
+                crate::stream::DriftConfig::disabled(),
+            )
+            .unwrap();
+
+        // Reference: the planner's control-variate COUNT end to end on a fixed
+        // video of the stream's first 1000 frames.
+        let fixed = Catalog::new();
+        fixed
+            .register((*ctx.video()).clone(), Arc::clone(ctx.labeled()), ctx.config().clone())
+            .unwrap();
+        let mut forced = None;
+        let reference = run_edited(&fixed, count_sql, |sub| {
+            sub.strategy =
+                PlanStrategy::SpecializedAggregate { decision: RewriteDecision::ControlVariates };
+            sub.sampling.as_mut().unwrap().seed = 3;
+            forced = Some((sub.heads.clone(), sub.sampling.unwrap()));
+        })
+        .unwrap()
+        .output;
+        let (heads, opts) = forced.unwrap();
+
+        // The stream's index covers 1000 frames; 256 more land before sampling.
+        let nn = ctx.specialized_for(&heads).unwrap();
+        let snapshot = ctx.indexed_video(&nn).unwrap();
+        stream.stream("taipei").unwrap().advance(256).unwrap();
+        assert_eq!((snapshot.0.len(), ctx.video().len()), (1_000, 1_256));
+        let answer = |kind: &AggregateKind| match control_variate_aggregate(
+            &ctx, &snapshot, &nn, kind, class, opts,
+        )
+        .unwrap()
+        {
+            QueryOutput::Aggregate { value, standard_error, detection_calls, method } => {
+                assert_eq!(method, AggregateMethod::ControlVariates);
+                (value, standard_error.unwrap(), detection_calls)
+            }
+            other => panic!("unexpected output {other:?}"),
+        };
+        let count = answer(&AggregateKind::Count);
+        let fcount = answer(&AggregateKind::FrameAveragedCount);
+        // COUNT is FCOUNT scaled by the frames the index covers, not the stream's
+        // current length.
+        assert_eq!(count.0.to_bits(), (fcount.0 * 1_000.0).to_bits());
+        assert_eq!((count.1.to_bits(), count.2), (fcount.1.to_bits(), fcount.2));
+        let QueryOutput::Aggregate { value, standard_error, detection_calls, .. } = reference
+        else {
+            panic!("unexpected output {reference:?}")
+        };
+        assert_eq!(count.0.to_bits(), value.to_bits());
+        assert_eq!(count.1.to_bits(), standard_error.unwrap().to_bits());
+        assert_eq!(count.2, detection_calls);
     }
 
     #[test]

@@ -68,15 +68,18 @@ fn count_for(detections: &[Detection], class: Option<ObjectClass>) -> usize {
 }
 
 /// Naive exact FCOUNT: object detection on every frame (in batches).
-/// Returns `(fcount, detector calls)`.
-pub(crate) fn naive_fcount(ctx: &VideoContext, class: Option<ObjectClass>) -> Result<(f64, u64)> {
+/// Returns `(fcount, frames averaged over, detector calls)`.
+pub(crate) fn naive_fcount(
+    ctx: &VideoContext,
+    class: Option<ObjectClass>,
+) -> Result<(f64, u64, u64)> {
     let video = ctx.video();
     let video = &*video;
     let mut total = 0usize;
     scan_detections(ctx.detector(), video, &all_frames(video), |_, detections| {
         total += count_for(detections, class);
     });
-    Ok((total as f64 / video.len().max(1) as f64, video.len()))
+    Ok((total as f64 / video.len().max(1) as f64, video.len(), video.len()))
 }
 
 /// NoScope-oracle FCOUNT: the binary-presence oracle is free, and the detector is run
@@ -234,8 +237,8 @@ mod tests {
     fn naive_fcount_charges_every_frame() {
         let e = engine();
         let before = e.clock().breakdown().detection;
-        let (fcount, calls) = naive_fcount(&e, Some(ObjectClass::Car)).unwrap();
-        assert_eq!(calls, 1_200);
+        let (fcount, frames, calls) = naive_fcount(&e, Some(ObjectClass::Car)).unwrap();
+        assert_eq!((frames, calls), (1_200, 1_200));
         assert!(fcount > 0.0);
         let charged = e.clock().breakdown().detection - before;
         let per_frame = e.detector().cost_per_frame(&e.video());
@@ -245,7 +248,7 @@ mod tests {
     #[test]
     fn noscope_fcount_is_cheaper_and_close() {
         let e = engine();
-        let (naive_value, naive_calls) = naive_fcount(&e, Some(ObjectClass::Car)).unwrap();
+        let (naive_value, _, naive_calls) = naive_fcount(&e, Some(ObjectClass::Car)).unwrap();
         let (ns_value, ns_calls) = noscope_fcount(&e, ObjectClass::Car).unwrap();
         assert!(ns_calls < naive_calls);
         // The oracle skips only truly-empty frames; small differences can arise from

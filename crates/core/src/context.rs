@@ -633,6 +633,18 @@ impl VideoContext {
     /// The first call charges the full-video inference cost to the shared clock;
     /// later calls are free.
     pub fn score_index(&self, nn: &Arc<SpecializedNN>) -> Result<Arc<ScoreMatrix>> {
+        Ok(self.indexed_video(nn)?.1)
+    }
+
+    /// [`VideoContext::score_index`] together with the video it covers, taken
+    /// under one acquisition of the `live_index` lock. On a stream, a
+    /// `video()` read before or after may already be longer than the index:
+    /// a query that samples frames or scales by the frame count reads both
+    /// from this pair.
+    pub(crate) fn indexed_video(
+        &self,
+        nn: &Arc<SpecializedNN>,
+    ) -> Result<(Arc<Video>, Arc<ScoreMatrix>)> {
         let heads: Vec<(ObjectClass, usize)> =
             nn.heads().iter().map(|h| (h.class, h.max_count)).collect();
         let key = Self::head_key(&heads);
@@ -647,7 +659,7 @@ impl VideoContext {
                 && entry.scores.num_frames() as u64 == video.len()
             {
                 obs::count(obs::COUNTER_CACHE_HITS, 1);
-                return Ok(Arc::clone(&entry.scores));
+                return Ok((video, Arc::clone(&entry.scores)));
             }
         }
         let skey = Self::score_key(&video, video.len() as usize, nn);
@@ -676,7 +688,7 @@ impl VideoContext {
                 LiveIndex { nn: Arc::clone(nn), scores: Arc::clone(&scores), generation },
             );
         }
-        Ok(scores)
+        Ok((video, scores))
     }
 
     /// Disk tier of the score-cache read-through: loads a stored matrix for
@@ -762,7 +774,7 @@ impl VideoContext {
             )?;
             let presence_threshold = nn.presence_threshold_from_scores(&scores, &truth, class)?;
             let expected_counts: Vec<f64> =
-                (0..scores.num_frames()).map(|f| scores.expected_count(f, h)).collect();
+                scores.expected_counts(h, 0..scores.num_frames()).collect();
             let residuals: Vec<f64> =
                 truth.iter().zip(&expected_counts).map(|(&t, e)| t as f64 - e).collect();
             let (residual_mean, residual_variance) = mean_and_sample_variance(&residuals);
@@ -912,7 +924,7 @@ mod tests {
         let test_index = e.score_index(&nn).unwrap();
         assert!(!Arc::ptr_eq(&heldout_index, &test_index));
         assert_eq!(heldout_index.num_frames(), test_index.num_frames());
-        assert_ne!(heldout_index.probs(), test_index.probs());
+        assert_ne!(*heldout_index, *test_index);
     }
 
     #[test]

@@ -241,13 +241,13 @@ fn rank_frames(
         })
         .collect::<Result<_>>()?;
     let scores = ctx.score_index(nn)?;
-    Ok(Ranking::new(
-        (0..scores.num_frames())
-            .map(|frame| {
-                (frame as FrameIndex, scores.requirement_confidence(frame, &head_requirements))
-            })
-            .collect(),
-    ))
+    let mut candidates = Vec::with_capacity(scores.num_frames());
+    candidates.extend(
+        scores.rows(0..scores.num_frames()).enumerate().map(|(frame, row)| {
+            (frame as FrameIndex, row.requirement_confidence(&head_requirements))
+        }),
+    );
+    Ok(Ranking::new(candidates))
 }
 
 /// How many candidate frames the verification loop hands to

@@ -106,19 +106,25 @@ struct ContentFilter {
     frame_threshold: f64,
 }
 
+/// The label filter: the unseen video's batched score index, the head to read,
+/// and the no-false-negative presence threshold.
+type LabelFilter = (Arc<ScoreMatrix>, usize, f64);
+
 /// The resolved filter plan for one selection query.
 struct FilterPlan {
+    /// The video the scan covers: with a label filter, the one its score index
+    /// covers (a stream may have grown since).
+    video: Arc<Video>,
     /// Frame-scan stride (1 = every frame).
     stride: u64,
     /// Detection region of interest, if any.
     region: Option<BoundingBox>,
     /// Calibrated frame-level content filters.
     content_filters: Vec<ContentFilter>,
-    /// Label filter: the unseen video's batched score index, the head to read,
-    /// and the no-false-negative presence threshold. Scoring happened when the
-    /// index was built (cached on the context), so applying the filter during the
-    /// scan is a lookup, not an inference.
-    label_filter: Option<(Arc<ScoreMatrix>, usize, f64)>,
+    /// Label filter. Scoring happened when the index was built (cached on the
+    /// context), so applying the filter during the scan is a lookup, not an
+    /// inference.
+    label_filter: Option<LabelFilter>,
     /// Minimum number of *scanned* frames a track must appear in (derived from the
     /// track-duration constraint and the stride).
     min_track_appearances: u64,
@@ -235,8 +241,12 @@ fn resolve_filters(
     } else {
         None
     };
+    let (video, label_filter) = match label_filter {
+        Some((video, filter)) => (video, Some(filter)),
+        None => (ctx.video(), None),
+    };
 
-    Ok(FilterPlan { stride, region, content_filters, label_filter, min_track_appearances })
+    Ok(FilterPlan { video, stride, region, content_filters, label_filter, min_track_appearances })
 }
 
 /// Derives the detection region of interest.
@@ -390,7 +400,8 @@ fn calibrate_content_filters(
 
 /// Trains the label-based (binary presence) filter's network over `heads` (the
 /// plan's; none means the planner found too little labeled data) and returns the
-/// unseen video's score index plus the target class's calibrated threshold.
+/// unseen video with its score index, plus the target class's head and calibrated
+/// threshold.
 ///
 /// The threshold comes from the context's held-out calibration and the scores from
 /// its score-index cache, so repeated selection queries over the same class neither
@@ -399,7 +410,7 @@ fn calibrate_label_filter(
     ctx: &VideoContext,
     info: &QueryPlanInfo,
     heads: &[(ObjectClass, usize)],
-) -> Result<Option<(Arc<ScoreMatrix>, usize, f64)>> {
+) -> Result<Option<(Arc<Video>, LabelFilter)>> {
     let Some(class) = info.single_class() else { return Ok(None) };
     if heads.is_empty() {
         return Ok(None);
@@ -409,8 +420,8 @@ fn calibrate_label_filter(
     let head = nn
         .head_index(class)
         .ok_or_else(|| BlazeItError::Internal(format!("no head for class {class}")))?;
-    let scores = ctx.score_index(&nn)?;
-    Ok(Some((scores, head, threshold)))
+    let (video, scores) = ctx.indexed_video(&nn)?;
+    Ok(Some((video, (scores, head, threshold))))
 }
 
 /// How many filter-surviving frames the selection scan hands to
@@ -440,11 +451,14 @@ fn run_selection(
     plan: &FilterPlan,
 ) -> Result<(Vec<FrameQlRow>, u64)> {
     let _select = obs::span("filter-detect");
-    let video = ctx.video();
-    let video = &*video;
+    let video = &*plan.video;
     let (width, height) = video.resolution();
     let full = BoundingBox::new(0.0, 0.0, width, height);
     let mut builder = RelationBuilder::new(ctx.detector(), ctx.config().tracker_iou, plan.stride);
+    // The label filter's rows, walked in step with the scan: one per scanned frame.
+    let mut label_rows = plan.label_filter.as_ref().map(|(scores, _, _)| {
+        scores.rows(0..scores.num_frames()).step_by(plan.stride.max(1) as usize)
+    });
 
     let mut rows: Vec<FrameQlRow> = Vec::new();
     let mut track_appearances: HashMap<u64, u64> = HashMap::new();
@@ -508,6 +522,7 @@ fn run_selection(
     let mut frame: FrameIndex = 0;
     while frame < video.len() {
         frames_considered += 1;
+        let label_row = label_rows.as_mut().and_then(Iterator::next);
 
         // Content filter (cheapest learned filter, ~100,000 fps).
         let mut decoded = OnceCell::new();
@@ -537,9 +552,13 @@ fn run_selection(
 
         // Label filter: a lookup into the batched score index (the inference ran
         // when the index was built).
-        if let Some((scores, head, threshold)) = &plan.label_filter {
-            let p = scores.tail_probability(frame as usize, *head, 1);
-            if p < *threshold {
+        if let Some((_, head, threshold)) = &plan.label_filter {
+            let Some(row) = label_row else {
+                return Err(BlazeItError::Internal(format!(
+                    "label filter index ends before frame {frame} of the scanned video"
+                )));
+            };
+            if row.tail_probability(*head, 1) < *threshold {
                 frame += plan.stride;
                 continue;
             }
@@ -1029,5 +1048,38 @@ mod tests {
         let region = plan.region.expect("explicit constraints must yield a region");
         assert!(region.xmax <= 720.0);
         assert!(region.ymin >= 100.0);
+    }
+
+    #[test]
+    fn label_filtered_scan_covers_the_indexed_snapshot_while_the_stream_grows() {
+        let stream = Catalog::new();
+        let ctx = stream
+            .register_stream_preset(
+                DatasetPreset::Taipei,
+                1_500,
+                1_000,
+                crate::stream::DriftConfig::disabled(),
+            )
+            .unwrap();
+        let fixed = Catalog::new();
+        let fixed_ctx = fixed
+            .register((*ctx.video()).clone(), Arc::clone(ctx.labeled()), ctx.config().clone())
+            .unwrap();
+        let q = parse_query("SELECT * FROM taipei WHERE class = 'car'").unwrap();
+        let info = analyze(&q, &ctx.udfs()).unwrap();
+        let options = SelectionOptions::all();
+
+        // The label filter's index covers 1000 frames; 256 more land before the scan,
+        // which must walk exactly the frames the index covers.
+        let plan = plan_filters(&ctx, &info, &options).unwrap();
+        assert!(plan.label_filter.is_some());
+        stream.stream("taipei").unwrap().advance(256).unwrap();
+        assert_eq!((plan.video.len(), ctx.video().len()), (1_000, 1_256));
+        let streamed = run_selection(&ctx, &q, &info, &plan).unwrap();
+
+        let fixed_plan = plan_filters(&fixed_ctx, &info, &options).unwrap();
+        let expected = run_selection(&fixed_ctx, &q, &info, &fixed_plan).unwrap();
+        assert!(!expected.0.is_empty());
+        assert_eq!(streamed, expected);
     }
 }

@@ -503,7 +503,7 @@ impl VideoContext {
             let mut touched = 0usize;
             for (h, reference) in ent.reference.iter().enumerate() {
                 let recent: Vec<f64> =
-                    (lo..ingested as usize).map(|f| entry.scores.expected_count(f, h)).collect();
+                    entry.scores.expected_counts(h, lo..ingested as usize).collect();
                 touched += recent.len() + reference.len();
                 score = score.max(ks_statistic(&recent, reference));
             }
@@ -609,8 +609,8 @@ impl VideoContext {
                         // model was fitted to.
                         let reference: Vec<Vec<f64>> = (0..scores.num_heads())
                             .map(|h| {
-                                (lo as usize..video.len() as usize)
-                                    .map(|f| scores.expected_count(f, h))
+                                scores
+                                    .expected_counts(h, lo as usize..video.len() as usize)
                                     .collect()
                             })
                             .collect();
@@ -1000,10 +1000,14 @@ impl Subscription {
                 BlazeItError::Internal(format!("live index lost the head for {}", self.class))
             })?;
             let n_window = (tick - lo) as usize;
-            let pred_mean = (lo as usize..tick as usize)
-                .map(|f| snap.scores.expected_count(f, head))
-                .sum::<f64>()
-                / n_window.max(1) as f64;
+            // Without a window the sum over every frame so far is the index's
+            // running sum; a window's is folded from its first frame.
+            let pred_sum = if lo == 0 {
+                snap.scores.expected_count_sum(head, tick as usize)
+            } else {
+                snap.scores.expected_counts(head, lo as usize..tick as usize).sum::<f64>()
+            };
+            let pred_mean = pred_sum / n_window.max(1) as f64;
             let calibration = self.ctx.heldout_calibration(&snap.nn)?;
             let cal = calibration.head(self.class)?;
             let mut value = pred_mean + cal.residual_mean;

@@ -58,7 +58,7 @@ pub const RULES: &[ClockRule] = &[
     },
     ClockRule {
         callee: "logits_batch",
-        allowed_callers: &["logits", "predict_scores_into_rows"],
+        allowed_callers: &["logits", "append_scores"],
         note: "uncharged forward pass",
     },
     ClockRule {
@@ -67,9 +67,9 @@ pub const RULES: &[ClockRule] = &[
         note: "uncharged forward pass (allocating variant; test-only)",
     },
     ClockRule {
-        callee: "predict_scores_into_rows",
+        callee: "append_scores",
         allowed_callers: &["score_batch", "predict_scores"],
-        note: "uncharged batched scoring into a ScoreMatrix",
+        note: "uncharged batched scoring appended to a ScoreMatrix",
     },
     ClockRule {
         callee: "predict_scores",

@@ -210,7 +210,7 @@ impl Network {
         Ok(&scratch.bufs[cur])
     }
 
-    /// Per-head softmax scores for a batch, in flat [`ScoreMatrix`] form.
+    /// Per-head softmax scores for a batch, as a [`ScoreMatrix`].
     ///
     /// Row `r` of the result holds the grouped-softmax probabilities of example
     /// `r`. Softmax is applied per head segment with the same max-shift /
@@ -221,20 +221,18 @@ impl Network {
         input: &Matrix,
         scratch: &mut ForwardScratch,
     ) -> Result<ScoreMatrix> {
-        let mut scores = ScoreMatrix::zeros(input.rows(), self.config.heads.clone());
-        self.predict_scores_into_rows(input, scratch, &mut scores, 0)?;
+        let mut scores = ScoreMatrix::empty(self.config.heads.clone());
+        self.append_scores(input, scratch, &mut scores)?;
         Ok(scores)
     }
 
-    /// Scores a batch into rows `first_row..first_row + input.rows()` of an
-    /// existing [`ScoreMatrix`] (the whole-video indexing loop fills one big
-    /// matrix batch by batch).
-    pub fn predict_scores_into_rows(
+    /// Scores a batch and appends its rows to an existing [`ScoreMatrix`] (the
+    /// whole-video indexing loop grows one index batch by batch).
+    pub fn append_scores(
         &self,
         input: &Matrix,
         scratch: &mut ForwardScratch,
         scores: &mut ScoreMatrix,
-        first_row: usize,
     ) -> Result<()> {
         if scores.head_sizes() != self.config.heads.as_slice() {
             return Err(NnError::ShapeMismatch {
@@ -245,19 +243,10 @@ impl Network {
                 ),
             });
         }
-        if first_row + input.rows() > scores.num_frames() {
-            return Err(NnError::ShapeMismatch {
-                context: format!(
-                    "batch of {} rows at offset {first_row} overflows score matrix of {}",
-                    input.rows(),
-                    scores.num_frames()
-                ),
-            });
-        }
         let logits = self.logits_batch(input, scratch)?;
-        for r in 0..logits.rows() {
-            softmax_segments_into(logits.row(r), &self.config.heads, scores.row_mut(first_row + r));
-        }
+        scores.push_rows_with(logits.rows(), |r, row| {
+            softmax_segments_into(logits.row(r), &self.config.heads, row)
+        });
         Ok(())
     }
 

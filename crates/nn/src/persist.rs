@@ -407,7 +407,13 @@ pub fn encode_score_matrix(scores: &ScoreMatrix, key: &str) -> Vec<u8> {
     w.str(key);
     w.usize(scores.num_frames());
     w.usizes(scores.head_sizes());
-    w.f32s(scores.probs());
+    // The flat `f32s` layout: one length prefix, then every row in frame order.
+    w.usize(scores.num_frames() * scores.stride());
+    for row in scores.rows(0..scores.num_frames()) {
+        for &p in row.probs() {
+            w.f32(p);
+        }
+    }
     seal(KIND_SCORE_INDEX, &w.buf)
 }
 
@@ -579,8 +585,11 @@ mod tests {
         let decoded = decode_score_matrix(&bytes, "some-key").unwrap();
         assert_eq!(decoded, scores);
         // Exact bit equality of every probability, not just PartialEq.
-        for (a, b) in decoded.probs().iter().zip(scores.probs()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for (a, b) in decoded.rows(0..100).zip(scores.rows(0..100)) {
+            let bits = |row: crate::score::ScoreRow<'_>| {
+                row.probs().iter().map(|p| p.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(a), bits(b));
         }
     }
 

@@ -363,11 +363,11 @@ impl SpecializedNN {
     /// standardize → forward → per-head softmax sequence is unchanged, only its
     /// batching differs.
     pub fn score_batch(&self, video: &Video, frames: &[FrameIndex]) -> Result<ScoreMatrix> {
-        let mut scores = ScoreMatrix::zeros(frames.len(), self.head_sizes());
+        let mut scores = ScoreMatrix::empty(self.head_sizes());
         let dim = self.featurizer.dim();
         let mut features = Matrix::zeros(0, 0);
         let mut scratch = ForwardScratch::default();
-        for (batch_index, batch) in frames.chunks(Self::BATCH_FRAMES).enumerate() {
+        for batch in frames.chunks(Self::BATCH_FRAMES) {
             self.clock
                 .charge(CostCategory::Decode, batch.len() as f64 * self.config.cost.decode_cost());
             self.clock.charge(
@@ -389,12 +389,7 @@ impl SpecializedNN {
                 }
                 Ok(())
             })?;
-            self.network.predict_scores_into_rows(
-                &features,
-                &mut scratch,
-                &mut scores,
-                batch_index * Self::BATCH_FRAMES,
-            )?;
+            self.network.append_scores(&features, &mut scratch, &mut scores)?;
         }
         Ok(scores)
     }
@@ -446,8 +441,7 @@ impl SpecializedNN {
         let head = self
             .head_index(class)
             .ok_or_else(|| NnError::InvalidConfig(format!("no head for class {class}")))?;
-        let predicted: Vec<f64> =
-            (0..scores.num_frames()).map(|i| scores.expected_count(i, head)).collect();
+        let predicted: Vec<f64> = scores.expected_counts(head, 0..scores.num_frames()).collect();
         let n = true_counts.len();
         let mean_pred = predicted.iter().sum::<f64>() / n as f64;
         let mean_true = true_counts.iter().sum::<usize>() as f64 / n as f64;

@@ -36,6 +36,14 @@ fn artifact_files(root: &Path) -> Vec<PathBuf> {
     out
 }
 
+/// Every probability of an index, as bits, row after row in frame order.
+fn row_bits(scores: &ScoreMatrix) -> Vec<u32> {
+    scores
+        .rows(0..scores.num_frames())
+        .flat_map(|row| row.probs().iter().map(|p| p.to_bits()))
+        .collect()
+}
+
 fn store_catalog(dir: &Path, frames: u64) -> Catalog {
     let catalog = Catalog::with_index_store(dir).expect("open index store");
     catalog.register_preset(DatasetPreset::Taipei, frames).expect("register taipei");
@@ -77,7 +85,7 @@ fn fresh_catalog_over_populated_store_pays_zero_specialized_cost() {
     let ctx1 = catalog1.context("taipei").unwrap();
     let heads = vec![(ObjectClass::Car, ctx1.default_max_count(ObjectClass::Car, 1))];
     let nn1 = ctx1.specialized_for(&heads).unwrap();
-    let scores1 = ctx1.score_index(&nn1).unwrap().probs().to_vec();
+    let scores1 = row_bits(&ctx1.score_index(&nn1).unwrap());
 
     assert!(!artifact_files(&dir).is_empty(), "the store must hold persisted artifacts");
     drop(catalog1);
@@ -127,23 +135,15 @@ fn fresh_catalog_over_populated_store_pays_zero_specialized_cost() {
     let ctx2 = catalog2.context("taipei").unwrap();
     assert_eq!(ctx2.specialized_warmth(&heads), CacheWarmth::Memory);
     let nn2 = ctx2.specialized_for(&heads).unwrap();
-    let scores2 = ctx2.score_index(&nn2).unwrap().probs().to_vec();
-    assert_eq!(
-        scores1.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-        scores2.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-        "loaded scores must be bit-identical to the stored ones"
-    );
+    let scores2 = row_bits(&ctx2.score_index(&nn2).unwrap());
+    assert_eq!(scores1, scores2, "loaded scores must be bit-identical to the stored ones");
 
     let fresh = Catalog::new();
     fresh.register_preset(DatasetPreset::Taipei, frames).unwrap();
     let ctx3 = fresh.context("taipei").unwrap();
     let nn3 = ctx3.specialized_for(&heads).unwrap();
-    let scores3 = ctx3.score_index(&nn3).unwrap().probs().to_vec();
-    assert_eq!(
-        scores2.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-        scores3.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-        "loaded scores must be bit-identical to fresh computation"
-    );
+    let scores3 = row_bits(&ctx3.score_index(&nn3).unwrap());
+    assert_eq!(scores2, scores3, "loaded scores must be bit-identical to fresh computation");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -401,11 +401,7 @@ fn head_order_does_not_split_the_cache() {
 
 /// A small synthetic score matrix whose encoded artifact is a few KB.
 fn small_scores(frames: usize) -> ScoreMatrix {
-    let mut m = ScoreMatrix::zeros(frames, vec![4]);
-    for f in 0..frames {
-        m.row_mut(f).copy_from_slice(&[0.1, 0.2, 0.3, 0.4]);
-    }
-    m
+    ScoreMatrix::from_raw(frames, vec![4], [0.1, 0.2, 0.3, 0.4].repeat(frames)).unwrap()
 }
 
 #[test]

@@ -3,12 +3,21 @@
 //! detection with atomic model refresh, and store consistency.
 
 use blazeit::core::stream::DEFAULT_TICK_FRAMES;
+use blazeit::nn::ScoreMatrix;
 use blazeit::prelude::*;
 use blazeit::videostore::scene::ScenePhase;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
 const CAR: ObjectClass = ObjectClass::Car;
+
+/// Every probability of an index, as bits, row after row in frame order.
+fn row_bits(scores: &ScoreMatrix) -> Vec<u32> {
+    scores
+        .rows(0..scores.num_frames())
+        .flat_map(|row| row.probs().iter().map(|p| p.to_bits()))
+        .collect()
+}
 
 /// Heads the car-FCOUNT subscription plans on a given context.
 fn car_heads(ctx: &VideoContext) -> Vec<(ObjectClass, usize)> {
@@ -158,10 +167,11 @@ fn subscribed_fcount_over_live_stream_is_incremental_and_bit_identical() {
     );
     let index_cold = cold_ctx.score_index(&nn_cold).unwrap();
     assert_eq!(index_stream.num_frames(), frames as usize);
-    assert_eq!(index_stream.probs().len(), index_cold.probs().len());
-    for (a, b) in index_stream.probs().iter().zip(index_cold.probs()) {
-        assert_eq!(a.to_bits(), b.to_bits(), "incremental and cold scores diverge");
-    }
+    assert_eq!(
+        row_bits(&index_stream),
+        row_bits(&index_cold),
+        "incremental and cold scores diverge"
+    );
 
     // And the per-tick estimates agree with what the cold index implies: the
     // last update's window mean must match a direct computation over the cold
@@ -184,6 +194,62 @@ fn subscribed_fcount_over_live_stream_is_incremental_and_bit_identical() {
         last.value,
         pred + mean_resid
     );
+}
+
+// -------------------------------------------------------------------------------
+// A subscription without WINDOW reads the index's running sums.
+// -------------------------------------------------------------------------------
+
+/// Without `WINDOW`, an update's mean sums the expected count of every frame
+/// ingested so far: the index's running sum at a chunk boundary continued over at
+/// most one chunk. Every value and standard error must be the bits the
+/// frame-by-frame fold gives, whatever the ticks: empty, one frame, ticks that
+/// straddle a chunk boundary and one that spans several chunks.
+#[test]
+fn unwindowed_subscription_matches_the_frame_by_frame_fold() {
+    let chunk = blazeit::nn::score::CHUNK_ROWS as u64;
+    let (labeled, config) = stable_labeled(1_000);
+    let capacity = DatasetPreset::Taipei.generate_with_frames(DAY_TEST, 3 * chunk + 500).unwrap();
+    let catalog = Catalog::new();
+    catalog.register_stream(capacity, labeled, config, 300, DriftConfig::disabled()).unwrap();
+    let mut sub = catalog
+        .session()
+        .subscribe("SELECT FCOUNT(*) FROM taipei WHERE class = 'car' EVERY 97 FRAMES")
+        .unwrap();
+    assert_eq!(sub.window(), None);
+    let stream = catalog.stream("taipei").unwrap();
+    let mut updates: Vec<StreamUpdate> = Vec::new();
+    let ticks =
+        [0, 1, chunk - 302, 2, 2 * chunk + 100, 0, 1].into_iter().chain(std::iter::repeat(300));
+    for tick in ticks {
+        if stream.is_exhausted() {
+            break;
+        }
+        stream.advance(tick).unwrap();
+        updates.extend(sub.poll().unwrap());
+    }
+    let last = stream.ingested() / 97;
+    assert_eq!(
+        updates.iter().map(|u| u.tick).collect::<Vec<_>>(),
+        (4..=last).map(|k| k * 97).collect::<Vec<_>>()
+    );
+
+    let ctx = catalog.context("taipei").unwrap();
+    let nn = ctx.specialized_for(&car_heads(&ctx)).unwrap();
+    let index = ctx.score_index(&nn).unwrap();
+    let head = nn.head_index(CAR).unwrap();
+    let calibration = ctx.heldout_calibration(&nn).unwrap();
+    let cal = calibration.head(CAR).unwrap();
+    for update in &updates {
+        assert_eq!(update.range, (0, update.tick));
+        let n = update.tick as usize;
+        let pred = (0..n).map(|f| index.expected_count(f, head)).sum::<f64>() / n as f64;
+        assert_eq!(update.value.to_bits(), (pred + cal.residual_mean).to_bits(), "tick {n}");
+        let se = (cal.residual_variance / n as f64
+            + cal.residual_variance / cal.expected_counts.len() as f64)
+            .sqrt();
+        assert_eq!(update.standard_error.to_bits(), se.to_bits(), "tick {n}");
+    }
 }
 
 // -------------------------------------------------------------------------------
@@ -487,9 +553,7 @@ proptest! {
         prop_assert_eq!(nn.weights_fingerprint(), cold_nn.weights_fingerprint());
         let cold_index = cold_ctx.score_index(&cold_nn).unwrap();
         prop_assert_eq!(cold_index.num_frames() as u64, grown);
-        for (a, b) in incremental.probs().iter().zip(cold_index.probs()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
+        prop_assert_eq!(row_bits(&incremental), row_bits(&cold_index));
 
         // And the declarative aggregate answer over the grown stream is
         // exactly the cold catalog's answer (same plan, same seeds, same
