@@ -33,8 +33,11 @@
 use crate::config::BlazeItConfig;
 use crate::fault::HealthState;
 use crate::labeled::LabeledSet;
-use crate::lockorder::{lock_ordered, OrderedGuard, RANK_LIVE_INDEX, RANK_NN_CACHE, RANK_VIDEO};
+use crate::lockorder::{
+    lock_ordered, OrderedGuard, RANK_HELDOUT_CACHE, RANK_LIVE_INDEX, RANK_NN_CACHE, RANK_VIDEO,
+};
 use crate::obs;
+use crate::single_flight::{self, FlightMap};
 use crate::stats::mean_and_sample_variance;
 use crate::store::{IndexStore, StoreResult};
 use crate::stream::StreamState;
@@ -171,11 +174,10 @@ impl HeldOutCalibration {
 ///
 /// # Lock order
 ///
-/// Streaming makes several fields interior-mutable. Code acquiring more than
-/// one of these locks must follow the order *drift monitor → `live_index` →
-/// `nn_cache` → `video`* (the `heldout_cache` is an independent leaf). Ingestion
-/// holds `live_index` across the video swap, so any reader that takes
-/// `live_index` first observes a consistent `(video, index)` pair.
+/// Code acquiring more than one of these locks follows
+/// [`crate::lockorder`]. Ingestion holds `live_index` across the video swap,
+/// so any reader that takes `live_index` first observes a consistent
+/// `(video, index)` pair.
 pub struct VideoContext {
     /// The current video — for a streaming context, the ingested prefix of the
     /// full generated day; swapped atomically as frames arrive.
@@ -198,13 +200,13 @@ pub struct VideoContext {
     data_generation: AtomicU64,
     /// Trained specialized networks by normalized head key (the *current*
     /// generation; drift refreshes replace entries in place).
-    pub(crate) nn_cache: Mutex<HashMap<String, Arc<SpecializedNN>>>,
+    pub(crate) nn_cache: Mutex<FlightMap<String, Arc<SpecializedNN>>>,
     /// Live test-day score indexes by normalized head key; see [`LiveIndex`].
     pub(crate) live_index: Mutex<HashMap<String, LiveIndex>>,
     /// Held-out calibrations by the scoring network's weights fingerprint (the
     /// held-out day and the configuration are fixed for the context's lifetime
     /// and the day never grows, so these need no streaming machinery).
-    heldout_cache: Mutex<HashMap<u64, Arc<HeldOutCalibration>>>,
+    heldout_cache: Mutex<FlightMap<u64, Arc<HeldOutCalibration>>>,
     /// The paper's head-size rule per class (indexed by [`ObjectClass::index`]),
     /// derived from the training day on a class's first use.
     head_sizes: [OnceLock<usize>; ObjectClass::ALL.len()],
@@ -288,7 +290,7 @@ impl VideoContext {
             data_generation: AtomicU64::new(0),
             nn_cache: Mutex::ranked(RANK_NN_CACHE, "nn_cache", HashMap::new()),
             live_index: Mutex::ranked(RANK_LIVE_INDEX, "live_index", HashMap::new()),
-            heldout_cache: Mutex::new(HashMap::new()),
+            heldout_cache: Mutex::ranked(RANK_HELDOUT_CACHE, "heldout_cache", HashMap::new()),
             head_sizes: Default::default(),
             store,
             stream,
@@ -308,15 +310,19 @@ impl VideoContext {
         &self.health
     }
 
-    /// Acquires the `video` lock at its documented rank (last in the monitor →
-    /// live_index → nn_cache → video order; asserted in debug builds).
+    /// Acquires the `video` lock at its documented rank (the last engine lock in
+    /// [`crate::lockorder`]; asserted in debug builds).
     pub(crate) fn lock_video(&self) -> OrderedGuard<'_, Arc<Video>> {
         lock_ordered(RANK_VIDEO, "video", &self.video)
     }
 
     /// Acquires the `nn_cache` lock at its documented rank.
-    pub(crate) fn lock_nn_cache(&self) -> OrderedGuard<'_, HashMap<String, Arc<SpecializedNN>>> {
+    pub(crate) fn lock_nn_cache(&self) -> OrderedGuard<'_, FlightMap<String, Arc<SpecializedNN>>> {
         lock_ordered(RANK_NN_CACHE, "nn_cache", &self.nn_cache)
+    }
+
+    fn lock_heldout_cache(&self) -> OrderedGuard<'_, FlightMap<u64, Arc<HeldOutCalibration>>> {
+        lock_ordered(RANK_HELDOUT_CACHE, "heldout_cache", &self.heldout_cache)
     }
 
     /// Acquires the `live_index` lock at its documented rank.
@@ -545,9 +551,10 @@ impl VideoContext {
     ///
     /// Lookup is read-through: in-memory cache, then the durable index store
     /// (a disk-warm load charges *nothing* to the shared clock), then training
-    /// (charged). Freshly trained networks are written behind to the store, so
-    /// they survive this catalog. An invalid stored artifact falls back to
-    /// retraining and is overwritten.
+    /// (charged). A miss is computed once: concurrent callers for the same head
+    /// set wait for one training. Freshly trained networks are written behind
+    /// to the store, so they survive this catalog. An invalid stored artifact
+    /// falls back to retraining and is overwritten.
     pub fn specialized_for(&self, heads: &[(ObjectClass, usize)]) -> Result<Arc<SpecializedNN>> {
         if heads.is_empty() {
             return Err(BlazeItError::Internal(
@@ -555,51 +562,45 @@ impl VideoContext {
             ));
         }
         let normalized = Self::normalized_heads(heads);
-        if let Some(nn) = self.lookup_specialized(&normalized) {
-            obs::count(obs::COUNTER_CACHE_HITS, 1);
-            return Ok(nn);
-        }
-
-        let _train = obs::span("train specialized");
-        let spec_config = self.context_spec_config(&normalized);
-        let train_day = self.labeled.train();
-        let (nn, _report) = SpecializedNN::train(
-            spec_config,
-            self.labeled.train_video(),
-            &train_day.frames,
-            &train_day.counts,
-            Arc::clone(&self.clock),
-        )?;
-        let nn = Arc::new(nn);
-        // Write-behind; a failed write degrades to in-memory-only caching
-        // rather than failing the query, recorded in the health state.
-        self.store_op("store specialized nn", |store, dir| {
-            store.store_network(dir, &self.nn_store_key(&normalized), &nn)
-        });
-        self.lock_nn_cache().insert(Self::head_key(&normalized), Arc::clone(&nn));
-        Ok(nn)
+        let train = || {
+            if let Some(nn) = self.load_stored_network(&normalized) {
+                obs::count(obs::COUNTER_CACHE_HITS, 1);
+                return Ok(nn);
+            }
+            let _train = obs::span("train specialized");
+            let spec_config = self.context_spec_config(&normalized);
+            let train_day = self.labeled.train();
+            let (nn, _report) = SpecializedNN::train(
+                spec_config,
+                self.labeled.train_video(),
+                &train_day.frames,
+                &train_day.counts,
+                Arc::clone(&self.clock),
+            )?;
+            let nn = Arc::new(nn);
+            // Write-behind; a failed write degrades to in-memory-only caching
+            // rather than failing the query, recorded in the health state.
+            self.store_op("store specialized nn", |store, dir| {
+                store.store_network(dir, &self.nn_store_key(&normalized), &nn)
+            });
+            Ok(nn)
+        };
+        let key = Self::head_key(&normalized);
+        single_flight::compute_once(|| self.lock_nn_cache(), key, "train specialized", train)
     }
 
-    /// The trained network for an already-normalized head set, without training:
-    /// memory cache first, then the durable store (the disk tier keys by the
-    /// full training identity, see [`VideoContext::nn_store_key`]; a successful
-    /// load is promoted into the memory cache and charges nothing). An invalid
-    /// stored artifact reads as a miss — callers recompute and the write-behind
+    /// Disk tier of the network cache: the disk keys by the full training
+    /// identity (see [`VideoContext::nn_store_key`]). An invalid stored
+    /// artifact reads as a miss — callers recompute and the write-behind
     /// replaces the bad file.
-    fn lookup_specialized(
+    fn load_stored_network(
         &self,
         normalized: &[(ObjectClass, usize)],
     ) -> Option<Arc<SpecializedNN>> {
-        let key = Self::head_key(normalized);
-        if let Some(nn) = self.lock_nn_cache().get(&key) {
-            return Some(Arc::clone(nn));
-        }
-        let nn = self.store_op("load specialized nn", |store, dir| {
+        self.store_op("load specialized nn", |store, dir| {
             store.load_network(dir, &self.nn_store_key(normalized), &self.clock)
-        })??;
-        let nn = Arc::new(nn);
-        self.lock_nn_cache().insert(key, Arc::clone(&nn));
-        Some(nn)
+        })?
+        .map(Arc::new)
     }
 
     /// The default counting head size for `class`, chosen by the paper's rule: the
@@ -618,11 +619,14 @@ impl VideoContext {
 
     /// The cached specialized network for these heads, if one is available
     /// without training: in memory, or loaded (free of simulated cost) from the
-    /// durable store. Never trains; never charges the clock — this is what free
+    /// durable store and promoted to memory. Never trains, never waits on a
+    /// training in flight, never charges the clock — this is what free
     /// plan-time inspection uses, and it agrees with
     /// [`VideoContext::specialized_warmth`] by construction.
     pub fn cached_specialized(&self, heads: &[(ObjectClass, usize)]) -> Option<Arc<SpecializedNN>> {
-        self.lookup_specialized(&Self::normalized_heads(heads))
+        let normalized = Self::normalized_heads(heads);
+        let load = || self.load_stored_network(&normalized);
+        single_flight::peek_or_load(|| self.lock_nn_cache(), Self::head_key(&normalized), load)
     }
 
     /// The per-video score index for `nn` over the unseen (test) video: every frame
@@ -680,6 +684,7 @@ impl VideoContext {
         let is_current = self
             .lock_nn_cache()
             .get(&key)
+            .and_then(|flight| flight.peek())
             .is_none_or(|current| current.weights_fingerprint() == nn.weights_fingerprint());
         if is_current {
             let generation = cache.get(&key).map_or(0, |e| e.generation);
@@ -707,45 +712,41 @@ impl VideoContext {
 
     /// The [`HeldOutCalibration`] of `nn`, cached like [`VideoContext::score_index`]:
     /// the first call per network charges the held-out inference (unless the scores
-    /// are in the durable store) and derives the statistics; later calls are free.
+    /// are in the durable store) and derives the statistics, once however many
+    /// callers race it; later calls are free.
     pub fn heldout_calibration(&self, nn: &Arc<SpecializedNN>) -> Result<Arc<HeldOutCalibration>> {
-        // Held across the build so two concurrent first queries cannot both
-        // score the held-out day (which would double-charge the clock).
-        let mut cache = self.heldout_cache.lock();
-        if let Some(calibration) = cache.get(&nn.weights_fingerprint()) {
-            obs::count(obs::COUNTER_CACHE_HITS, 1);
-            return Ok(Arc::clone(calibration));
-        }
-        let heldout = self.labeled.heldout();
-        let key = self.heldout_score_key(nn);
-        let scores = if let Some(scores) = self.load_stored_scores(&key) {
-            obs::count(obs::COUNTER_CACHE_HITS, 1);
-            scores
-        } else {
-            let _score = obs::span("held-out score");
-            obs::count(obs::COUNTER_FRAMES_SCORED, heldout.frames.len() as u64);
-            let scores = Arc::new(nn.score_batch(self.labeled.heldout_video(), &heldout.frames)?);
-            self.store_scores_behind(&key, &scores);
-            scores
+        let calibrate = || {
+            let heldout = self.labeled.heldout();
+            let key = self.heldout_score_key(nn);
+            let scores = if let Some(scores) = self.load_stored_scores(&key) {
+                obs::count(obs::COUNTER_CACHE_HITS, 1);
+                scores
+            } else {
+                let _score = obs::span("held-out score");
+                obs::count(obs::COUNTER_FRAMES_SCORED, heldout.frames.len() as u64);
+                let scores =
+                    Arc::new(nn.score_batch(self.labeled.heldout_video(), &heldout.frames)?);
+                self.store_scores_behind(&key, &scores);
+                scores
+            };
+            self.calibrate_heldout(nn, scores)
         };
-        self.calibrate_heldout(&mut cache, nn, scores)
+        let key = nn.weights_fingerprint();
+        single_flight::compute_once(|| self.lock_heldout_cache(), key, "held-out score", calibrate)
     }
 
     /// The held-out calibration of `nn` if its scores are already built: in
     /// memory, or loaded (and promoted to memory) from the durable store. Never
-    /// scores; never charges the clock — this is what lets the planner resolve
-    /// Algorithm 1's rewrite decision for free on a disk-warm catalog, not just
-    /// a memory-warm one.
+    /// scores, never waits on a calibration in flight, and never charges the
+    /// clock — this is what lets the planner resolve Algorithm 1's rewrite
+    /// decision for free on a disk-warm catalog, not just a memory-warm one.
     pub fn cached_heldout_calibration(
         &self,
         nn: &Arc<SpecializedNN>,
     ) -> Option<Arc<HeldOutCalibration>> {
-        let mut cache = self.heldout_cache.lock();
-        if let Some(calibration) = cache.get(&nn.weights_fingerprint()) {
-            return Some(Arc::clone(calibration));
-        }
-        let scores = self.load_stored_scores(&self.heldout_score_key(nn))?;
-        self.calibrate_heldout(&mut cache, nn, scores).ok()
+        let scores = || self.load_stored_scores(&self.heldout_score_key(nn));
+        let load = || self.calibrate_heldout(nn, scores()?).ok();
+        single_flight::peek_or_load(|| self.lock_heldout_cache(), nn.weights_fingerprint(), load)
     }
 
     /// The disk-tier key of `nn`'s held-out scores (the memory tier keys by
@@ -755,10 +756,9 @@ impl VideoContext {
     }
 
     /// Derives `nn`'s calibration from its held-out `scores` — the one place any
-    /// held-out statistic is computed — and publishes it in the locked cache.
+    /// held-out statistic is computed.
     fn calibrate_heldout(
         &self,
-        cache: &mut HashMap<u64, Arc<HeldOutCalibration>>,
         nn: &SpecializedNN,
         scores: Arc<ScoreMatrix>,
     ) -> Result<Arc<HeldOutCalibration>> {
@@ -787,9 +787,7 @@ impl VideoContext {
                 residual_variance,
             });
         }
-        let calibration = Arc::new(HeldOutCalibration { scores, heads });
-        cache.insert(nn.weights_fingerprint(), Arc::clone(&calibration));
-        Ok(calibration)
+        Ok(Arc::new(HeldOutCalibration { scores, heads }))
     }
 
     /// The score index for `nn` over the held-out day's annotated frames: the
@@ -803,7 +801,8 @@ impl VideoContext {
     /// without decoding, so this is safe for free plan-time inspection.
     pub fn specialized_warmth(&self, heads: &[(ObjectClass, usize)]) -> CacheWarmth {
         let normalized = Self::normalized_heads(heads);
-        if self.lock_nn_cache().contains_key(&Self::head_key(&normalized)) {
+        let key = Self::head_key(&normalized);
+        if self.lock_nn_cache().get(&key).is_some_and(|flight| flight.peek().is_some()) {
             return CacheWarmth::Memory;
         }
         // A degraded (memory-only) context will not read the store, so a
@@ -828,7 +827,7 @@ impl VideoContext {
     /// anywhere there can be no score index either: `Cold`.
     pub fn score_index_warmth(&self, heads: &[(ObjectClass, usize)]) -> CacheWarmth {
         let normalized = Self::normalized_heads(heads);
-        let Some(nn) = self.lookup_specialized(&normalized) else {
+        let Some(nn) = self.cached_specialized(&normalized) else {
             return CacheWarmth::Cold;
         };
         let cache = self.lock_live_index();

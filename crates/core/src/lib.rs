@@ -86,6 +86,7 @@ pub mod scrub;
 pub mod select;
 pub mod serve;
 pub mod session;
+pub mod single_flight;
 pub mod stats;
 pub mod store;
 pub mod stream;

@@ -1,28 +1,21 @@
-//! Debug-build lock-order assertions for the serving/context/stream lock
-//! hierarchy.
+//! The engine's lock hierarchy, stated once, and its debug-build assertions.
 //!
-//! The engine documents a strict acquisition order — **admission →
-//! serve_cache → serve_slot → monitor → live_index → nn_cache → video →
-//! obs_trace** — which keeps the serving layer (admission control, the
-//! coalescing result cache), ingest, drift checks, and background-refresh
-//! publication deadlock-free. The serving locks rank lowest because they sit
-//! *above* the engine: a cache miss executes a full query, which acquires the
-//! context and stream locks, so no serving lock may ever be requested while an
-//! engine lock is held. The trace-collector lock (`obs_trace`) ranks highest —
-//! a span can open or close while *any* engine lock is held, so the collector
-//! must be acquirable last and is never held across another acquisition. That
-//! discipline used to live
-//! only in comments; this module enforces it in debug builds: every ranked lock
-//! acquisition pushes its rank onto a thread-local stack and asserts that no
-//! lock of an equal or higher rank is already held by this thread. Release
-//! builds compile the bookkeeping out entirely (`OrderedGuard` is a
-//! zero-overhead newtype around the `MutexGuard`).
+//! Locks are acquired in this order, lowest rank first — **admission →
+//! serve_cache → monitor → live_index → nn_cache → heldout_cache → flight →
+//! video → obs_trace** — and every other statement of it links here:
 //!
-//! Two more enforcement layers consume the same [`RANKED_LOCKS`] table: the
-//! static `lock-order` check in `blazeit-lint`, and — under the `model` cargo
-//! feature — the `blazeit-model` schedule explorer, for which the ranked locks
-//! are constructed via [`crate::sync::Mutex::ranked`] so *every* interleaving
-//! is checked against the hierarchy, not just the ones a test happens to run.
+//! * the serving locks rank lowest: a cache miss executes a full query, so no
+//!   serving lock is held while the engine's locks are taken;
+//! * `monitor → live_index → nn_cache` is the drift refresh's atomic swap;
+//! * `flight`, the lock of every [`crate::single_flight::Flight`] cell, ranks
+//!   after each map a cell is joined under and is held across nothing;
+//! * `obs_trace` ranks highest: a span opens or closes under any engine lock.
+//!
+//! Debug builds assert at every `lock_ordered` acquisition that this thread
+//! holds no lock of an equal or higher rank (release builds compile it out).
+//! [`RANKED_LOCKS`] also drives the static `lock-order` lint and, under the
+//! `model` feature, the `blazeit-model` explorer, which checks every lock built
+//! with [`crate::sync::Mutex::ranked`] in every interleaving.
 
 use crate::sync::{Mutex, MutexGuard};
 use std::ops::{Deref, DerefMut};
@@ -47,36 +40,39 @@ pub struct RankedLock {
 /// `blazeit-lint` both consume it, so the two enforcement layers cannot
 /// diverge (a regression test in `crates/lint` additionally pins the
 /// `RANK_*` constants and every call-site name literal to this table).
-pub const RANKED_LOCKS: [RankedLock; 8] = [
+pub const RANKED_LOCKS: [RankedLock; 9] = [
     RankedLock { name: "admission", rank: 0 },
     RankedLock { name: "serve_cache", rank: 1 },
-    RankedLock { name: "serve_slot", rank: 2 },
-    RankedLock { name: "monitor", rank: 3 },
-    RankedLock { name: "live_index", rank: 4 },
-    RankedLock { name: "nn_cache", rank: 5 },
-    RankedLock { name: "video", rank: 6 },
-    RankedLock { name: "obs_trace", rank: 7 },
+    RankedLock { name: "monitor", rank: 2 },
+    RankedLock { name: "live_index", rank: 3 },
+    RankedLock { name: "nn_cache", rank: 4 },
+    RankedLock { name: "heldout_cache", rank: 5 },
+    RankedLock { name: "flight", rank: 6 },
+    RankedLock { name: "video", rank: 7 },
+    RankedLock { name: "obs_trace", rank: 8 },
 ];
 
 /// Rank of `serve::Admission::state` (acquired first — the serving layer sits
 /// above the engine, so its locks rank below every engine lock).
 pub const RANK_ADMISSION: u8 = RANKED_LOCKS[0].rank;
-/// Rank of `serve::QueryCache::slots` (the coalescing cache's key map).
+/// Rank of `serve::QueryCache::slots` (the result cache's key map).
 pub const RANK_SERVE_CACHE: u8 = RANKED_LOCKS[1].rank;
-/// Rank of `serve::Slot::state` (one in-flight computation's publish lock).
-pub const RANK_SERVE_SLOT: u8 = RANKED_LOCKS[2].rank;
 /// Rank of `StreamState::monitor` (the first engine lock).
-pub const RANK_MONITOR: u8 = RANKED_LOCKS[3].rank;
+pub const RANK_MONITOR: u8 = RANKED_LOCKS[2].rank;
 /// Rank of `VideoContext::live_index`.
-pub const RANK_LIVE_INDEX: u8 = RANKED_LOCKS[4].rank;
+pub const RANK_LIVE_INDEX: u8 = RANKED_LOCKS[3].rank;
 /// Rank of `VideoContext::nn_cache`.
-pub const RANK_NN_CACHE: u8 = RANKED_LOCKS[5].rank;
+pub const RANK_NN_CACHE: u8 = RANKED_LOCKS[4].rank;
+/// Rank of `VideoContext::heldout_cache`.
+pub const RANK_HELDOUT_CACHE: u8 = RANKED_LOCKS[5].rank;
+/// Rank of one [`crate::single_flight::Flight`] cell's state.
+pub const RANK_FLIGHT: u8 = RANKED_LOCKS[6].rank;
 /// Rank of `VideoContext::video` (the last engine lock).
-pub const RANK_VIDEO: u8 = RANKED_LOCKS[6].rank;
+pub const RANK_VIDEO: u8 = RANKED_LOCKS[7].rank;
 /// Rank of `obs::TraceCollector::state` (acquired last: span guards open and
 /// close while engine locks are held, and the collector lock is never held
 /// across any other acquisition).
-pub const RANK_OBS_TRACE: u8 = RANKED_LOCKS[7].rank;
+pub const RANK_OBS_TRACE: u8 = RANKED_LOCKS[8].rank;
 
 #[cfg(debug_assertions)]
 mod tracker {
@@ -94,9 +90,8 @@ mod tracker {
                 assert!(
                     held_rank < rank,
                     "lock-order violation: acquiring '{name}' (rank {rank}) while holding \
-                     '{held_name}' (rank {held_rank}); the documented order is \
-                     admission → serve_cache → serve_slot → monitor → live_index → \
-                     nn_cache → video → obs_trace"
+                     '{held_name}' (rank {held_rank}); the documented order is {}",
+                    super::RANKED_LOCKS.map(|l| l.name).join(" → ")
                 );
             }
             held.push((rank, name));
@@ -183,8 +178,13 @@ mod tests {
         let s = lock_ordered(RANK_SERVE_CACHE, "serve_cache", &live);
         drop(s);
         let a = lock_ordered(RANK_ADMISSION, "admission", &monitor);
-        let b = lock_ordered(RANK_SERVE_SLOT, "serve_slot", &live);
-        let c = lock_ordered(RANK_MONITOR, "monitor", &video);
+        let b = lock_ordered(RANK_SERVE_CACHE, "serve_cache", &live);
+        let c = lock_ordered(RANK_FLIGHT, "flight", &video);
+        drop((a, b, c));
+        // A context cache's cell is joined under its map.
+        let a = lock_ordered(RANK_LIVE_INDEX, "live_index", &monitor);
+        let b = lock_ordered(RANK_NN_CACHE, "nn_cache", &live);
+        let c = lock_ordered(RANK_FLIGHT, "flight", &video);
         drop((a, b, c));
         // Skipping ranks is fine; only inversions are violations.
         let c = lock_ordered(RANK_NN_CACHE, "nn_cache", &video);
@@ -245,7 +245,7 @@ mod tests {
             s.spawn(|| {
                 let monitor = Mutex::new(0u8);
                 // This thread holds nothing: rank 0 is fine here even though
-                // the spawning thread holds rank 3.
+                // the spawning thread holds `video`.
                 let _g = lock_ordered(RANK_MONITOR, "monitor", &monitor);
             });
         });

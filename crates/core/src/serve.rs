@@ -24,18 +24,9 @@
 //!    (no query can be overtaken, and a query too big for the budget runs
 //!    alone rather than starving).
 //!
-//! # Locking
-//!
-//! The serving locks are enrolled in [`crate::lockorder::RANKED_LOCKS`]
-//! *below* every engine lock — `admission` (rank 0), `serve_cache` (rank 1),
-//! `serve_slot` (rank 2) — because a cache miss executes a full query, which
-//! acquires the context and stream locks; no serving lock is ever held while
-//! calling into the engine. The cache's key map is acquired through
-//! `lock_ordered` (runtime + static lint enforcement); the slot and
-//! admission mutexes pair with [`Condvar`]s, so they are constructed with
-//! [`Mutex::ranked`] and proven orderly by the `blazeit-model` schedule
-//! explorer (`crates/model/tests/coalesce_protocol.rs`), which checks the
-//! computer / waiter / invalidation protocol across every interleaving.
+//! No serving lock is held while calling into the engine ([`crate::lockorder`]).
+//! Coalescing is the [`Flight`] cell every compute-once cache shares; this
+//! module keeps the cache's FIFO eviction order and the generation re-check.
 //!
 //! Per-session cost attribution rides on [`SimClock`] charge tags: each
 //! session executes under its own tag, worker-pool jobs inherit the
@@ -43,16 +34,16 @@
 
 use crate::catalog::Catalog;
 use crate::context::CacheWarmth;
-use crate::lockorder::{lock_ordered, RANK_ADMISSION, RANK_SERVE_CACHE, RANK_SERVE_SLOT};
+use crate::lockorder::{lock_ordered, RANK_ADMISSION, RANK_SERVE_CACHE};
 use crate::obs;
 use crate::plan::{CacheStatus, PlanStrategy, QueryPlan};
 use crate::result::QueryResult;
 use crate::session::PreparedQuery;
+use crate::single_flight::{Flight, FlightMap, Role};
 use crate::sync::{AtomicU64, Condvar, Mutex, Ordering};
-use crate::{BlazeItError, Result};
+use crate::Result;
 use blazeit_detect::SimClock;
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Tunables of the serving layer. The defaults suit tests and the bundled
@@ -109,95 +100,14 @@ impl CacheKey {
     }
 }
 
-/// One in-flight (or completed) computation the cache coalesces around.
-struct Slot {
-    /// Protocol state, paired with `ready`. Ranked `serve_slot` so the model
-    /// shim's rank oracle checks every interleaving; locked directly (not via
-    /// [`lock_ordered`]) because [`Condvar::wait`] needs the raw guard.
-    state: Mutex<SlotState>,
-    /// Signaled (notify_all) exactly once, when the computer publishes.
-    ready: Condvar,
-}
-
-enum SlotState {
-    /// The computer is executing; `waiters` sessions are blocked on `ready`.
-    Computing {
-        /// How many sessions have attached to this computation so far.
-        waiters: usize,
-    },
-    /// Published: `result` is what the computer produced, `waiters` how many
-    /// sessions shared it (for `coalesced(n waiters)` reporting).
-    Done {
-        /// The computed answer (or the computer's typed error, fanned out so
-        /// no waiter ever hangs on a failed computation).
-        result: Result<QueryResult>,
-        /// Waiter count at publish time.
-        waiters: usize,
-    },
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            state: Mutex::ranked(
-                RANK_SERVE_SLOT,
-                "serve_slot",
-                SlotState::Computing { waiters: 0 },
-            ),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Publishes the computation's outcome and wakes every waiter. Returns the
-    /// number of waiters that were coalesced onto this computation.
-    fn publish(&self, result: Result<QueryResult>) -> usize {
-        let mut state = self.state.lock();
-        let waiters = match *state {
-            SlotState::Computing { waiters } => waiters,
-            // Double publish cannot happen (one computer per slot); keep the
-            // first result if it somehow does.
-            SlotState::Done { waiters, .. } => waiters,
-        };
-        if matches!(*state, SlotState::Computing { .. }) {
-            *state = SlotState::Done { result, waiters };
-        }
-        drop(state);
-        self.ready.notify_all();
-        waiters
-    }
-
-    /// Blocks until the computer publishes, then returns the shared result and
-    /// the total waiter count.
-    fn wait(&self) -> (Result<QueryResult>, usize) {
-        let mut state = self.state.lock();
-        loop {
-            match &*state {
-                SlotState::Done { result, waiters } => return (result.clone(), *waiters),
-                SlotState::Computing { .. } => state = self.ready.wait(state),
-            }
-        }
-    }
-}
-
-/// How the cache disposed of one lookup.
-enum Role {
-    /// A published entry matched: the answer is already here.
-    Hit(Result<QueryResult>),
-    /// An identical computation is in flight: wait for its publication.
-    Wait(Arc<Slot>),
-    /// This session owns the computation (and must publish to its slot).
-    Compute(Arc<Slot>),
-}
-
-/// Key → slot map plus FIFO insertion order for eviction.
+/// Key → cell map plus FIFO insertion order for eviction.
 struct CacheMap {
-    map: HashMap<CacheKey, Arc<Slot>>,
+    map: FlightMap<CacheKey, QueryResult>,
     order: VecDeque<CacheKey>,
 }
 
 /// The coalescing result cache. All map access goes through the ranked
-/// `serve_cache` lock; slot state is inspected *under* the map lock only in
-/// the legal `serve_cache → serve_slot` direction.
+/// `serve_cache` lock.
 struct QueryCache {
     slots: Mutex<CacheMap>,
     max_entries: usize,
@@ -215,71 +125,47 @@ impl QueryCache {
         }
     }
 
-    /// Joins the computation for `key`: hit a published entry, attach to an
-    /// in-flight one, or claim computership by inserting a fresh slot.
-    /// Computership is decided by map-entry vacancy under the map lock, so
-    /// exactly one session computes each key at a time.
-    /// Besides the role, returns how many completed entries the insertion
-    /// evicted (0 for hits and waits), so the caller can count them.
-    fn join_query(&self, key: &CacheKey) -> (Role, usize) {
+    /// Joins the computation for `key` ([`Flight::join`]). Besides the role,
+    /// returns how many completed entries a new entry evicted (0 for hits and
+    /// waits), so the caller can count them.
+    fn join_query(&self, key: &CacheKey) -> (Role<QueryResult>, usize) {
         let mut slots = lock_ordered(RANK_SERVE_CACHE, "serve_cache", &self.slots);
-        if let Some(slot) = slots.map.get(key) {
-            let slot = Arc::clone(slot);
-            // serve_cache (1) → serve_slot (2) is in documented order.
-            let mut state = slot.state.lock();
-            match &mut *state {
-                SlotState::Done { result, .. } => return (Role::Hit(result.clone()), 0),
-                SlotState::Computing { waiters } => {
-                    *waiters += 1;
-                    drop(state);
-                    return (Role::Wait(slot), 0);
-                }
-            }
+        let role = Flight::join(&mut slots.map, key);
+        if !matches!(role, Role::Compute(_)) {
+            return (role, 0);
         }
-        let slot = Arc::new(Slot::new());
-        slots.map.insert(key.clone(), Arc::clone(&slot));
         slots.order.push_back(key.clone());
         let evicted = self.evict_excess(&mut slots);
-        (Role::Compute(slot), evicted)
+        (role, evicted)
     }
 
     /// Evicts oldest *completed* entries past the configured cap. In-flight
     /// computations are skipped (re-queued), so coalescing never breaks.
     fn evict_excess(&self, slots: &mut CacheMap) -> usize {
         let mut evicted = 0;
-        let mut requeue: Vec<CacheKey> = Vec::new();
-        while slots.map.len() - requeue.len() > self.max_entries {
+        let mut in_flight = Vec::new();
+        while slots.map.len() - in_flight.len() > self.max_entries {
             let Some(key) = slots.order.pop_front() else { break };
-            let done = match slots.map.get(&key) {
-                Some(slot) => matches!(*slot.state.lock(), SlotState::Done { .. }),
-                None => {
-                    // Already removed (error / invalidation); drop the stale
-                    // order entry and keep scanning.
-                    continue;
-                }
-            };
-            if done {
+            let Some(slot) = slots.map.get(&key) else { continue }; // vacated: a stale entry
+            if slot.waiters().is_some() {
+                in_flight.push(key);
+            } else {
                 slots.map.remove(&key);
                 evicted += 1;
-            } else {
-                requeue.push(key);
-            }
-            if requeue.len() >= slots.order.len() + requeue.len() {
-                break; // everything left is in flight
             }
         }
-        for key in requeue {
-            slots.order.push_back(key);
-        }
+        slots.order.extend(in_flight);
         evicted
     }
 
-    /// Removes `key` (a computation that errored, or whose data generation
-    /// moved mid-execution) so future sessions recompute instead of hitting it.
-    fn drop_entry(&self, key: &CacheKey) {
+    /// Vacates `key` if it still holds `slot` (a computation that errored, or
+    /// whose data generation moved mid-execution) so future sessions recompute
+    /// instead of hitting it.
+    fn drop_entry(&self, key: &CacheKey, slot: &Arc<Flight<QueryResult>>) {
         let mut slots = lock_ordered(RANK_SERVE_CACHE, "serve_cache", &self.slots);
-        slots.map.remove(key);
-        slots.order.retain(|k| k != key);
+        if Flight::vacate(&mut slots.map, key, slot) {
+            slots.order.retain(|k| k != key);
+        }
     }
 
     /// The disposition a non-`EXPLAIN` run of this key would see *right now*
@@ -289,9 +175,9 @@ impl QueryCache {
         let slots = lock_ordered(RANK_SERVE_CACHE, "serve_cache", &self.slots);
         match slots.map.get(key) {
             None => CacheStatus::Miss,
-            Some(slot) => match *slot.state.lock() {
-                SlotState::Done { .. } => CacheStatus::Hit,
-                SlotState::Computing { waiters } => CacheStatus::Coalesced(waiters + 1),
+            Some(slot) => match slot.waiters() {
+                None => CacheStatus::Hit,
+                Some(waiters) => CacheStatus::Coalesced(waiters + 1),
             },
         }
     }
@@ -575,8 +461,7 @@ impl ServerSession<'_> {
             Role::Wait(slot) => {
                 self.server.stats.coalesced.fetch_add(1, Ordering::SeqCst);
                 obs::metrics().serving_coalesced.inc();
-                let (result, _waiters) = slot.wait();
-                result
+                slot.wait()
             }
             Role::Compute(slot) => {
                 self.server.stats.misses.fetch_add(1, Ordering::SeqCst);
@@ -593,25 +478,19 @@ impl ServerSession<'_> {
         &self,
         prepared: &PreparedQuery,
         key: &CacheKey,
-        slot: &Slot,
+        slot: &Arc<Flight<QueryResult>>,
     ) -> Result<QueryResult> {
         let estimate = estimated_cost(prepared.plan());
-        let result = {
-            // Admission is held only across the execution — never while any
-            // serving lock is held, and released (by drop) even on unwind.
+        // Admission is held only across the execution — never while any
+        // serving lock is held, and released (by drop) even on unwind.
+        let execute = || {
             let _permit = self.server.admission.acquire(estimate);
-            let tag = self.tag;
-            catch_unwind(AssertUnwindSafe(|| SimClock::with_charge_tag(tag, || prepared.run())))
-                .unwrap_or_else(|payload| {
-                    Err(BlazeItError::TaskPanicked {
-                        task: format!("serving computation for {sql:?}", sql = prepared.query()),
-                        message: blazeit_nn::parallel::panic_message(payload.as_ref()),
-                    })
-                })
+            SimClock::with_charge_tag(self.tag, || prepared.run())
         };
-        // Publish before any map maintenance, so waiters are never delayed by
-        // (or ordered after) cache bookkeeping.
-        slot.publish(result.clone());
+        let task = || format!("serving computation for {sql:?}", sql = prepared.query());
+        // Publishes before any map maintenance, so waiters are never delayed
+        // by (or ordered after) cache bookkeeping.
+        let result = slot.run(task, execute);
         // A failed computation must not be served as a hit; and if the data
         // generation moved while we executed, the entry answers for a key no
         // new session will compute — drop it so memory is not pinned.
@@ -622,7 +501,7 @@ impl ServerSession<'_> {
         if result.is_err() || generation_moved {
             self.server.stats.invalidated.fetch_add(1, Ordering::SeqCst);
             obs::metrics().serving_invalidated.inc();
-            self.server.cache.drop_entry(key);
+            self.server.cache.drop_entry(key, slot);
         }
         result
     }

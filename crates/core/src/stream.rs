@@ -53,6 +53,7 @@ use crate::lockorder::{lock_ordered, RANK_MONITOR};
 use crate::obs;
 use crate::plan::heads_for;
 use crate::session::Session;
+use crate::single_flight::Flight;
 use crate::stats::normal_critical_value;
 use crate::sync::Mutex;
 use crate::{BlazeItError, Result};
@@ -677,7 +678,7 @@ impl VideoContext {
                 self.store_op("store refreshed score index", |store, dir| {
                     store.store_scores(dir, &new_key, &scores)
                 });
-                nns.insert(outcome.key.clone(), Arc::clone(&outcome.nn));
+                nns.insert(outcome.key.clone(), Flight::done(Arc::clone(&outcome.nn)));
                 index.insert(outcome.key.clone(), LiveIndex { nn: outcome.nn, scores, generation });
                 if let Some(ent) = monitor.get_mut(&outcome.key) {
                     ent.reference = outcome.reference;

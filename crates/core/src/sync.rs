@@ -12,9 +12,8 @@
 //!
 //! Production code constructs all locks and atomics through this module (or
 //! the `videostore` original) — enforced statically by the `sync-primitive`
-//! check in `blazeit-lint` — and the ranked locks of the
-//! `monitor → live_index → nn_cache → video` hierarchy are built with
-//! [`Mutex::ranked`] using the constants from [`crate::lockorder`], which
+//! check in `blazeit-lint` — and the ranked locks of the hierarchy stated in
+//! [`crate::lockorder`] are built with [`Mutex::ranked`] using its constants, which
 //! makes the hierarchy an oracle for runtime assertions (debug builds), the
 //! static lint, and the model checker simultaneously.
 

@@ -5,9 +5,9 @@
 //! lock-order assertion) can only verify on executed paths:
 //!
 //! * [`lock-order`](checks::lock_order) — every statically possible ranked-lock
-//!   acquisition respects the documented `monitor → live_index → nn_cache →
-//!   video` order (imported from `blazeit_core::lockorder::RANKED_LOCKS`, the
-//!   same table the runtime assertion uses).
+//!   acquisition respects the hierarchy stated in `blazeit_core::lockorder`
+//!   (imported from its `RANKED_LOCKS`, the same table the runtime assertion
+//!   uses).
 //! * [`panic-site`](checks::panic_site) — no `unwrap`/`expect`/panicking
 //!   macros/direct indexing in production code.
 //! * [`fault-coverage`](checks::fault_coverage) — fallible store/stream

@@ -9,8 +9,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use blazeit_core::lockorder::{
-    RANKED_LOCKS, RANK_ADMISSION, RANK_LIVE_INDEX, RANK_MONITOR, RANK_NN_CACHE, RANK_OBS_TRACE,
-    RANK_SERVE_CACHE, RANK_SERVE_SLOT, RANK_VIDEO,
+    RANKED_LOCKS, RANK_ADMISSION, RANK_FLIGHT, RANK_HELDOUT_CACHE, RANK_LIVE_INDEX, RANK_MONITOR,
+    RANK_NN_CACHE, RANK_OBS_TRACE, RANK_SERVE_CACHE, RANK_VIDEO,
 };
 use blazeit_lint::checks::lock_order::rank_const_name;
 use blazeit_lint::model::Event;
@@ -205,14 +205,20 @@ fn rank_table_is_single_source_of_truth() {
     // code acquiring a serving lock) must be impossible by rank.
     assert_eq!(RANK_ADMISSION, by_name("admission"));
     assert_eq!(RANK_SERVE_CACHE, by_name("serve_cache"));
-    assert_eq!(RANK_SERVE_SLOT, by_name("serve_slot"));
     assert!(
-        by_name("serve_slot") < by_name("monitor"),
+        by_name("serve_cache") < by_name("monitor"),
         "serving locks must rank below engine locks"
     );
     assert_eq!(RANK_MONITOR, by_name("monitor"));
     assert_eq!(RANK_LIVE_INDEX, by_name("live_index"));
     assert_eq!(RANK_NN_CACHE, by_name("nn_cache"));
+    assert_eq!(RANK_HELDOUT_CACHE, by_name("heldout_cache"));
+    // A single-flight cell is joined under its cache's map lock, so the cell
+    // lock ranks after every such map.
+    assert_eq!(RANK_FLIGHT, by_name("flight"));
+    for map in ["serve_cache", "nn_cache", "heldout_cache"] {
+        assert!(by_name(map) < by_name("flight"), "{map} must rank below the cells it holds");
+    }
     assert_eq!(RANK_VIDEO, by_name("video"));
     // The trace-collector lock ranks *above* every other lock: spans open and
     // close under arbitrary engine locks, and the collector never acquires

@@ -10,9 +10,8 @@
 //!
 //! * **deadlocks** — every unfinished thread blocked (also how lost wakeups
 //!   present, since model condvar waits never time out);
-//! * **lock-order violations** — ranked mutexes checked against the
-//!   `monitor → live_index → nn_cache → video` hierarchy from
-//!   `blazeit_core::lockorder::RANKED_LOCKS`;
+//! * **lock-order violations** — ranked mutexes checked against the lock
+//!   hierarchy stated in `blazeit_core::lockorder`;
 //! * **invariant failures** — any panic (e.g. a failed `assert!`) on a model
 //!   thread.
 //!

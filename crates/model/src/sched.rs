@@ -463,7 +463,7 @@ impl Scheduler {
                             format!(
                                 "lock-order violation: thread '{thread}' acquiring '{name}' \
                                  (rank {rank}) while holding '{held_name}' (rank {held_rank}); \
-                                 the documented order is monitor → live_index → nn_cache → video"
+                                 see the order in blazeit_core::lockorder"
                             ),
                         );
                     }

@@ -1,72 +1,53 @@
-//! Exhaustive model check of the serving layer's coalescing-cache protocol.
+//! Exhaustive model check of the compute-once cell behind every cache:
+//! `blazeit_core::single_flight::Flight`, driven through its public API
+//! exactly as the serving layer drives it.
 //!
-//! Mirrors `blazeit_core::serve`: sessions key the cache by the video's data
-//! generation, exactly one session computes each key (map-entry vacancy under
-//! the ranked `serve_cache` lock), later identical sessions attach as waiters
-//! on the slot's condvar, and the computer publishes `(result, generation)`
-//! as one atomic state change before waking everyone. A concurrent
-//! generation bump (the model's stand-in for stream ingest / UDF
-//! registration / drift refresh) invalidates by making the old key
-//! unreachable. Explored under **every** schedule up to the preemption
-//! bound, the protocol must guarantee:
+//! Sessions key a cache by the video's data generation. Under the ranked
+//! `serve_cache` map lock, `Flight::join` makes exactly one session the
+//! computer of a vacant key; later sessions with the same key wait on the
+//! cell, and the computer publishes `(result, generation)` as one state change
+//! before waking them. A concurrent generation bump (the model's stand-in for
+//! stream ingest / UDF registration / drift refresh) invalidates by making the
+//! old key unreachable, and the computer vacates an entry whose generation
+//! moved. Explored under **every** schedule up to the preemption bound, the
+//! protocol must guarantee:
 //!
 //! * no session ever receives a result computed for a different generation
 //!   than the one its cache key was built from (no stale reads);
 //! * no waiter is lost: every attached session is woken by the publish (a
 //!   missed wakeup blocks a thread forever, which the checker reports as a
 //!   deadlock);
-//! * no schedule deadlocks, and every path respects the documented
-//!   `serve_cache → serve_slot` lock order (the ranked-mutex oracle fails
-//!   the run otherwise).
+//! * a computer's error reaches every waiter, the failed key is vacant
+//!   afterwards, and the next join computes it again;
+//! * no schedule deadlocks, and every path respects the lock order of
+//!   `blazeit_core::lockorder` (the ranked-mutex oracle fails the run
+//!   otherwise).
 //!
-//! The `canary_*` test is the seeded race: a torn publish that installs the
-//! result and its generation under two separate lock acquisitions. The
-//! checker **must** flag it — it runs in CI beside the lint and stream
-//! canaries so a regression that blinds the checker fails the build.
+//! The `canary_*` tests are seeded races the checker **must** flag — a torn
+//! publish, and a cell-before-map lock inversion; they run in CI beside the
+//! lint and stream canaries so a regression that blinds the checker fails the
+//! build.
 
-use blazeit_core::lockorder::{RANK_SERVE_CACHE, RANK_SERVE_SLOT};
-use blazeit_core::sync::{AtomicU64, Condvar, Mutex, Ordering};
+use blazeit_core::lockorder::{RANK_FLIGHT, RANK_SERVE_CACHE};
+use blazeit_core::single_flight::{Flight, FlightMap, Role};
+use blazeit_core::sync::{AtomicU64, Mutex, Ordering};
+use blazeit_core::{BlazeItError, Result};
 use blazeit_model::{thread, Builder, FailureKind};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The coalescing slot, as in `serve::Slot`: protocol state under the ranked
-/// `serve_slot` mutex, publication signaled through the paired condvar.
-struct Slot {
-    state: Mutex<SlotState>,
-    ready: Condvar,
-}
+/// A published answer and the generation it was computed for.
+type Answer = (u64, u64);
 
-enum SlotState {
-    /// The computer is executing; `waiters` sessions are parked on `ready`.
-    Computing { waiters: u64 },
-    /// Published atomically: the answer and the generation it was computed
-    /// for swap in as one state change.
-    Done { value: u64, generation: u64 },
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            state: Mutex::ranked(
-                RANK_SERVE_SLOT,
-                "serve_slot",
-                SlotState::Computing { waiters: 0 },
-            ),
-            ready: Condvar::new(),
-        })
-    }
-}
-
-/// The serving cache, one slot per generation (the model bumps at most once,
-/// so two keys suffice) — in production this is the `CacheKey → Slot` map.
+/// The serving cache: generation → cell under the ranked `serve_cache` lock.
 struct Protocol {
-    cache: Mutex<[Option<Arc<Slot>>; 2]>,
+    cache: Mutex<FlightMap<u64, Answer>>,
     generation: AtomicU64,
 }
 
 fn protocol() -> Arc<Protocol> {
     Arc::new(Protocol {
-        cache: Mutex::ranked(RANK_SERVE_CACHE, "serve_cache", [None, None]),
+        cache: Mutex::ranked(RANK_SERVE_CACHE, "serve_cache", HashMap::new()),
         generation: AtomicU64::new(0),
     })
 }
@@ -77,75 +58,28 @@ fn answer_for(generation: u64) -> u64 {
     100 + generation
 }
 
-enum Role {
-    Hit(u64, u64),
-    Wait(Arc<Slot>),
-    Compute(Arc<Slot>),
-}
-
 /// One session's trip through the serving layer: snapshot the generation
-/// (key time), join the cache under `serve_cache`, then compute / wait / hit.
-/// Returns the `(value, generation)` the session observed; the caller asserts
-/// it matches the key.
-fn run_session(p: &Protocol) -> (u64, u64) {
-    let key_generation = p.generation.load(Ordering::SeqCst);
-    let slot_index = key_generation as usize;
-    let role = {
-        let mut cache = p.cache.lock();
-        match &cache[slot_index] {
-            Some(slot) => {
-                // serve_cache → serve_slot: the documented order.
-                let mut state = slot.state.lock();
-                match &mut *state {
-                    SlotState::Done { value, generation } => Role::Hit(*value, *generation),
-                    SlotState::Computing { waiters } => {
-                        *waiters += 1;
-                        Role::Wait(Arc::clone(slot))
-                    }
-                }
+/// (key time), join the cache under `serve_cache`, then hit / wait / compute.
+/// A computer runs `compute` with no lock held, publishes it, and vacates
+/// the entry if it failed or the generation moved meanwhile — what
+/// `serve::ServerSession::compute` does. Returns the session's key with
+/// what it received.
+fn run_session(p: &Protocol, compute: impl FnOnce(u64) -> Result<Answer>) -> (u64, Result<Answer>) {
+    let key = p.generation.load(Ordering::SeqCst);
+    let role = Flight::join(&mut p.cache.lock(), &key);
+    let result = match role {
+        Role::Hit(result) => result,
+        Role::Wait(flight) => flight.wait(),
+        Role::Compute(flight) => {
+            let result =
+                flight.run(|| unreachable!("the model computation never panics"), || compute(key));
+            if result.is_err() || p.generation.load(Ordering::SeqCst) != key {
+                Flight::vacate(&mut p.cache.lock(), &key, &flight);
             }
-            None => {
-                let slot = Slot::new();
-                cache[slot_index] = Some(Arc::clone(&slot));
-                Role::Compute(slot)
-            }
+            result
         }
     };
-    let (value, generation) = match role {
-        Role::Hit(value, generation) => (value, generation),
-        Role::Wait(slot) => {
-            let mut state = slot.state.lock();
-            loop {
-                match &*state {
-                    SlotState::Done { value, generation } => break (*value, *generation),
-                    SlotState::Computing { .. } => state = slot.ready.wait(state),
-                }
-            }
-        }
-        Role::Compute(slot) => {
-            // Execute with NO serving lock held (as serve::compute does).
-            let value = answer_for(key_generation);
-            {
-                let mut state = slot.state.lock();
-                // One atomic publish: result and generation together.
-                *state = SlotState::Done { value, generation: key_generation };
-            }
-            slot.ready.notify_all();
-            // Generation re-check: a bump during execution makes this entry
-            // answer for a key no new session will build — drop it.
-            if p.generation.load(Ordering::SeqCst) != key_generation {
-                p.cache.lock()[slot_index] = None;
-            }
-            (value, key_generation)
-        }
-    };
-    // The stale-read invariant, on every path: whatever a session receives
-    // was computed for exactly the generation its cache key named.
-    assert_eq!(
-        generation, key_generation,
-        "session keyed at generation {key_generation} received a result for {generation}"
-    );
-    (value, generation)
+    (key, result)
 }
 
 /// Three sessions race an invalidating generation bump, preemption bound 2:
@@ -162,13 +96,14 @@ fn coalescing_and_invalidation_hold_under_every_schedule() {
             .map(|i| {
                 let p = Arc::clone(&p);
                 thread::spawn_named(format!("session-{i}"), move || {
-                    let (value, generation) = run_session(&p);
-                    // The stale-read invariant: the answer a session
-                    // receives was computed for exactly the generation its
-                    // cache key named (run_session returns the slot's
-                    // published pair; the key generation is pinned at join
-                    // time, so any cross-generation delivery shows up as a
-                    // value/generation mismatch here).
+                    let (key, result) = run_session(&p, |g| Ok((answer_for(g), g)));
+                    let (value, generation) = result.expect("no computation fails");
+                    // The stale-read invariant: the answer a session receives
+                    // was computed for exactly the generation its key named.
+                    assert_eq!(
+                        generation, key,
+                        "session keyed at generation {key} received a result for {generation}"
+                    );
                     assert_eq!(
                         value,
                         answer_for(generation),
@@ -196,18 +131,9 @@ fn coalescing_and_invalidation_hold_under_every_schedule() {
         // published (no computation was abandoned mid-flight) and answers
         // for its own key.
         let cache = p.cache.lock();
-        for (slot_index, entry) in cache.iter().enumerate() {
-            if let Some(slot) = entry {
-                match &*slot.state.lock() {
-                    SlotState::Done { value, generation } => {
-                        assert_eq!(*generation, slot_index as u64);
-                        assert_eq!(*value, answer_for(*generation));
-                    }
-                    SlotState::Computing { .. } => {
-                        panic!("an entry was left computing after every session returned")
-                    }
-                }
-            }
+        for (&key, flight) in cache.iter() {
+            assert_eq!(flight.waiters(), None, "an entry was left computing");
+            assert_eq!(flight.peek(), Some((answer_for(key), key)));
         }
     });
     assert!(
@@ -216,15 +142,47 @@ fn coalescing_and_invalidation_hold_under_every_schedule() {
          at least 100 schedules, got {}",
         report.schedules
     );
-    assert!(report.failure.is_none(), "{:?}", report.failure);
+}
+
+/// Every computation fails. Whichever session computes publishes the error:
+/// each session that joined as a waiter (or hit the failed entry before it
+/// was vacated) receives that same typed error, no session hangs, the key is
+/// vacant once everyone returns, and a later join computes it again.
+#[test]
+fn a_published_error_reaches_every_waiter_and_vacates_the_key() {
+    fn failure() -> BlazeItError {
+        BlazeItError::Internal("injected computation failure".into())
+    }
+    let report = Builder::new().preemption_bound(2).check(|| {
+        let p = protocol();
+        let sessions: Vec<_> = (0..3)
+            .map(|i| {
+                let p = Arc::clone(&p);
+                thread::spawn_named(format!("session-{i}"), move || {
+                    let (_, result) = run_session(&p, |_| Err(failure()));
+                    assert_eq!(result, Err(failure()), "every session receives the error");
+                })
+            })
+            .collect();
+        for session in sessions {
+            session.join();
+        }
+        let mut cache = p.cache.lock();
+        assert!(cache.is_empty(), "a failed key must be vacant afterwards");
+        assert!(
+            matches!(Flight::join(&mut cache, &0), Role::Compute(_)),
+            "the next join after a failure computes"
+        );
+    });
+    assert!(report.schedules >= 10, "got {}", report.schedules);
 }
 
 /// The seeded-race canary: a torn publish that installs the result value and
-/// its generation under two separate acquisitions of the slot lock. An
+/// its generation under two separate acquisitions of the cell lock. An
 /// observer between the halves sees a result inconsistent with its
 /// generation — the checker must find that interleaving and report a
 /// replayable counterexample, or it has lost the ability to catch real
-/// serving-layer races.
+/// cache races.
 #[test]
 fn canary_torn_result_generation_publish_is_flagged() {
     struct TornSlot {
@@ -241,7 +199,7 @@ fn canary_torn_result_generation_publish_is_flagged() {
                 slot.lock().value = answer_for(1);
                 // BROKEN on purpose: the lock is dropped between the result
                 // and the generation, exposing a torn (value, generation)
-                // pair exactly like a non-atomic serve::Slot publish would.
+                // pair exactly like a non-atomic publish in `Flight::run` would.
                 slot.lock().generation = 1;
             })
         };
@@ -270,19 +228,19 @@ fn canary_torn_result_generation_publish_is_flagged() {
     );
 }
 
-/// Acquiring `serve_slot` before `serve_cache` anywhere in the serving layer
-/// is an inversion of the documented order; the ranked-lock oracle (sharing
-/// its table with the static lint and the debug tracker) must flag it.
+/// Acquiring a cache's map lock while holding a lock of the cell's rank is an
+/// inversion of the documented order; the ranked-lock oracle (sharing its
+/// table with the static lint and the debug tracker) must flag it.
 #[test]
 fn canary_serve_lock_inversion_is_flagged() {
     let report = Builder::new().check_report(|| {
         let p = protocol();
-        let slot = Slot::new();
+        let cell = Arc::new(Mutex::ranked(RANK_FLIGHT, "flight", ()));
         let t = {
             let p = Arc::clone(&p);
-            let slot = Arc::clone(&slot);
+            let cell = Arc::clone(&cell);
             thread::spawn_named("backwards", move || {
-                let _state = slot.state.lock();
+                let _state = cell.lock();
                 let _cache = p.cache.lock();
             })
         };
@@ -292,7 +250,7 @@ fn canary_serve_lock_inversion_is_flagged() {
     assert_eq!(failure.kind, FailureKind::LockOrder);
     assert!(
         failure.message.contains("'serve_cache' (rank 1)")
-            && failure.message.contains("'serve_slot' (rank 2)"),
+            && failure.message.contains(&format!("'flight' (rank {RANK_FLIGHT})")),
         "{}",
         failure.message
     );

@@ -201,8 +201,8 @@ fn canary_lock_order_inversion_is_flagged() {
     let failure = report.failure.expect("the rank oracle must fire");
     assert_eq!(failure.kind, FailureKind::LockOrder);
     assert!(
-        failure.message.contains("'monitor' (rank 3)")
-            && failure.message.contains("'live_index' (rank 4)"),
+        failure.message.contains(&format!("'monitor' (rank {RANK_MONITOR})"))
+            && failure.message.contains(&format!("'live_index' (rank {RANK_LIVE_INDEX})")),
         "{}",
         failure.message
     );

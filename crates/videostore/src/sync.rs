@@ -23,8 +23,8 @@
 //! `sync::tests::model_shim_compiles_out_by_default` in release mode to pin
 //! that).
 //!
-//! [`Mutex::ranked`] enrolls a lock in the documented
-//! `admission → serve_cache → serve_slot → monitor → live_index → nn_cache → video → obs_trace` hierarchy; ranks are inert here
+//! [`Mutex::ranked`] enrolls a lock in the hierarchy stated in
+//! `blazeit_core::lockorder`; ranks are inert here
 //! in normal builds (the debug tracker in `blazeit_core::lockorder` still
 //! asserts order at `lock_ordered` call sites) and become a hard oracle under
 //! the model: any schedule that acquires out of order fails with the exact

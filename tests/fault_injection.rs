@@ -153,13 +153,22 @@ fn answers(run: &PipelineRun) -> Answers {
     )
 }
 
+/// Runs a fault-free phase under a plan that never faults. Plans are
+/// process-wide: an unguarded phase would consume the failpoint hits of
+/// whichever chaos test holds a plan meanwhile, and that test's run would no
+/// longer reproduce.
+fn fault_free<T>(phase: impl FnOnce() -> T) -> T {
+    let _quiet = install(FaultPlan::uniform(0, 0.0));
+    phase()
+}
+
 /// The fault-free reference run (and its surviving artifact bytes), computed
 /// once.
 fn baseline() -> &'static (PipelineRun, Artifacts) {
     static BASELINE: OnceLock<(PipelineRun, Artifacts)> = OnceLock::new();
     BASELINE.get_or_init(|| {
         let dir = tmpdir("baseline");
-        let run = run_pipeline(&dir);
+        let run = fault_free(|| run_pipeline(&dir));
         let artifacts = artifact_bytes(&dir);
         assert!(!artifacts.is_empty(), "baseline run persisted no artifacts");
         (run, artifacts)
@@ -214,7 +223,7 @@ proptest! {
         // read path over the surviving store converges every artifact the
         // fault-free run produced back to its exact bytes (torn artifacts are
         // detected, recomputed, and rewritten; missing ones are rebuilt).
-        let healed = run_pipeline(&dir);
+        let healed = fault_free(|| run_pipeline(&dir));
         prop_assert_eq!(answers(&healed), answers(reference));
         prop_assert_eq!(healed.ingest_errors, 0);
         let healed_artifacts = artifact_bytes(&dir);
@@ -258,7 +267,7 @@ fn identical_fault_plans_reproduce_identical_runs() {
 fn persistent_store_failure_degrades_to_memory_only_then_heals() {
     let fx = fixture();
     // Fault-free reference: same registration shape, its own store.
-    let reference_bits = {
+    let reference_bits = fault_free(|| {
         let dir = tmpdir("degrade-reference");
         let catalog = Catalog::with_index_store(&dir).unwrap();
         catalog
@@ -280,7 +289,7 @@ fn persistent_store_failure_degrades_to_memory_only_then_heals() {
             .to_bits();
         let _ = std::fs::remove_dir_all(&dir);
         bits
-    };
+    });
     let dir = tmpdir("degrade");
     let catalog = Catalog::with_index_store(&dir).unwrap();
     catalog

@@ -266,3 +266,72 @@ fn cold_scrubs_racing_a_fan_out_finish_with_the_serial_answers() {
         }
     }
 }
+
+/// Two *different* cold scrubs whose plans share a head set race on a fresh
+/// server: the network both need is trained once, so the round charges one
+/// training's `Training` seconds. `specialized_for` used to check `nn_cache`,
+/// release the lock, train and insert, so both queries trained and the round
+/// charged twice.
+#[test]
+fn cold_queries_sharing_a_head_set_train_once() {
+    use std::sync::Barrier;
+    const ROUNDS: usize = 10;
+    const PAIR: [&str; 2] = [
+        "SELECT timestamp FROM taipei GROUP BY timestamp HAVING SUM(class='car') >= 1 LIMIT 2 GAP 30",
+        "SELECT timestamp FROM taipei GROUP BY timestamp HAVING SUM(class='car') >= 1 LIMIT 1",
+    ];
+
+    // Generated and labeled once; every round re-registers the same video in
+    // a fresh catalog, so every round starts cold.
+    let template = Catalog::new();
+    template.register_preset(DatasetPreset::Taipei, FRAMES).expect("register taipei");
+    let fresh = || {
+        let catalog = Catalog::new();
+        for ctx in template.contexts() {
+            catalog
+                .register(
+                    Video::clone(&ctx.video()),
+                    Arc::clone(ctx.labeled()),
+                    ctx.config().clone(),
+                )
+                .expect("register copy");
+        }
+        Arc::new(catalog)
+    };
+
+    // The race is on one head set: both plans name the same network.
+    let heads: Vec<_> = PAIR
+        .iter()
+        .map(|sql| {
+            let explain = template.session().query(&format!("EXPLAIN {sql}")).expect("explain");
+            explain.output.explain_plan().expect("a plan").subplans[0].heads.clone()
+        })
+        .collect();
+    assert!(!heads[0].is_empty(), "the scrubs must plan a specialized network");
+    assert_eq!(heads[0], heads[1], "the pair must share one head set");
+
+    let serial = fresh();
+    serial.session().query(PAIR[0]).expect("serial query");
+    let one_training = serial.clock().breakdown().training;
+    assert!(one_training > 0.0, "a cold scrub trains");
+
+    for round in 0..ROUNDS {
+        let server = Server::new(fresh());
+        let start = Barrier::new(PAIR.len());
+        std::thread::scope(|scope| {
+            for sql in PAIR {
+                let (session, start) = (server.session(), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    session.query(sql).expect("served query");
+                });
+            }
+        });
+        let training = server.catalog().clock().breakdown().training;
+        assert!(
+            (training - one_training).abs() <= 1e-9,
+            "round {round}: the pair charged {training} s of training, one training is \
+             {one_training} s"
+        );
+    }
+}
