@@ -8,11 +8,15 @@
 //! path. Three mechanisms sit between a session and the engine:
 //!
 //! 1. **Result cache** (`QueryCache`) — completed answers are published
-//!    under a [`CacheKey`] combining the *normalized* query text with each
-//!    spanned video's `(name, data generation, config fingerprint)`. Stream
-//!    ingestion, drift-refresh publication, and UDF registration bump the
-//!    generation, so stale entries become unreachable the instant the data
-//!    changes — invalidation is precise per video, with no global flush.
+//!    behind an `Arc` under a [`CacheKey`] combining the *normalized* query
+//!    text with each spanned video's `(name, data generation, config
+//!    fingerprint)`. The key needs only the parsed statement and its `FROM`
+//!    resolution, so a cache in front of the planner answers a hit with a
+//!    parse, a lookup and a refcount bump: only a miss, `EXPLAIN` and
+//!    `EXPLAIN ANALYZE` plan. Stream ingestion, drift-refresh publication, and
+//!    UDF registration bump the generation, so stale entries become
+//!    unreachable the instant the data changes — invalidation is precise per
+//!    video, with no global flush.
 //! 2. **Query coalescing** — when an identical query (same cache key) is
 //!    already executing, later sessions attach as *waiters* to the one
 //!    in-flight computation instead of re-executing it; the computer fans the
@@ -33,16 +37,17 @@
 //! submitter's tag, and the per-tag ledgers sum exactly to the global clock.
 
 use crate::catalog::Catalog;
-use crate::context::CacheWarmth;
+use crate::context::{CacheWarmth, VideoContext};
 use crate::lockorder::{lock_ordered, RANK_ADMISSION, RANK_SERVE_CACHE};
 use crate::obs;
 use crate::plan::{CacheStatus, PlanStrategy, QueryPlan};
 use crate::result::QueryResult;
-use crate::session::PreparedQuery;
+use crate::session::ResolvedQuery;
 use crate::single_flight::{Flight, FlightMap, Role};
 use crate::sync::{AtomicU64, Condvar, Mutex, Ordering};
 use crate::Result;
 use blazeit_detect::SimClock;
+use blazeit_frameql::Query;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -83,15 +88,16 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// Builds the key for a prepared query against its snapshot of the
-    /// catalog. Generations are read here, at plan time: a later bump makes
-    /// this key unreachable for new queries, which is the invalidation.
-    fn for_query(prepared: &PreparedQuery) -> CacheKey {
-        let mut normalized = prepared.query().clone();
+    /// Builds the key for a parsed query against the contexts its `FROM` clause
+    /// resolved to. Generations are read here, at resolution, before anything
+    /// plans: a later bump makes this key unreachable for new queries, which is
+    /// the invalidation.
+    fn for_query(query: &Query, contexts: &[Arc<VideoContext>]) -> CacheKey {
+        let mut normalized = query.clone();
         normalized.explain = false;
         normalized.analyze = false;
-        let videos = prepared
-            .contexts()
+        let videos = contexts
+            .iter()
             .map(|ctx| {
                 (ctx.video().name().to_string(), ctx.data_generation(), ctx.config_fingerprint())
             })
@@ -102,7 +108,7 @@ impl CacheKey {
 
 /// Key → cell map plus FIFO insertion order for eviction.
 struct CacheMap {
-    map: FlightMap<CacheKey, QueryResult>,
+    map: FlightMap<CacheKey, Arc<QueryResult>>,
     order: VecDeque<CacheKey>,
 }
 
@@ -128,7 +134,7 @@ impl QueryCache {
     /// Joins the computation for `key` ([`Flight::join`]). Besides the role,
     /// returns how many completed entries a new entry evicted (0 for hits and
     /// waits), so the caller can count them.
-    fn join_query(&self, key: &CacheKey) -> (Role<QueryResult>, usize) {
+    fn join_query(&self, key: &CacheKey) -> (Role<Arc<QueryResult>>, usize) {
         let mut slots = lock_ordered(RANK_SERVE_CACHE, "serve_cache", &self.slots);
         let role = Flight::join(&mut slots.map, key);
         if !matches!(role, Role::Compute(_)) {
@@ -161,7 +167,7 @@ impl QueryCache {
     /// Vacates `key` if it still holds `slot` (a computation that errored, or
     /// whose data generation moved mid-execution) so future sessions recompute
     /// instead of hitting it.
-    fn drop_entry(&self, key: &CacheKey, slot: &Arc<Flight<QueryResult>>) {
+    fn drop_entry(&self, key: &CacheKey, slot: &Arc<Flight<Arc<QueryResult>>>) {
         let mut slots = lock_ordered(RANK_SERVE_CACHE, "serve_cache", &self.slots);
         if Flight::vacate(&mut slots.map, key, slot) {
             slots.order.retain(|k| k != key);
@@ -419,32 +425,38 @@ impl ServerSession<'_> {
         self.server.catalog.clock().breakdown_for(self.tag)
     }
 
-    /// Parses, plans, and executes a FrameQL query through the serving layer:
-    /// cache hit, coalesced wait, or admitted computation. `EXPLAIN` runs
-    /// free and reports the cache disposition its query would see; `EXPLAIN
+    /// Answers a FrameQL query through the serving layer: cache hit, coalesced
+    /// wait, or admitted computation. A copy of [`ServerSession::query_shared`]'s
+    /// answer (free when no cache entry shares it).
+    pub fn query(&self, sql: &str) -> Result<QueryResult> {
+        self.query_shared(sql).map(Arc::unwrap_or_clone)
+    }
+
+    /// Parses a FrameQL query and resolves its `FROM` clause, then keys the
+    /// result cache from those alone: a hit returns the published answer
+    /// without planning or copying it. A miss plans and executes the query
+    /// once for every session that asks meanwhile. `EXPLAIN` plans, runs free
+    /// and reports the cache disposition its query would see; `EXPLAIN
     /// ANALYZE` executes under a trace collector — admitted like a miss, but
     /// never cached, counted, or coalesced, so tracing a query cannot perturb
     /// the plain query's cache entry or the serving counters.
-    pub fn query(&self, sql: &str) -> Result<QueryResult> {
+    pub fn query_shared(&self, sql: &str) -> Result<Arc<QueryResult>> {
         obs::metrics().serving_queries.inc();
-        let prepared = self.server.catalog.session().prepare(sql)?;
-        let key = CacheKey::for_query(&prepared);
+        let resolved = self.server.catalog.session().resolve(sql)?;
+        let key = CacheKey::for_query(resolved.query(), resolved.contexts());
 
-        if prepared.is_analyze() {
-            let mut prepared = prepared;
+        if resolved.query().explain {
+            let mut prepared = resolved.plan()?;
             prepared.plan_mut().cache = Some(self.server.cache.probe_status(&key));
+            if !prepared.is_analyze() {
+                return prepared.run().map(Arc::new);
+            }
             let estimate = estimated_cost(prepared.plan());
             let waited = std::time::Instant::now();
             let _permit = self.server.admission.acquire(estimate);
             prepared.set_admission_wait(waited.elapsed().as_secs_f64());
             let tag = self.tag;
-            return SimClock::with_charge_tag(tag, || prepared.run());
-        }
-
-        if prepared.is_explain() {
-            let mut prepared = prepared;
-            prepared.plan_mut().cache = Some(self.server.cache.probe_status(&key));
-            return prepared.run();
+            return SimClock::with_charge_tag(tag, || prepared.run()).map(Arc::new);
         }
 
         let (role, evicted) = self.server.cache.join_query(&key);
@@ -466,36 +478,38 @@ impl ServerSession<'_> {
             Role::Compute(slot) => {
                 self.server.stats.misses.fetch_add(1, Ordering::SeqCst);
                 obs::metrics().serving_misses.inc();
-                self.compute(&prepared, &key, &slot)
+                self.compute(resolved, &key, &slot)
             }
         }
     }
 
-    /// The computer path: admit against the plan-cost budget, execute under
-    /// this session's charge tag, publish to every coalesced waiter, and keep
-    /// (or drop) the entry for future hits.
+    /// The computer path: plan, admit against the plan-cost budget, execute
+    /// under this session's charge tag, publish to every coalesced waiter, and
+    /// keep (or drop) the entry for future hits. A planning error is published
+    /// like an execution error.
     fn compute(
         &self,
-        prepared: &PreparedQuery,
+        resolved: ResolvedQuery,
         key: &CacheKey,
-        slot: &Arc<Flight<QueryResult>>,
-    ) -> Result<QueryResult> {
-        let estimate = estimated_cost(prepared.plan());
+        slot: &Arc<Flight<Arc<QueryResult>>>,
+    ) -> Result<Arc<QueryResult>> {
+        let contexts = resolved.contexts().to_vec();
         // Admission is held only across the execution — never while any
         // serving lock is held, and released (by drop) even on unwind.
         let execute = || {
-            let _permit = self.server.admission.acquire(estimate);
-            SimClock::with_charge_tag(self.tag, || prepared.run())
+            let prepared = resolved.plan()?;
+            let _permit = self.server.admission.acquire(estimated_cost(prepared.plan()));
+            SimClock::with_charge_tag(self.tag, || prepared.run()).map(Arc::new)
         };
-        let task = || format!("serving computation for {sql:?}", sql = prepared.query());
+        let task = || format!("serving computation for {}", key.sql);
         // Publishes before any map maintenance, so waiters are never delayed
         // by (or ordered after) cache bookkeeping.
         let result = slot.run(task, execute);
         // A failed computation must not be served as a hit; and if the data
         // generation moved while we executed, the entry answers for a key no
         // new session will compute — drop it so memory is not pinned.
-        let generation_moved = prepared
-            .contexts()
+        let generation_moved = contexts
+            .iter()
             .zip(&key.videos)
             .any(|(ctx, (_, generation, _))| ctx.data_generation() != *generation);
         if result.is_err() || generation_moved {
@@ -510,6 +524,8 @@ impl ServerSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::result::QueryOutput;
+    use crate::BlazeItError;
     use blazeit_videostore::DatasetPreset;
 
     fn server() -> Server {
@@ -544,7 +560,63 @@ mod tests {
         assert!(explain(&server).contains("cache:    hit"), "published entry must explain as hit");
         // EXPLAIN itself stays free, uncached, and uncounted.
         let stats = server.stats();
-        assert_eq!((stats.misses, stats.hits), (1, 0), "probes must not count: {stats:?}");
+        assert_eq!(
+            stats,
+            ServeStats { misses: 1, ..ServeStats::default() },
+            "probes must not count: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn hits_share_one_published_answer() {
+        let server = server();
+        let session = server.session();
+        let computed = session.query_shared(FCOUNT).unwrap();
+        let first = session.query_shared(FCOUNT).unwrap();
+        let second = session.query_shared(&format!("  {FCOUNT}")).unwrap();
+        assert!(Arc::ptr_eq(&computed, &first), "a hit must return the published answer");
+        assert!(Arc::ptr_eq(&first, &second), "two hits of one key must share one answer");
+        let stats = server.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 2), "{stats:?}");
+    }
+
+    #[test]
+    fn a_statement_that_fails_analysis_is_published_as_an_error_and_vacated() {
+        let server = server();
+        // Parses and resolves (taipei is registered), but names no known UDF.
+        let bad = "SELECT * FROM taipei WHERE shininess(content) > 3";
+        let first = server.query(bad).unwrap_err();
+        let second = server.query(bad).unwrap_err();
+        assert!(
+            matches!(first, BlazeItError::FrameQl(blazeit_frameql::FrameQlError::UnknownUdf(_))),
+            "{first:?}"
+        );
+        assert_eq!(first, second, "every call must see the same typed error");
+        let resolved = server.catalog().session().resolve(bad).unwrap();
+        let key = CacheKey::for_query(resolved.query(), resolved.contexts());
+        assert_eq!(server.cache.probe_status(&key), CacheStatus::Miss, "the key must be vacant");
+        let stats = server.stats();
+        assert_eq!(
+            stats,
+            ServeStats { misses: 2, invalidated: 2, ..ServeStats::default() },
+            "a planning error counts as a miss and an invalidation, never a hit: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn explain_analyze_traces_parse_plan_and_admission_wait() {
+        let server = server();
+        let result = server.query(&format!("EXPLAIN ANALYZE {FCOUNT}")).unwrap();
+        let QueryOutput::ExplainAnalyze { trace, .. } = &result.output else {
+            panic!("EXPLAIN ANALYZE returned {:?}", result.output);
+        };
+        for label in ["parse", "plan", "admission wait"] {
+            assert!(
+                trace.spans.iter().any(|span| span.label == label),
+                "the trace must keep its {label:?} span: {trace}"
+            );
+        }
+        assert_eq!(server.stats(), ServeStats::default(), "EXPLAIN ANALYZE is never counted");
     }
 
     #[test]

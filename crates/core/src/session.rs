@@ -4,7 +4,9 @@
 //! [`Session::prepare`] parses a FrameQL string, routes it to the registered video(s)
 //! named in its `FROM` clause — one video, an explicit `FROM a, b, c` list, or
 //! `FROM *` for the whole catalog — analyzes it per video, and plans it, all without
-//! charging the simulated clock. The returned [`PreparedQuery`] holds a [`QueryPlan`]
+//! charging the simulated clock. Parsing and routing (the serving layer's cache
+//! key needs nothing more) are a step of their own, so a served cache hit never
+//! plans. The returned [`PreparedQuery`] holds a [`QueryPlan`]
 //! with one sub-plan per video that the caller can inspect
 //! ([`PreparedQuery::plan`]), render ([`PreparedQuery::explain`]), and override
 //! ([`PreparedQuery::with_options`], [`PreparedQuery::with_budget`]) before paying
@@ -77,11 +79,18 @@ impl<'a> Session<'a> {
     /// registered video in registration order. Unknown names fail with
     /// [`BlazeItError::UnknownVideo`] (including a nearest-name suggestion).
     pub fn prepare(&self, sql: &str) -> Result<PreparedQuery> {
+        self.resolve(sql)?.plan()
+    }
+
+    /// The first half of [`Session::prepare`]: parses `sql` and routes its `FROM`
+    /// clause to the registered videos, without analyzing or planning it. This is
+    /// all the serving layer needs to key its result cache.
+    pub(crate) fn resolve(&self, sql: &str) -> Result<ResolvedQuery> {
         let parse_started = Instant::now();
-        let parsed = parse_query(sql)?;
+        let query = parse_query(sql)?;
         let parse_wall_secs = parse_started.elapsed().as_secs_f64();
-        let plan_started = Instant::now();
-        let contexts: Vec<Arc<VideoContext>> = match &parsed.from {
+        let resolve_started = Instant::now();
+        let contexts: Vec<Arc<VideoContext>> = match &query.from {
             FromClause::All => {
                 let contexts = self.catalog.contexts();
                 if contexts.is_empty() {
@@ -109,10 +118,54 @@ impl<'a> Session<'a> {
                 contexts
             }
         };
-        let targets: Vec<QueryTarget> = contexts
+        Ok(ResolvedQuery {
+            sql: sql.to_string(),
+            query,
+            contexts,
+            parse_wall_secs,
+            resolve_wall_secs: resolve_started.elapsed().as_secs_f64(),
+        })
+    }
+
+    /// Convenience: prepare and immediately run a query with its default plan.
+    pub fn query(&self, sql: &str) -> Result<QueryResult> {
+        self.prepare(sql)?.run()
+    }
+}
+
+/// A statement parsed and routed to the videos its `FROM` clause names, but not
+/// yet analyzed or planned ([`Session::resolve`]).
+#[derive(Debug)]
+pub(crate) struct ResolvedQuery {
+    sql: String,
+    query: Query,
+    contexts: Vec<Arc<VideoContext>>,
+    parse_wall_secs: f64,
+    /// Wall-clock seconds spent routing `FROM`; [`ResolvedQuery::plan`] adds its
+    /// own time to make the `plan` span.
+    resolve_wall_secs: f64,
+}
+
+impl ResolvedQuery {
+    /// The parsed query AST.
+    pub(crate) fn query(&self) -> &Query {
+        &self.query
+    }
+
+    /// Every video context the query spans, in `FROM`-clause order.
+    pub(crate) fn contexts(&self) -> &[Arc<VideoContext>] {
+        &self.contexts
+    }
+
+    /// The second half of [`Session::prepare`]: analyzes the query against each
+    /// video's UDF registry and plans it over the resolved contexts.
+    pub(crate) fn plan(self) -> Result<PreparedQuery> {
+        let plan_started = Instant::now();
+        let targets: Vec<QueryTarget> = self
+            .contexts
             .into_iter()
             .map(|ctx| {
-                let info = analyze(&parsed, &ctx.udfs())?;
+                let info = analyze(&self.query, &ctx.udfs())?;
                 Ok(QueryTarget { ctx, info })
             })
             .collect::<Result<_>>()?;
@@ -121,22 +174,17 @@ impl<'a> Session<'a> {
         // `FROM *` keeps catalog (fan-out) semantics even over a one-video catalog,
         // so the query's result shape never depends on how many videos happen to be
         // registered.
-        let fan_out = parsed.from.is_all() || targets.len() > 1;
+        let fan_out = self.query.from.is_all() || targets.len() > 1;
         let plan = plan_query(&pairs, fan_out)?;
         Ok(PreparedQuery {
             targets,
-            sql: sql.to_string(),
-            query: parsed,
+            sql: self.sql,
+            query: self.query,
             plan,
-            parse_wall_secs,
-            plan_wall_secs: plan_started.elapsed().as_secs_f64(),
+            parse_wall_secs: self.parse_wall_secs,
+            plan_wall_secs: self.resolve_wall_secs + plan_started.elapsed().as_secs_f64(),
             admission_wait_secs: None,
         })
-    }
-
-    /// Convenience: prepare and immediately run a query with its default plan.
-    pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        self.prepare(sql)?.run()
     }
 }
 
@@ -197,13 +245,6 @@ impl PreparedQuery {
     /// Mutable access to the plan — the full override hatch for harnesses.
     pub fn plan_mut(&mut self) -> &mut QueryPlan {
         &mut self.plan
-    }
-
-    /// Whether this statement was an `EXPLAIN` (runs free, returns the plan).
-    /// True for `EXPLAIN ANALYZE` too — check [`PreparedQuery::is_analyze`]
-    /// to distinguish the variant that executes.
-    pub fn is_explain(&self) -> bool {
-        self.query.explain
     }
 
     /// Whether this statement was an `EXPLAIN ANALYZE` (executes the query

@@ -186,7 +186,8 @@ fn serve_client(shared: &Shared, stream: TcpStream) {
             "STATS" => render_stats(&shared.server.stats()),
             "METRICS" => render_metrics(),
             "SHUTDOWN" => "{\"ok\":true,\"kind\":\"shutdown\"}".to_string(),
-            sql => match session.query(sql) {
+            // A cache hit is rendered straight from the shared answer.
+            sql => match session.query_shared(sql) {
                 Ok(result) => render_result(&result),
                 Err(err) => render_error(&err),
             },

@@ -328,25 +328,28 @@ fn persistent_store_failure_degrades_to_memory_only_then_heals() {
         let plan = format!("{}", explain.output.explain_plan().unwrap());
         assert!(plan.contains("health:   degraded"), "plan renders health line:\n{plan}");
     }
-    // Faults stopped. The memory caches are warm, so repeat queries alone
-    // would never touch the store again; streaming ingest keeps generating
-    // store-backed work (write-behind of the grown score index), which drives
-    // the probation window: skipped ops, then a probe, which now succeeds and
-    // restores store-backed mode.
-    let stream = catalog.stream("taipei").unwrap();
-    let mut healed = false;
-    while !stream.is_exhausted() {
-        stream.advance(5).unwrap();
-        if !catalog.context("taipei").unwrap().health().report().store_degraded {
-            healed = true;
-            break;
+    // The post-fault phase runs under a plan that never faults (see `fault_free`).
+    fault_free(|| {
+        // Faults stopped. The memory caches are warm, so repeat queries alone
+        // would never touch the store again; streaming ingest keeps generating
+        // store-backed work (write-behind of the grown score index), which drives
+        // the probation window: skipped ops, then a probe, which now succeeds and
+        // restores store-backed mode.
+        let stream = catalog.stream("taipei").unwrap();
+        let mut healed = false;
+        while !stream.is_exhausted() {
+            stream.advance(5).unwrap();
+            if !catalog.context("taipei").unwrap().health().report().store_degraded {
+                healed = true;
+                break;
+            }
         }
-    }
-    assert!(healed, "probation re-probes and heals once faults stop");
-    // Healthy again: EXPLAIN drops the degradation banner.
-    let explain = catalog.session().query(&format!("EXPLAIN {FCOUNT_SQL}")).unwrap();
-    let plan = format!("{}", explain.output.explain_plan().unwrap());
-    assert!(!plan.contains("degraded"), "healed plan:\n{plan}");
+        assert!(healed, "probation re-probes and heals once faults stop");
+        // Healthy again: EXPLAIN drops the degradation banner.
+        let explain = catalog.session().query(&format!("EXPLAIN {FCOUNT_SQL}")).unwrap();
+        let plan = format!("{}", explain.output.explain_plan().unwrap());
+        assert!(!plan.contains("degraded"), "healed plan:\n{plan}");
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -432,45 +435,48 @@ fn failed_retrain_keeps_generation_and_rearms_with_backoff() {
         report
     };
     drop(report);
-    let status = ctx.stream_status(&heads).unwrap();
-    assert_eq!(status.generation, 0, "failed refresh keeps the current generation");
-    assert_eq!(status.refresh, RefreshState::Failed { generation: 0 });
-    let health = ctx.health().report();
-    let retrain = health.retrain.as_ref().expect("retrain failure recorded");
-    assert_eq!(retrain.generation, 0);
-    assert_eq!(retrain.failures, 1);
-    assert_eq!(retrain.backoff_frames, 100, "first failure re-arms after one check interval");
-    assert_eq!(retrain.resume_at, 250);
-    assert!(health.retrain_line().unwrap().contains("failed@gen 0"));
-    // EXPLAIN renders the retrain line.
-    let explain = catalog.session().query(&format!("EXPLAIN {FCOUNT_SQL}")).unwrap();
-    let plan = format!("{}", explain.output.explain_plan().unwrap());
-    assert!(plan.contains("retrain:  failed@gen 0"), "plan renders retrain health:\n{plan}");
-    // The subscription keeps answering from generation 0.
-    stream.advance_to(200).unwrap();
-    for update in sub.poll().unwrap() {
-        assert_eq!(update.generation, 0);
-    }
-
-    // Inside the backoff window the monitor must not re-check; past it (and
-    // with the faults gone) the refresh succeeds and swaps generation 1 in.
-    let quiet = stream.advance_to(249).unwrap();
-    assert!(!quiet.drift_checked, "monitor is quiet inside the backoff window");
-    let mut new_generation = None;
-    let mut target = 250;
-    while new_generation.is_none() && target <= fx.capacity.len() {
-        let report = stream.advance_to(target).unwrap();
-        assert_eq!(report.refresh_failures, 0);
-        if let Some(refresh) = report.refreshes.first() {
-            new_generation = Some(refresh.new_generation);
+    // The post-fault phase runs under a plan that never faults (see `fault_free`).
+    fault_free(|| {
+        let status = ctx.stream_status(&heads).unwrap();
+        assert_eq!(status.generation, 0, "failed refresh keeps the current generation");
+        assert_eq!(status.refresh, RefreshState::Failed { generation: 0 });
+        let health = ctx.health().report();
+        let retrain = health.retrain.as_ref().expect("retrain failure recorded");
+        assert_eq!(retrain.generation, 0);
+        assert_eq!(retrain.failures, 1);
+        assert_eq!(retrain.backoff_frames, 100, "first failure re-arms after one check interval");
+        assert_eq!(retrain.resume_at, 250);
+        assert!(health.retrain_line().unwrap().contains("failed@gen 0"));
+        // EXPLAIN renders the retrain line.
+        let explain = catalog.session().query(&format!("EXPLAIN {FCOUNT_SQL}")).unwrap();
+        let plan = format!("{}", explain.output.explain_plan().unwrap());
+        assert!(plan.contains("retrain:  failed@gen 0"), "plan renders retrain health:\n{plan}");
+        // The subscription keeps answering from generation 0.
+        stream.advance_to(200).unwrap();
+        for update in sub.poll().unwrap() {
+            assert_eq!(update.generation, 0);
         }
-        target += 100;
-    }
-    assert_eq!(new_generation, Some(1), "the post-backoff fault-free refresh swaps in gen 1");
-    assert!(ctx.health().report().retrain.is_none(), "a successful refresh clears the record");
-    let status = ctx.stream_status(&heads).unwrap();
-    assert_eq!(status.generation, 1);
-    assert_eq!(status.refresh, RefreshState::Completed { generation: 1 });
+
+        // Inside the backoff window the monitor must not re-check; past it (and
+        // with the faults gone) the refresh succeeds and swaps generation 1 in.
+        let quiet = stream.advance_to(249).unwrap();
+        assert!(!quiet.drift_checked, "monitor is quiet inside the backoff window");
+        let mut new_generation = None;
+        let mut target = 250;
+        while new_generation.is_none() && target <= fx.capacity.len() {
+            let report = stream.advance_to(target).unwrap();
+            assert_eq!(report.refresh_failures, 0);
+            if let Some(refresh) = report.refreshes.first() {
+                new_generation = Some(refresh.new_generation);
+            }
+            target += 100;
+        }
+        assert_eq!(new_generation, Some(1), "the post-backoff fault-free refresh swaps in gen 1");
+        assert!(ctx.health().report().retrain.is_none(), "a successful refresh clears the record");
+        let status = ctx.stream_status(&heads).unwrap();
+        assert_eq!(status.generation, 1);
+        assert_eq!(status.refresh, RefreshState::Completed { generation: 1 });
+    });
 }
 
 // -------------------------------------------------------------------------------
