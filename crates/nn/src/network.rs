@@ -7,7 +7,7 @@ use crate::layers::{softmax_segments_into, Dense};
 use crate::loss::{grouped_cross_entropy, HeadLayout};
 use crate::optimizer::{SgdConfig, SgdState};
 use crate::score::ScoreMatrix;
-use crate::tensor::Matrix;
+use crate::tensor::{at_host_width, Matrix};
 use crate::{NnError, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -282,7 +282,9 @@ impl Network {
     /// forward through [`Dense::forward_into`], the loss gradient written straight
     /// into the delta buffer, then per layer (last first) `dW = inputᵀ·Δ` and
     /// `Δ' = Δ·Wᵀ` read the transposed operand in place — and the first layer,
-    /// whose input gradient nobody reads, computes none.
+    /// whose input gradient nobody reads, computes none. The global-norm clip
+    /// skips its exact norm on steps where a certified bound shows it cannot fire
+    /// (`clip_scale`); the scale it applies is the reference's, bit for bit.
     pub fn train_step(
         &mut self,
         input: &Matrix,
@@ -327,13 +329,7 @@ impl Network {
             }
         }
 
-        // Global gradient-norm clipping keeps training stable at higher learning rates
-        // (standardized features produce occasional large batch gradients). The
-        // per-tensor sqrt-then-square is not the identity in f32; it stays.
-        let total_norm: f32 =
-            gradients.iter().map(|(w, b)| w.norm().powi(2) + b.norm().powi(2)).sum::<f32>().sqrt();
-        let clip = 5.0f32;
-        let scale = if total_norm > clip { clip / total_norm } else { 1.0 };
+        let scale = clip_scale(gradients);
         for ((layer, (d_weights, d_bias)), (w_state, b_state)) in
             self.layers.iter_mut().zip(gradients.iter()).zip(optimizer.iter_mut())
         {
@@ -360,6 +356,99 @@ impl Network {
         let correct = preds.iter().zip(labels.chunks(heads)).filter(|(p, l)| p == l).count();
         Ok(correct as f64 / preds.len() as f64)
     }
+}
+
+/// The global gradient-norm threshold of [`clip_scale`].
+const CLIP: f32 = 5.0;
+
+/// The gradient scale of the global-norm clip, bit for bit [`exact_clip_scale`].
+/// Global gradient-norm clipping keeps training stable at higher learning rates
+/// (standardized features produce occasional large batch gradients), but on most
+/// steps the norm is far below [`CLIP`]: there [`clip_cannot_fire`] proves the
+/// answer is `1.0` from a vectorised bound, and the exact norm — one sequential
+/// `f32` chain over every gradient element — runs only on the steps it cannot
+/// decide. An evaluation shortcut: the definition does not change.
+fn clip_scale(gradients: &[(Matrix, Matrix)]) -> f32 {
+    if clip_cannot_fire(gradients) {
+        1.0
+    } else {
+        exact_clip_scale(gradients)
+    }
+}
+
+/// The clip's definition: `CLIP / total_norm` when the global norm exceeds
+/// [`CLIP`], else `1.0` (a NaN norm included). The per-tensor sqrt-then-square
+/// is not the identity in `f32`; it stays.
+fn exact_clip_scale(gradients: &[(Matrix, Matrix)]) -> f32 {
+    let total_norm: f32 =
+        gradients.iter().map(|(w, b)| w.norm().powi(2) + b.norm().powi(2)).sum::<f32>().sqrt();
+    if total_norm > CLIP {
+        CLIP / total_norm
+    } else {
+        1.0
+    }
+}
+
+/// Whether [`exact_clip_scale`] provably returns `1.0`, decided from the exact
+/// sum of squares `T` without the exact path's rounding.
+///
+/// With `u = 2⁻²⁴`, any term of the exact path meets at most `N + L + 3`
+/// roundings (`N` the longest tensor, `L` the layer count): its square and the
+/// tensor's running sum (`N`), the tensor norm's `sqrt` and square (3, the root's
+/// error counting twice), the weight + bias add (1) and the sum over layers
+/// (`L − 1`). Every term is non-negative, so the value `T̂` the exact path takes
+/// the root of obeys `T̂ ≤ T·(1 + γ)` with `γ = k·u / (1 − k·u)`, `k = N + 2L + 3`.
+/// If `T̂ ≤ 25`, its correctly rounded root is at most `5`, which does not
+/// exceed [`CLIP`]. `T` itself is summed in `f64`, where `f32` squares are
+/// exact: the sum's own relative error (below `M·2⁻⁵³` for `M ≤ 2·L·N`
+/// elements), this comparison's roundings and subnormal squares' absolute error
+/// fit many times over in the margin's second `γ`. A NaN or infinite sum fails
+/// the test and takes the exact path.
+fn clip_cannot_fire(gradients: &[(Matrix, Matrix)]) -> bool {
+    let Some(gamma) = exact_norm_error_bound(gradients) else {
+        return false;
+    };
+    // A plain loop: an iterator adaptor here would not be inlined into the
+    // wide instantiation.
+    let sum = at_host_width(
+        #[inline(always)]
+        || {
+            let mut sum = 0.0f64;
+            for (w, b) in gradients {
+                sum += sum_of_squares(w.data()) + sum_of_squares(b.data());
+            }
+            sum
+        },
+    );
+    sum.is_finite() && sum * (1.0 + 2.0 * gamma) < f64::from(CLIP * CLIP)
+}
+
+/// [`clip_cannot_fire`]'s `γ`: the exact path's relative error bound on its sum
+/// of squares, `None` where the rounding count reaches `1 / u`.
+fn exact_norm_error_bound(gradients: &[(Matrix, Matrix)]) -> Option<f64> {
+    let longest = gradients.iter().map(|(w, b)| w.data().len().max(b.data().len())).max();
+    let roundings = longest.unwrap_or(0) + 2 * gradients.len() + 3;
+    let ku = roundings as f64 * f64::from(f32::EPSILON) / 2.0;
+    (ku < 1.0).then(|| ku / (1.0 - ku))
+}
+
+/// `Σ x²` in `f64`, over 16 independent accumulators so that the compiler runs
+/// it in vector lanes.
+#[inline(always)]
+fn sum_of_squares(values: &[f32]) -> f64 {
+    const LANES: usize = 16;
+    let mut acc = [0.0f64; LANES];
+    let chunks = values.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (a, &x) in acc.iter_mut().zip(chunk) {
+            *a += f64::from(x) * f64::from(x);
+        }
+    }
+    for (a, &x) in acc.iter_mut().zip(tail) {
+        *a += f64::from(x) * f64::from(x);
+    }
+    acc.iter().sum()
 }
 
 #[cfg(test)]
@@ -637,7 +726,7 @@ mod tests {
                 .map(|l| (vec![0.0; l.weights.data().len()], vec![0.0; l.bias.data().len()]))
                 .collect();
             let mut rng = StdRng::seed_from_u64(900 + a as u64);
-            let (mut fired, mut idle) = (0usize, 0usize);
+            let (mut fired, mut idle, mut skipped) = (0usize, 0usize, 0usize);
             for step in 0..300 {
                 let batch = if step % 7 == 6 { 5 } else { 16 };
                 let mut x = Matrix::zeros(batch, input_dim);
@@ -646,6 +735,7 @@ mod tests {
                     .map(|i| rng.gen_range(0..heads[i % heads.len()]))
                     .collect();
                 let loss = net.train_step(&x, &labels, &mut scratch).unwrap();
+                skipped += usize::from(clip_cannot_fire(&scratch.gradients));
                 let (expected, clipped) =
                     reference_step(&mut reference, &x, &labels, &mut velocities, sgd);
                 assert_eq!(loss.to_bits(), expected.to_bits(), "arch {a} step {step}: loss");
@@ -660,8 +750,83 @@ mod tests {
                     idle += 1;
                 }
             }
-            // `spread` is chosen so both sides of the clip branch are compared.
+            // `spread` is chosen so both sides of the clip branch are compared,
+            // and both ways of deciding it: the bound alone and the exact norm.
             assert!(fired > 0 && idle > 0, "arch {a}: clip fired {fired}, idled {idle}");
+            let exact = fired + idle - skipped;
+            assert!(skipped > 0 && exact > 0, "arch {a}: bound decided {skipped}, exact {exact}");
+        }
+    }
+
+    /// Random gradients shaped `(weights, bias)` per layer, scaled so that their
+    /// exact sum of squares is `target` to within the scaling's own rounding.
+    fn gradients_summing_to(
+        shapes: &[((usize, usize), usize)],
+        target: f64,
+        rng: &mut StdRng,
+    ) -> Vec<(Matrix, Matrix)> {
+        let mut random = |rows: usize, cols: usize| {
+            let mut m = Matrix::zeros(rows, cols);
+            m.data_mut().iter_mut().for_each(|v| *v = rng.gen_range(-1.0..1.0));
+            m
+        };
+        let mut gradients: Vec<(Matrix, Matrix)> =
+            shapes.iter().map(|&((r, c), b)| (random(r, c), random(1, b))).collect();
+        let scale = (target / exact_sum_of_squares(&gradients)).sqrt() as f32;
+        for (w, b) in &mut gradients {
+            w.data_mut().iter_mut().chain(b.data_mut()).for_each(|v| *v *= scale);
+        }
+        gradients
+    }
+
+    fn exact_sum_of_squares(gradients: &[(Matrix, Matrix)]) -> f64 {
+        let values = gradients.iter().flat_map(|(w, b)| w.data().iter().chain(b.data()));
+        values.map(|&x| f64::from(x) * f64::from(x)).sum()
+    }
+
+    /// The clip's shortcut against its definition, bit for bit, with the
+    /// gradients' sum of squares placed at `25·(1 + k·γ)` around the threshold:
+    /// the bound must decide exactly the steps below `25·(1 − 2γ)` and leave the
+    /// rest to the exact norm. Production shapes (γ ≈ 1.7·10⁻³) and one 2²⁰-element
+    /// tensor (γ ≈ 0.067), plus all-zero, NaN and infinite gradients.
+    #[test]
+    fn clip_scale_equals_its_definition_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(71);
+        let production = [((611, 48), 48), ((48, 6), 6)];
+        let wide = [((1024, 1024), 1)];
+        for shapes in [&production[..], &wide[..]] {
+            let elements: usize =
+                shapes.iter().map(|&((rows, cols), bias)| rows * cols + bias).sum();
+            let gamma = exact_norm_error_bound(&gradients_summing_to(shapes, 1.0, &mut rng));
+            let gamma = gamma.unwrap();
+            for k in [-8.0, -4.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 8.0] {
+                let gradients = gradients_summing_to(shapes, 25.0 * (1.0 + k * gamma), &mut rng);
+                let scale = clip_scale(&gradients);
+                let what = format!("{elements} elements, k = {k}");
+                assert_eq!(scale.to_bits(), exact_clip_scale(&gradients).to_bits(), "{what}");
+                assert_eq!(clip_cannot_fire(&gradients), k <= -2.0, "{what}: path");
+                if k <= -1.0 {
+                    assert_eq!(scale, 1.0, "{what}: idle");
+                } else if k >= 1.0 {
+                    assert!(scale < 1.0, "{what}: fired");
+                }
+            }
+        }
+
+        let mut zero = gradients_summing_to(&production, 1.0, &mut rng);
+        zero.iter_mut().for_each(|(w, b)| {
+            w.data_mut().fill(0.0);
+            b.data_mut().fill(0.0);
+        });
+        assert!(clip_cannot_fire(&zero));
+        assert_eq!(clip_scale(&zero).to_bits(), 1.0f32.to_bits());
+        for (special, expected) in [(f32::NAN, 1.0f32), (f32::INFINITY, 0.0), (-f32::INFINITY, 0.0)]
+        {
+            let mut gradients = gradients_summing_to(&production, 1.0, &mut rng);
+            gradients[1].0.set(3, 2, special);
+            assert!(!clip_cannot_fire(&gradients), "{special}: path");
+            assert_eq!(exact_clip_scale(&gradients).to_bits(), expected.to_bits(), "{special}");
+            assert_eq!(clip_scale(&gradients).to_bits(), expected.to_bits(), "{special}");
         }
     }
 

@@ -10,8 +10,13 @@
 //! adds: no FMA, no reassociation, no multi-accumulator reduction. Blocking and wider
 //! vector lanes only change which *independent* elements are computed side by side, so
 //! trained weights and scores are bit-identical across kernels, batch sizes and
-//! instruction sets (the AVX2 instantiation included) — which is what lets cache keys
-//! pin a network by its weights fingerprint across a kernel change.
+//! instruction sets — which is what lets cache keys pin a network by its weights
+//! fingerprint across a kernel change. The product body, the SGD update and the clip's
+//! bound each run as a portable, an AVX2 or an AVX-512 (`avx512f`) instantiation of one
+//! source; one run-time dispatch point picks the widest the CPU has, and the tests
+//! compare every instantiation the host can run against the plain loops. The training
+//! step's gradient clip decides most steps from a certified bound instead of the exact
+//! norm: an evaluation shortcut, not a change of definition (see `Network::train_step`).
 
 // blazeit-lint: allow-file(panic-site::index) -- dense matrix kernels: every index is derived from
 // the tensor's own dims, and shape mismatches return ShapeMismatch before any loop runs
@@ -233,14 +238,84 @@ const BLOCK_ROWS: usize = 4;
 /// Output columns per register tile.
 const TILE: usize = 16;
 
+/// The instruction set a kernel instantiation is compiled for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lanes {
+    /// The crate's build target: SSE2 on x86-64.
+    Portable,
+    /// 256-bit lanes.
+    Avx2,
+    /// 512-bit lanes.
+    Avx512,
+}
+
+impl Lanes {
+    /// Narrowest first.
+    pub(crate) const ALL: [Lanes; 3] = [Lanes::Portable, Lanes::Avx2, Lanes::Avx512];
+
+    /// The widest instruction set the running CPU has.
+    pub(crate) fn host() -> Lanes {
+        Lanes::ALL.into_iter().rev().find(|l| l.detected()).unwrap_or(Lanes::Portable)
+    }
+
+    /// Whether run-time detection finds this instruction set on the running CPU.
+    pub(crate) fn detected(self) -> bool {
+        match self {
+            Lanes::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Lanes::Avx2 | Lanes::Avx512 => false,
+        }
+    }
+
+    /// Runs `kernel` inlined into a function compiled for these lanes. Pass an
+    /// `#[inline(always)]` closure: a kernel that is not inlined runs in the
+    /// build target's lanes whatever `self` is.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support `self` ([`Lanes::detected`]).
+    pub(crate) unsafe fn run<R>(self, kernel: impl FnOnce() -> R) -> R {
+        match self {
+            // SAFETY: the caller guarantees the CPU supports `self`.
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx512 => unsafe { run_avx512(kernel) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx2 => unsafe { run_avx2(kernel) },
+            _ => kernel(),
+        }
+    }
+}
+
+/// The one dispatch point: runs `kernel` (an `#[inline(always)]` closure) in
+/// the widest lanes the host has. There is no way to ask for other lanes:
+/// every kernel performs the same IEEE operations in the same order per
+/// element whatever its lanes, so the choice is invisible in the results.
+pub(crate) fn at_host_width<R>(kernel: impl FnOnce() -> R) -> R {
+    // SAFETY: `Lanes::host` only returns an instruction set it detected.
+    unsafe { Lanes::host().run(kernel) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<R>(kernel: impl FnOnce() -> R) -> R {
+    kernel()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512<R>(kernel: impl FnOnce() -> R) -> R {
+    kernel()
+}
+
 /// `out[i][j] = Σₖ lhs(i, k) · rhs[k][j]` for a `k_len × n` row-major `rhs` and
 /// an `m × n` row-major `out` (`m = out.len() / n`), where `lhs(i, k)` is
 /// `a[i * k_len + k]` (`a` is `m × k_len`) or, with `A_TRANSPOSED`,
 /// `a[k * m + i]` (`a` is `k_len × m`, read transposed in place).
-///
-/// Selects the AVX2 instantiation of [`product_body`] when the CPU has it. Both
-/// instantiations perform the same IEEE operations in the same order per output
-/// element, so the choice is invisible in the results.
 fn product<const A_TRANSPOSED: bool>(
     a: &[f32],
     k_len: usize,
@@ -248,35 +323,20 @@ fn product<const A_TRANSPOSED: bool>(
     out: &mut [f32],
     n: usize,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `product_avx2` only requires that the running CPU supports
-        // AVX2, which the run-time detection on the line above just confirmed.
-        return unsafe { product_avx2::<A_TRANSPOSED>(a, k_len, rhs, out, n) };
-    }
-    product_body::<A_TRANSPOSED>(a, k_len, rhs, out, n);
-}
-
-/// [`product_body`] compiled with 256-bit lanes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn product_avx2<const A_TRANSPOSED: bool>(
-    a: &[f32],
-    k_len: usize,
-    rhs: &[f32],
-    out: &mut [f32],
-    n: usize,
-) {
-    product_body::<A_TRANSPOSED>(a, k_len, rhs, out, n);
+    at_host_width(
+        #[inline(always)]
+        || product_body::<A_TRANSPOSED>(a, k_len, rhs, out, n),
+    );
 }
 
 /// The one matmul body. Output is computed in `BLOCK_ROWS × TILE` register
 /// blocks: 64 accumulators the compiler keeps in vector registers across the
 /// whole reduction — 16 independent SSE add chains (8 of twice the width under
-/// AVX2) where a one-row tile gives 4 (or 2). The reduction is bound by add
-/// latency, so independent chains are what let wider lanes pay. Remainder rows
-/// and the narrow last column tile use a one-row loop. Every accumulator
-/// starts at `0.0` and adds `a * b` over ascending `k`.
+/// AVX2, 4 of four times the width under AVX-512) where a one-row tile gives 4
+/// (or 2, or 1). The reduction is bound by add latency, so independent chains
+/// are what let wider lanes pay. Remainder rows and the narrow last column tile
+/// use a one-row loop. Every accumulator starts at `0.0` and adds `a * b` over
+/// ascending `k`.
 #[inline(always)]
 fn product_body<const A_TRANSPOSED: bool>(
     a: &[f32],
@@ -330,6 +390,20 @@ fn product_body<const A_TRANSPOSED: bool>(
             }
             out[i * n + j0..i * n + j0 + width].copy_from_slice(&acc[..width]);
             j0 += width;
+        }
+    }
+}
+
+/// Calls `check` with every instantiation the host can run, and says which ran:
+/// a skipped instantiation prints that it was skipped (`--show-output`).
+#[cfg(test)]
+pub(crate) fn for_each_instantiation(kernel: &str, mut check: impl FnMut(Lanes)) {
+    for lanes in Lanes::ALL {
+        if lanes.detected() {
+            check(lanes);
+            println!("{kernel}: {lanes:?} instantiation covered");
+        } else {
+            println!("{kernel}: {lanes:?} instantiation skipped: not detected on this host");
         }
     }
 }
@@ -401,16 +475,19 @@ mod tests {
     /// The three product kernels against a triple loop, bit for bit, on shapes
     /// `(m, k, n)` that reach every remainder path (rows short of a block,
     /// columns short of a tile, both, neither, an empty dimension) plus the
-    /// production layer shapes — through the entry points (the AVX2 instantiation on a host that
-    /// has it) and through the portable body directly.
+    /// production layer shapes (the forward `16×611·611×48`, the weight gradient
+    /// `(16×611)ᵀ·16×48`) — through the entry points, and through the product
+    /// body's portable, AVX2 and AVX-512 instantiations directly, each where the
+    /// host has it.
     #[test]
-    fn product_kernels_match_the_triple_loop_bit_for_bit() {
+    fn product_instantiations_match_the_triple_loop_bit_for_bit() {
         let shapes = [
             (1, 1, 1),
             (3, 5, 7),
             (4, 16, 16),
             (5, 17, 33),
             (16, 611, 48),
+            (611, 16, 48),
             (7, 48, 5),
             (9, 2, 50),
             (0, 3, 2),
@@ -418,6 +495,7 @@ mod tests {
             (2, 3, 0),
         ];
         let mut rng = StdRng::seed_from_u64(17);
+        let mut cases = Vec::new();
         for (m, k, n) in shapes {
             let a = random_matrix(m, k, &mut rng);
             let a_t = random_matrix(k, m, &mut rng);
@@ -448,13 +526,33 @@ mod tests {
             a.matmul_a_bt_into(&b_t, &mut out).unwrap();
             assert_eq!((out.rows(), out.cols()), (m, n));
             assert_eq!(bits(&out), a_bt, "matmul_a_bt_into {m}x{k}x{n}");
-
-            let mut out = Matrix::zeros(m, n);
-            product_body::<false>(a.data(), k, b.data(), out.data_mut(), n);
-            assert_eq!(bits(&out), a_b, "portable body {m}x{k}x{n}");
-            product_body::<true>(a_t.data(), k, b.data(), out.data_mut(), n);
-            assert_eq!(bits(&out), at_b, "portable transposed body {m}x{k}x{n}");
+            cases.push(((m, k, n), a, a_t, b, a_b, at_b));
         }
+
+        for_each_instantiation("product body", |lanes| {
+            for ((m, k, n), a, a_t, b, a_b, at_b) in &cases {
+                let (k, n) = (*k, *n);
+                let mut out = Matrix::zeros(*m, n);
+                let (a, a_t, b, out_data) = (a.data(), a_t.data(), b.data(), out.data_mut());
+                // SAFETY: `for_each_instantiation` only passes detected lanes.
+                unsafe {
+                    lanes.run(
+                        #[inline(always)]
+                        || product_body::<false>(a, k, b, out_data, n),
+                    )
+                };
+                assert_eq!(&bits(&out), a_b, "{lanes:?} body {m}x{k}x{n}");
+                let out_data = out.data_mut();
+                // SAFETY: as above.
+                unsafe {
+                    lanes.run(
+                        #[inline(always)]
+                        || product_body::<true>(a_t, k, b, out_data, n),
+                    )
+                };
+                assert_eq!(&bits(&out), at_b, "{lanes:?} transposed body {m}x{k}x{n}");
+            }
+        });
     }
 
     #[test]
