@@ -44,27 +44,24 @@ pub(crate) fn normalize(name: &str) -> String {
 
 /// Levenshtein edit distance between two (normalized) names, used to suggest the
 /// closest registered video when a `FROM` clause misses.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "Levenshtein DP: both rows are sized b.len() + 1, so index 0 exists, every j < b.len() \
+              from the enumerate has a slot j + 1, and b.len() is the last slot"
+)]
 fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<u8> = a.bytes().collect();
     let b: Vec<u8> = b.bytes().collect();
     let mut previous: Vec<usize> = (0..=b.len()).collect();
     let mut current = vec![0usize; b.len() + 1];
     for (i, &ca) in a.iter().enumerate() {
-        // blazeit-lint: allow(panic-site::index) -- Levenshtein DP: both rows are sized b.len() +
-        // 1, so index 0 exists
         current[0] = i + 1;
         for (j, &cb) in b.iter().enumerate() {
-            // blazeit-lint: allow(panic-site::index) -- Levenshtein DP: j < b.len() from the
-            // enumerate, rows are sized b.len() + 1
             let substitution = previous[j] + usize::from(ca != cb);
-            // blazeit-lint: allow(panic-site::index) -- Levenshtein DP: j < b.len() from the
-            // enumerate, rows are sized b.len() + 1
             current[j + 1] = substitution.min(previous[j + 1] + 1).min(current[j] + 1);
         }
         std::mem::swap(&mut previous, &mut current);
     }
-    // blazeit-lint: allow(panic-site::index) -- Levenshtein DP: the row was sized b.len() + 1, so
-    // b.len() is its last slot
     previous[b.len()]
 }
 

@@ -607,8 +607,11 @@ impl VideoContext {
     /// highest count appearing in at least `count_class_min_fraction` of the labeled
     /// frames, and never below `at_least`.
     pub fn default_max_count(&self, class: ObjectClass, at_least: usize) -> usize {
-        // blazeit-lint: allow(panic-site::index) -- head_sizes has one slot per ObjectClass::ALL
-        // entry and index() is a position in ALL
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "head_sizes has one slot per ObjectClass::ALL entry and index() is a position \
+                      in ALL"
+        )]
         let rule = *self.head_sizes[class.index()].get_or_init(|| {
             let counts = self.labeled.train().class_counts(class);
             SpecializedHead::from_counts(class, counts, self.config.count_class_min_fraction)

@@ -32,8 +32,14 @@
 //! any injected fault schedule, every query returns either a bit-exact answer or
 //! a typed error — never a panic, never a silently wrong result.
 
-// blazeit-lint: allow-file(panic-site::index) -- per-site arrays are [_; FaultSite::ALL.len()] and
-// site.index() is the variant's position in ALL
+#![cfg_attr(
+    feature = "fault-injection",
+    expect(
+        clippy::indexing_slicing,
+        reason = "per-site arrays are [_; FaultSite::ALL.len()] and site.index() is the variant's \
+                  position in ALL"
+    )
+)]
 
 use crate::store::{StoreError, StoreResult};
 use crate::sync::Mutex;

@@ -2,7 +2,7 @@
 //! registry.
 //!
 //! Two subsystems live here, both routed through the [`crate::sync`] shim so
-//! the model checker and the `sync-primitive` lint stay valid:
+//! the model checker and clippy's `disallowed-types` gate stay valid:
 //!
 //! * **Query tracing** — a per-query [`TraceCollector`] assembles a
 //!   [`QueryTrace`]: a tree of [`TraceSpan`]s (parse → plan → per-video
@@ -586,8 +586,8 @@ pub struct Metrics {
     pub serving_queries: Counter,
     /// Wall-clock seconds queries spent waiting for an admission permit.
     pub serving_admission_wait: Histogram,
-    /// Tickets currently waiting for (or holding) admission, per the most
-    /// recent acquire/release.
+    /// Tickets issued but not yet admitted (still waiting for a permit), per
+    /// the most recent enqueue or admit.
     pub serving_admission_queue_depth: Gauge,
     /// Frames ingested across every stream.
     pub stream_frames_ingested: Counter,
@@ -689,7 +689,7 @@ pub fn prometheus_exposition() -> String {
     render_gauge(
         &mut out,
         "blazeit_serving_admission_queue_depth",
-        "Tickets currently waiting for or holding admission.",
+        "Tickets currently waiting for admission (issued but not yet admitted).",
         m.serving_admission_queue_depth.get(),
     );
     render_counter(
@@ -785,6 +785,7 @@ mod tests {
         let before = SimClock::charge_tag();
         {
             let _outer = span("outer");
+            #[expect(clippy::unreachable, reason = "the label closure must never run untraced")]
             let _inner = span_with(|| unreachable!("label must not be evaluated untraced"));
             assert_eq!(SimClock::charge_tag(), before, "no tag swap without a collector");
             count(COUNTER_DETECTOR_CALLS, 3);

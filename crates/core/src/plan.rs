@@ -232,8 +232,10 @@ impl QueryPlan {
             "QueryPlan::only on a plan spanning {} videos",
             self.subplans.len()
         );
-        // blazeit-lint: allow(panic-site::index) -- the assert_eq! directly above pins
-        // subplans.len() to 1
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the assert_eq! directly above pins subplans.len() to 1"
+        )]
         &self.subplans[0]
     }
 
@@ -246,7 +248,10 @@ impl QueryPlan {
             "QueryPlan::only_mut on a plan spanning {} videos",
             self.subplans.len()
         );
-        // blazeit-lint: allow(panic-site::index) -- the assert_eq! above pins subplans.len() to 1
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the assert_eq! above pins subplans.len() to 1"
+        )]
         &mut self.subplans[0]
     }
 
@@ -605,8 +610,10 @@ impl VideoPlan {
 impl fmt::Display for QueryPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if !self.is_fan_out() {
-            // blazeit-lint: allow(panic-site::index) -- !is_fan_out() means this plan holds exactly
-            // one subplan
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "!is_fan_out() means this plan holds exactly one subplan"
+            )]
             let sub = &self.subplans[0];
             writeln!(f, "QUERY PLAN for '{}'", sub.video)?;
             writeln!(f, "  class:    {}", self.class_label())?;

@@ -300,8 +300,11 @@ fn verify_windowed(
         let Some(&(video_idx, _)) = stream.peek() else { break };
         let remaining_limit = (opts.limit - accepted.len() as u64) as usize;
         let cap = VERIFY_PREFETCH.min(remaining_limit).min(remaining_budget);
-        // blazeit-lint: allow(panic-site::index) -- video_idx comes from the merge, whose
-        // streams were built one per entry of this same videos slice
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "video_idx comes from the merge, whose streams were built one per entry of \
+                      this same videos slice"
+        )]
         let video = &videos[video_idx];
 
         window.clear();
@@ -310,8 +313,10 @@ fn verify_windowed(
             if next_video != video_idx {
                 break;
             }
-            // blazeit-lint: allow(panic-site::index) -- accepted_per_video is sized
-            // videos.len() and video_idx enumerates videos
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "accepted_per_video is sized videos.len() and video_idx enumerates videos"
+            )]
             if !respects_gap(&accepted_per_video[video_idx], frame, opts.gap) {
                 // The serial loop skips this frame for free, and would still skip it
                 // after any in-window acceptance (the accepted set only grows).
@@ -339,8 +344,11 @@ fn verify_windowed(
             let counts = CountVector::from_detections(detections);
             if counts.satisfies_all(&video.requirements) {
                 accepted.push((video_idx, frame));
-                // blazeit-lint: allow(panic-site::index) -- accepted_per_video is sized
-                // videos.len() and video_idx enumerates videos
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "accepted_per_video is sized videos.len() and video_idx enumerates \
+                              videos"
+                )]
                 accepted_per_video[video_idx].push(frame);
             }
         }

@@ -353,8 +353,10 @@ fn calibrate_content_filters(
 
             // Does this held-out frame contain a qualifying object (right class, and
             // the object-level predicate holds on its mask)?
-            // blazeit-lint: allow(panic-site::index) -- idx enumerates heldout.detections, so it is
-            // in range for that same vec
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "idx enumerates heldout.detections, so it is in range for that same vec"
+            )]
             let qualifies = heldout.detections[idx].iter().any(|d| {
                 if let Some(class) = target_class {
                     if d.class != class {

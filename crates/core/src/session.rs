@@ -25,8 +25,11 @@
 //! explain-only and [`PreparedQuery::run`] returns the rendered plan as
 //! [`QueryOutput::Explain`] with zero simulated cost.
 
-// blazeit-lint: allow-file(panic-site::index) -- PreparedQuery invariant: targets and subplans are
-// built together by plan(), non-empty and of equal length
+#![expect(
+    clippy::indexing_slicing,
+    reason = "PreparedQuery invariant: targets and subplans are built together by plan(), \
+              non-empty and of equal length"
+)]
 
 use crate::aggregate;
 use crate::catalog::Catalog;
@@ -421,10 +424,13 @@ impl PreparedQuery {
                         let _video = obs::span_with(|| {
                             format!("video '{}'", self.targets[idx].ctx.video().name())
                         });
+                        #[expect(
+                            clippy::panic,
+                            reason = "deliberate chaos panic: the injected fault must explode \
+                                      inside the task so the pool boundary's catch_unwind \
+                                      handling is what gets exercised."
+                        )]
                         if fault::inject(fault::FaultSite::ParTask).is_some() {
-                            // blazeit-lint: allow(panic-site) -- deliberate chaos panic: the
-                            // injected fault must explode inside the task so the pool
-                            // boundary's catch_unwind handling is what gets exercised.
                             panic!("injected fault: parallel sub-query panic");
                         }
                         per_video(idx)

@@ -51,8 +51,10 @@ pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
 /// The standard normal percent-point function (inverse CDF), via Acklam's rational
 /// approximation (max absolute error ~4.5e-4, far more precision than the stopping
 /// rule needs).
-// Acklam's published coefficients are kept verbatim, trailing zeros included.
-#[allow(clippy::excessive_precision)]
+#[expect(
+    clippy::excessive_precision,
+    reason = "Acklam's published coefficients are kept verbatim, trailing zeros included"
+)]
 pub fn normal_ppf(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "normal_ppf requires p in (0, 1), got {p}");
     // Coefficients for the rational approximations.

@@ -703,8 +703,10 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> StoreResult<()> {
             // The checksummed persist envelope catches this on the next read
             // (`StoreError::Invalid`) and the read-through path heals it by
             // recomputing and overwriting.
-            // blazeit-lint: allow(panic-site::index) -- bytes.len() / 2 <= bytes.len(), so the torn
-            // prefix is always in range
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "bytes.len() / 2 <= bytes.len(), so the torn prefix is always in range"
+            )]
             let torn = &bytes[..bytes.len() / 2];
             std::fs::write(path, torn).map_err(|e| io_err(path, e))?;
             return Ok(());

@@ -311,28 +311,24 @@ fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
     b.sort_by(f64::total_cmp);
     let (mut i, mut j) = (0usize, 0usize);
     let mut sup = 0.0f64;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "two-pointer merge: the while guard guarantees i < a.len() and j < b.len() at the \
+                  top of each pass, and the inner loops' && short-circuit re-checks the cursor \
+                  before indexing"
+    )]
     while i < a.len() && j < b.len() {
-        // blazeit-lint: allow(panic-site::index) -- two-pointer merge: the enclosing while
-        // guarantees i < a.len() and j < b.len()
         if a[i] < b[j] {
             i += 1;
-        // blazeit-lint: allow(panic-site::index) -- two-pointer merge: the enclosing while
-        // guarantees i < a.len() and j < b.len()
         } else if b[j] < a[i] {
             j += 1;
         } else {
             // Tied values must advance both empirical CDFs together, or
             // identical samples would read as drifted.
-            // blazeit-lint: allow(panic-site::index) -- the loop guard above validated both cursors
-            // before this read
             let v = a[i];
-            // blazeit-lint: allow(panic-site::index) -- the && short-circuit re-checks i < a.len()
-            // before indexing
             while i < a.len() && a[i] == v {
                 i += 1;
             }
-            // blazeit-lint: allow(panic-site::index) -- the && short-circuit re-checks j < b.len()
-            // before indexing
             while j < b.len() && b[j] == v {
                 j += 1;
             }
@@ -567,10 +563,12 @@ impl VideoContext {
                         // or panics (caught at the task boundary) — both paths
                         // must leave the head set on its current generation.
                         if let Some(injected) = fault::inject(fault::FaultSite::Retrain) {
+                            #[expect(
+                                clippy::panic,
+                                reason = "deliberate chaos panic: the retrain task boundary's \
+                                          catch_unwind is exactly what this failpoint exercises."
+                            )]
                             if injected == fault::InjectedFault::Panic {
-                                // blazeit-lint: allow(panic-site) -- deliberate chaos
-                                // panic: the retrain task boundary's catch_unwind is
-                                // exactly what this failpoint exercises.
                                 panic!("injected fault: retrain panic");
                             }
                             return Err(BlazeItError::Internal(

@@ -11,11 +11,11 @@
 //!   scheduling point of the `blazeit-model` exhaustive interleaving explorer.
 //!
 //! Production code constructs all locks and atomics through this module (or
-//! the `videostore` original) — enforced statically by the `sync-primitive`
-//! check in `blazeit-lint` — and the ranked locks of the hierarchy stated in
-//! [`crate::lockorder`] are built with [`Mutex::ranked`] using its constants, which
-//! makes the hierarchy an oracle for runtime assertions (debug builds), the
-//! static lint, and the model checker simultaneously.
+//! the `videostore` original) — enforced statically by the `disallowed-types`
+//! list in the workspace `clippy.toml` — and the ranked locks of the hierarchy
+//! stated in [`crate::lockorder`] are built with [`Mutex::ranked`] using its
+//! constants, which makes the hierarchy an oracle for runtime assertions
+//! (debug builds), the static lint, and the model checker simultaneously.
 
 pub use blazeit_videostore::sync::{
     AtomicU64, Condvar, Mutex, MutexGuard, OnceLock, Ordering, RwLock, RwLockReadGuard,

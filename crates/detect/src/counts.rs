@@ -4,8 +4,11 @@
 //! counts. [`CountVector`] is a compact, fixed-size count per class used both as the
 //! label for training specialized NNs and as the statistic estimated by the samplers.
 
-// blazeit-lint: allow-file(panic-site::index) -- counts is [u16; ObjectClass::ALL.len()] indexed by
-// ObjectClass::index(), the variant's position in ALL
+#![expect(
+    clippy::indexing_slicing,
+    reason = "counts is [u16; ObjectClass::ALL.len()] indexed by ObjectClass::index(), the \
+              variant's position in ALL"
+)]
 
 use crate::detector::Detection;
 use blazeit_videostore::{GroundTruthObject, ObjectClass};

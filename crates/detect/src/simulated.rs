@@ -158,8 +158,10 @@ impl SimulatedDetector {
         let n = if rng.gen_bool(expected.clamp(0.0, 1.0)) { 1 } else { 0 }
             + if rng.gen_bool((expected * expected / 2.0).clamp(0.0, 1.0)) { 1 } else { 0 };
         for _ in 0..n {
-            // blazeit-lint: allow(panic-site::index) -- the index is drawn from
-            // gen_range(0..ALL.len()), in range by construction
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the index is drawn from gen_range(0..ALL.len()), in range by construction"
+            )]
             let class = ObjectClass::ALL[rng.gen_range(0..ObjectClass::ALL.len())];
             let w = rng.gen_range(30.0..200.0);
             let h = rng.gen_range(30.0..150.0);

@@ -75,8 +75,10 @@ impl IouTracker {
             // Greedy best-IoU match against unconsumed active tracks of the same class.
             let mut best: Option<(usize, f32)> = None;
             for (i, track) in self.active.iter().enumerate() {
-                // blazeit-lint: allow(panic-site::index) -- i comes from enumerating self.active,
-                // so it indexes the same vec
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "i comes from enumerating self.active, so it indexes the same vec"
+                )]
                 if used_tracks[i] || track.last.class != det.class || track.last_frame >= frame {
                     continue;
                 }
@@ -85,13 +87,14 @@ impl IouTracker {
                     best = Some((i, iou));
                 }
             }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "used_tracks is sized active.len() and i enumerates active; i comes from \
+                          enumerating self.active, so it indexes the same vec"
+            )]
             let id = match best {
                 Some((i, _)) => {
-                    // blazeit-lint: allow(panic-site::index) -- used_tracks is sized active.len()
-                    // and i enumerates active
                     used_tracks[i] = true;
-                    // blazeit-lint: allow(panic-site::index) -- i comes from enumerating
-                    // self.active, so it indexes the same vec
                     self.active[i].id
                 }
                 None => {

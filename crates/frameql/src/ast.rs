@@ -245,6 +245,10 @@ pub struct Query {
 
 impl Query {
     /// Whether the select list is exactly `SELECT *`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the && short-circuit checks select.len() == 1 before indexing slot 0"
+    )]
     pub fn is_select_star(&self) -> bool {
         self.select.len() == 1 && matches!(self.select[0], SelectItem::Star)
     }

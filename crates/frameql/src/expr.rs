@@ -236,6 +236,10 @@ mod tests {
     use blazeit_videostore::{BoundingBox, ObjectClass, VideoError};
     use proptest::prelude::*;
     use std::cell::Cell;
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a shared call counter for the UDF closures; the sync shim has no AtomicUsize"
+    )]
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -342,6 +346,10 @@ mod tests {
 
     /// The builtin registry with every content-reading UDF wrapped to count its
     /// invocations.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a shared call counter for the UDF closures; the sync shim has no AtomicUsize"
+    )]
     fn counted_udfs() -> (UdfRegistry, Arc<AtomicUsize>) {
         let calls = Arc::new(AtomicUsize::new(0));
         let mut udfs = builtin_udfs();

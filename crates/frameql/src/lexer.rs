@@ -1,7 +1,10 @@
 //! The FrameQL lexer.
 
-// blazeit-lint: allow-file(panic-site::index) -- single-pass byte scanner: every index is guarded
-// by an explicit bound check against bytes.len()
+#![expect(
+    clippy::indexing_slicing,
+    reason = "single-pass byte scanner: every index is guarded by an explicit bound check against \
+              bytes.len()"
+)]
 
 use crate::{FrameQlError, Result};
 

@@ -324,7 +324,6 @@ fn walk_functions(
                         });
                     }
                 }
-                _ => {}
             }
         }
     }

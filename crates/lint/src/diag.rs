@@ -11,9 +11,8 @@ pub enum Severity {
 /// One finding, addressed `file:line:col` with a per-check code.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Check code: `lock-order`, `panic-site`, `panic-site::index`,
-    /// `fault-coverage`, `clock-accounting`, `bad-suppression`,
-    /// `unused-suppression`.
+    /// Check code: `lock-order`, `fault-coverage`, `clock-accounting`,
+    /// `bad-suppression`, `unused-suppression`.
     pub code: String,
     /// Repo-relative file path.
     pub file: String,

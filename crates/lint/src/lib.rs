@@ -1,24 +1,23 @@
 //! # blazeit-lint
 //!
-//! A project-invariant static analyzer for the BlazeIt workspace. Five checks
-//! guard the invariants that runtime machinery (chaos tests, the debug-build
-//! lock-order assertion) can only verify on executed paths:
+//! A project-invariant static analyzer for the BlazeIt workspace. Three
+//! call-graph checks guard the invariants that runtime machinery (chaos tests,
+//! the debug-build lock-order assertion) can only verify on executed paths:
 //!
 //! * [`lock-order`](checks::lock_order) — every statically possible ranked-lock
 //!   acquisition respects the hierarchy stated in `blazeit_core::lockorder`
 //!   (imported from its `RANKED_LOCKS`, the same table the runtime assertion
 //!   uses).
-//! * [`panic-site`](checks::panic_site) — no `unwrap`/`expect`/panicking
-//!   macros/direct indexing in production code.
 //! * [`fault-coverage`](checks::fault_coverage) — fallible store/stream
 //!   functions are dominated by `inject(FaultSite::…)` failpoints, and every
 //!   declared fault site keeps at least one live failpoint.
 //! * [`clock-accounting`](checks::clock_accounting) — uncharged scoring entry
 //!   points are only reachable through allowlisted charged wrappers.
-//! * [`sync-primitive`](checks::sync_primitive) — production locks/atomics are
-//!   constructed via the `blazeit_core::sync` shim (so the `model` feature can
-//!   schedule-explore them), never raw `parking_lot::` / `std::sync::`
-//!   primitives.
+//!
+//! Panic-freedom and the sync shim are clippy's: the `[workspace.lints.clippy]`
+//! table in the root `Cargo.toml` (`unwrap_used`, `indexing_slicing`, …) and the
+//! `disallowed-types` list in `clippy.toml`, both gated by `cargo clippy -- -D
+//! warnings`. Their suppressions are `#[expect(…, reason = "…")]` attributes.
 //!
 //! Findings can be suppressed in source with
 //! `// blazeit-lint: allow(<check>) -- <reason>` (the reason is mandatory;
@@ -38,9 +37,10 @@ use checks::{SourceFile, Workspace};
 use diag::Diagnostic;
 
 /// The production source the workspace run analyzes, relative to the repo
-/// root: every library crate plus the facade. `bench` and the lint itself are
-/// tooling, not production paths, and test targets under `tests/` are test
-/// code by definition.
+/// root: every library crate plus the facade and the server binary. `bench`
+/// and the lint itself are tooling, not production paths, and test targets
+/// under `tests/` are test code by definition. The same set is under clippy's
+/// panic lints; `tests/lint.rs` guards that.
 pub const TARGETS: &[(&str, &str)] = &[
     ("core", "crates/core/src"),
     ("nn", "crates/nn/src"),

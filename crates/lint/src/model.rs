@@ -7,9 +7,10 @@
 //!    signature idents (for return-type matching), and whether they are test
 //!    code (`#[test]`, or inside a `#[cfg(test)]` module).
 //! 2. **Events** inside each body, in source order: calls (with their path
-//!    segments and receiver shape), macro invocations, index expressions,
-//!    `let` bindings, and block open/close — enough to replay lock
-//!    acquisition scopes and build call graphs.
+//!    segments and receiver shape), `let` bindings, and block open/close —
+//!    enough to replay lock acquisition scopes and build call graphs. Macro
+//!    invocations are skipped whole: their arguments are token soup, so a
+//!    `lock_ordered` call or a brace inside `format!(…)` must not count.
 //! 3. **Suppressions** parsed from `// blazeit-lint: allow(...) -- reason`
 //!    comments.
 //! 4. Enough error tolerance to walk any file `rustc` already accepted.
@@ -56,26 +57,6 @@ pub enum Event {
         col: u32,
         /// Brace depth (relative to the body) where the call occurs.
         depth: u32,
-    },
-    /// A macro invocation `name!(…)` / `name![…]` / `name!{…}`.
-    MacroCall {
-        /// Macro name.
-        name: String,
-        /// 1-based line.
-        line: u32,
-        /// 1-based column.
-        col: u32,
-    },
-    /// A direct index expression `expr[…]`.
-    Index {
-        /// 1-based line.
-        line: u32,
-        /// 1-based column of the `[`.
-        col: u32,
-        /// `true` for a numeric-literal index into a SCREAMING_CASE constant
-        /// (`COEFFS[3]`) — for arrays rustc rejects out-of-bounds literals at
-        /// compile time, so these are not runtime panic sites.
-        const_literal: bool,
     },
     /// A block opened (`{`).
     OpenBlock,
@@ -158,39 +139,15 @@ pub struct Suppression {
 }
 
 impl Suppression {
-    /// Whether this directive names `code` (exact match, or a `::`-prefixed
-    /// sub-code such as `panic-site::index` matched by `panic-site`).
-    pub fn matches_code(&self, code: &str) -> bool {
-        self.checks.iter().any(|c| {
-            c == code || (code.starts_with(c.as_str()) && code[c.len()..].starts_with("::"))
-        })
-    }
-
     /// Whether this directive covers a diagnostic at `line` with code `code`.
     /// Line-scoped directives cover their own block (trailing comments) and
     /// the line after it (standalone comments above the offending expression).
     pub fn covers(&self, line: u32, code: &str) -> bool {
-        if !self.matches_code(code) {
+        if !self.checks.iter().any(|c| c == code) {
             return false;
         }
         self.file_scope || (line >= self.line && line <= self.end_line + 1)
     }
-}
-
-/// One flattened `use` path: `use std::sync::{Arc, Mutex};` yields two decls
-/// (`std::sync::Arc`, `std::sync::Mutex`). Aliases are dropped (`as X` does
-/// not change what is imported); a glob records its prefix (`use std::sync::*`
-/// → `std::sync`).
-#[derive(Debug, Clone)]
-pub struct UseDecl {
-    /// The `::`-joined imported path.
-    pub path: String,
-    /// 1-based line of the `use` keyword.
-    pub line: u32,
-    /// 1-based column of the `use` keyword.
-    pub col: u32,
-    /// `true` inside `#[cfg(test)]` modules or test-function bodies.
-    pub in_test: bool,
 }
 
 /// Everything the checks need to know about one source file.
@@ -200,8 +157,6 @@ pub struct FileModel {
     pub path: String,
     /// All functions, in source order (nested functions appear after their parent).
     pub functions: Vec<Function>,
-    /// Flattened `use` declarations, item-level and function-body-level.
-    pub uses: Vec<UseDecl>,
     /// Parsed suppression directives.
     pub suppressions: Vec<Suppression>,
 }
@@ -211,9 +166,9 @@ pub fn parse_file(path: &str, src: &str) -> FileModel {
     let lexed = lex(src);
     let suppressions = parse_suppressions(&lexed.comments);
     let mut functions = Vec::new();
-    let mut parser = Parser { toks: &lexed.tokens, pos: 0, uses: Vec::new() };
+    let mut parser = Parser { toks: &lexed.tokens, pos: 0 };
     parser.items(&mut functions, &ModCtx::default());
-    FileModel { path: path.to_string(), functions, uses: parser.uses, suppressions }
+    FileModel { path: path.to_string(), functions, suppressions }
 }
 
 const DIRECTIVE: &str = "blazeit-lint:";
@@ -295,72 +250,11 @@ fn parse_suppressions(comments: &[Comment]) -> Vec<Suppression> {
     out
 }
 
+/// The checks a directive may name. Panic-freedom and the sync shim are
+/// clippy's (`[workspace.lints.clippy]`, `clippy.toml`), suppressed with
+/// `#[expect(…, reason = "…")]`, so their old codes are unknown here.
 fn known_check(name: &str) -> bool {
-    let base = name.split("::").next().unwrap_or(name);
-    matches!(
-        base,
-        "lock-order" | "panic-site" | "fault-coverage" | "clock-accounting" | "sync-primitive"
-    ) && matches!(
-        name,
-        "lock-order"
-            | "panic-site"
-            | "panic-site::index"
-            | "fault-coverage"
-            | "clock-accounting"
-            | "sync-primitive"
-    )
-}
-
-/// Flattens one `use` tree (the tokens between `use` and `;`): segments
-/// accumulate left to right, `{…}` groups recurse per comma-separated branch
-/// (a group always ends its branch), `as` aliases are skipped, and a glob
-/// marks the accumulated prefix itself as imported.
-fn flatten_use_tree(toks: &[Token], prefix: &[String], out: &mut Vec<String>) {
-    let mut segs: Vec<String> = prefix.to_vec();
-    let mut imported = false;
-    let mut i = 0;
-    while i < toks.len() {
-        let t = &toks[i];
-        match t.kind {
-            TokKind::Ident if t.text == "as" => {
-                i += 2; // the alias renames; it does not change what is imported
-                continue;
-            }
-            TokKind::Ident => {
-                segs.push(t.text.clone());
-                imported = true;
-            }
-            TokKind::Punct if t.text == "*" => {
-                imported = true; // glob: the prefix itself is what is imported
-            }
-            TokKind::Open if t.opens('{') => {
-                let mut depth = 1i32;
-                let mut j = i + 1;
-                let mut branch = j;
-                while j < toks.len() && depth > 0 {
-                    match toks[j].kind {
-                        TokKind::Open => depth += 1,
-                        TokKind::Close => depth -= 1,
-                        TokKind::Punct if depth == 1 && toks[j].text == "," => {
-                            flatten_use_tree(&toks[branch..j], &segs, out);
-                            branch = j + 1;
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                // Final branch, excluding the closing `}` when present.
-                let end = if depth == 0 { j - 1 } else { j };
-                flatten_use_tree(&toks[branch..end], &segs, out);
-                return;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    if imported {
-        out.push(segs.join("::"));
-    }
+    matches!(name, "lock-order" | "fault-coverage" | "clock-accounting")
 }
 
 #[derive(Default, Clone)]
@@ -372,7 +266,6 @@ struct ModCtx {
 struct Parser<'a> {
     toks: &'a [Token],
     pos: usize,
-    uses: Vec<UseDecl>,
 }
 
 /// Attribute summary for the item that follows.
@@ -490,9 +383,6 @@ impl<'a> Parser<'a> {
                 "fn" if t.kind == TokKind::Ident => {
                     self.function(functions, ctx, &attrs);
                 }
-                "use" if t.kind == TokKind::Ident => {
-                    self.use_decl(ctx.is_test || attrs.is_cfg_test);
-                }
                 _ => {
                     // Any other item: consume one token; groups are skipped
                     // whole so stray `fn`-like idents inside const expressions
@@ -505,31 +395,6 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-    }
-
-    /// Consumes a `use` item (cursor at the `use` keyword), flattening its
-    /// tree into [`Parser::uses`].
-    fn use_decl(&mut self, in_test: bool) {
-        let use_tok = self.bump().unwrap();
-        let (line, col) = (use_tok.line, use_tok.col);
-        let start = self.pos;
-        let mut depth = 0i32;
-        while let Some(t) = self.peek() {
-            if depth == 0 && t.is_punct(";") {
-                break;
-            }
-            match t.kind {
-                TokKind::Open => depth += 1,
-                TokKind::Close => depth -= 1,
-                _ => {}
-            }
-            self.bump();
-        }
-        let tree = &self.toks[start..self.pos];
-        self.bump(); // `;`
-        let mut paths = Vec::new();
-        flatten_use_tree(tree, &[], &mut paths);
-        self.uses.extend(paths.into_iter().map(|path| UseDecl { path, line, col, in_test }));
     }
 
     /// After `impl`/`trait`: extract the self-type name (last path segment of
@@ -689,12 +554,6 @@ impl<'a> Parser<'a> {
                     self.function(functions, ctx, &attrs);
                     continue;
                 }
-                TokKind::Ident if t.text == "use" => {
-                    // Function-body `use` declarations (e.g. scoped atomics
-                    // imports) must not escape the sync-primitive check.
-                    self.use_decl(func.is_test);
-                    continue;
-                }
                 TokKind::Ident if t.text == "let" => {
                     // `let [mut] name =` — anything fancier (patterns) simply
                     // leaves no binding, which only costs drop-tracking precision.
@@ -729,36 +588,6 @@ impl<'a> Parser<'a> {
                     self.bump();
                     continue;
                 }
-                TokKind::Open if t.opens('[') => {
-                    // Index expression iff the previous token can end an
-                    // indexable expression.
-                    let is_index = self.pos > 0
-                        && match &self.toks[self.pos - 1] {
-                            p if p.kind == TokKind::Ident => !p.is_keyword() || p.text == "self",
-                            p if p.kind == TokKind::Close => !p.closes('}'),
-                            p if p.is_punct("?") => true,
-                            _ => false,
-                        };
-                    if is_index {
-                        let prev = &self.toks[self.pos - 1];
-                        let const_receiver = prev.kind == TokKind::Ident
-                            && prev
-                                .text
-                                .chars()
-                                .all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit())
-                            && prev.text.chars().any(|c| c.is_ascii_uppercase());
-                        let literal_index =
-                            self.toks.get(self.pos + 1).is_some_and(|n| n.kind == TokKind::Num)
-                                && self.toks.get(self.pos + 2).is_some_and(|c| c.closes(']'));
-                        func.events.push(Event::Index {
-                            line: t.line,
-                            col: t.col,
-                            const_literal: const_receiver && literal_index,
-                        });
-                    }
-                    self.bump();
-                    continue;
-                }
                 TokKind::Punct if t.text == ";" => {
                     if let_armed {
                         pending_let = None;
@@ -786,8 +615,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// At a non-keyword identifier inside a body: classify it as a call, a
-    /// macro invocation, or plain usage, emitting the matching event.
+    /// At a non-keyword identifier inside a body: classify it as a call (one
+    /// event), a macro invocation (skipped whole, no event), or plain usage.
     fn call_or_macro(&mut self, func: &mut Function, pending_let: &mut Option<String>, depth: u32) {
         let start = self.pos;
         // Collect the longest `a::b::c` path ending here.
@@ -806,11 +635,6 @@ impl<'a> Parser<'a> {
             && next.is_some_and(|t| t.is_punct("!"))
             && self.toks.get(end + 1).is_some_and(|t| t.kind == TokKind::Open)
         {
-            func.events.push(Event::MacroCall {
-                name: path[0].clone(),
-                line: name_tok.line,
-                col: name_tok.col,
-            });
             self.pos = end + 1;
             self.skip_group();
             return;
@@ -956,11 +780,11 @@ mod tests {
     }
 
     #[test]
-    fn calls_macros_and_indexes() {
+    fn calls_and_skipped_macro_groups() {
         let m = model(
             "fn f(v: &[u8]) { let g = lock_ordered(RANK_VIDEO, \"video\", &m); \
-             self.helper(); std::fs::read(p); drop(g); panic!(\"no\"); let x = v[0]; \
-             let t = [0u8; 4]; let s: &[u8] = &v[1..]; vec![1, 2]; }",
+             self.helper(); std::fs::read(p); drop(g); panic!(\"{}\", hidden()); \
+             let x = v[0]; vec![inside(), 2]; }",
         );
         let f = &m.functions[0];
         let calls: Vec<String> = f
@@ -980,39 +804,28 @@ mod tests {
         let drops: Vec<&Event> = f.calls("drop").collect();
         let Event::Call { ident_args, .. } = drops[0] else { unreachable!() };
         assert_eq!(ident_args, &vec!["g".to_string()]);
-        assert!(f
-            .events
-            .iter()
-            .any(|e| matches!(e, Event::MacroCall { name, .. } if name == "panic")));
-        let indexes = f.events.iter().filter(|e| matches!(e, Event::Index { .. })).count();
-        assert_eq!(indexes, 2, "v[0] and v[1..] index; [0u8; 4] and vec![…] do not");
+        assert!(!f.calls_any("hidden") && !f.calls_any("inside"), "macro arguments are skipped");
     }
 
     #[test]
     fn suppression_parsing() {
         let m = model(
-            "// blazeit-lint: allow(panic-site) -- divisor checked above\n\
-             // blazeit-lint: allow-file(panic-site::index) -- kernel; dims pre-validated\n\
-             // blazeit-lint: allow(panic-site)\n\
+            "// blazeit-lint: allow(lock-order) -- guard dropped above\n\
+             // blazeit-lint: allow-file(fault-coverage) -- bootstrap-only file\n\
+             // blazeit-lint: allow(clock-accounting)\n\
              // blazeit-lint: allow(bogus-check) -- whatever\n\
              fn f() {}",
         );
         assert_eq!(m.suppressions.len(), 4);
         assert!(m.suppressions[0].error.is_none());
-        assert!(m.suppressions[0].covers(1, "panic-site"));
-        assert!(m.suppressions[0].covers(2, "panic-site"));
-        assert!(!m.suppressions[0].covers(3, "panic-site"));
+        assert!(m.suppressions[0].covers(1, "lock-order"));
+        assert!(m.suppressions[0].covers(2, "lock-order"));
+        assert!(!m.suppressions[0].covers(3, "lock-order"));
         assert!(m.suppressions[1].file_scope);
-        assert!(m.suppressions[1].covers(999, "panic-site::index"));
-        assert!(!m.suppressions[1].covers(999, "panic-site"), "sub-code allow must not widen");
+        assert!(m.suppressions[1].covers(999, "fault-coverage"));
+        assert!(!m.suppressions[1].covers(999, "lock-order"), "a file allow names its checks");
         assert!(m.suppressions[2].error.is_some(), "missing reason is an error");
         assert!(m.suppressions[3].error.is_some(), "unknown check is an error");
-    }
-
-    #[test]
-    fn base_code_allow_covers_sub_codes() {
-        let m = model("// blazeit-lint: allow(panic-site) -- reason\nfn f() {}");
-        assert!(m.suppressions[0].covers(2, "panic-site::index"));
     }
 
     #[test]
@@ -1028,34 +841,6 @@ mod tests {
             })
             .collect();
         assert_eq!(bindings, vec![Some("a".to_string()), None]);
-    }
-
-    #[test]
-    fn use_trees_flatten_with_groups_aliases_and_globs() {
-        let m = model(
-            "use std::sync::{Arc, Mutex as StdMutex, atomic::{AtomicU64, Ordering}};\n\
-             use parking_lot::*;\n\
-             pub use std::sync::OnceLock;\n\
-             fn f() { use std::sync::Condvar; let _ = Condvar::new(); }\n\
-             #[cfg(test)] mod tests { use std::sync::Mutex; }\n",
-        );
-        let paths: Vec<(&str, bool)> =
-            m.uses.iter().map(|u| (u.path.as_str(), u.in_test)).collect();
-        assert_eq!(
-            paths,
-            vec![
-                ("std::sync::Arc", false),
-                ("std::sync::Mutex", false),
-                ("std::sync::atomic::AtomicU64", false),
-                ("std::sync::atomic::Ordering", false),
-                ("parking_lot", false),
-                ("std::sync::OnceLock", false),
-                ("std::sync::Condvar", false),
-                ("std::sync::Mutex", true),
-            ],
-        );
-        assert_eq!(m.uses[0].line, 1);
-        assert_eq!(m.uses[4].line, 2, "a glob records its prefix at the `use` keyword");
     }
 
     #[test]

@@ -2,13 +2,6 @@
 //! Never compiled — analyzed by `crates/lint/tests/lint.rs` and the CI
 //! canary (this file contributes zero diagnostics).
 
-// The shim path and the non-primitive std::sync surface are both fine.
-use blazeit_core::sync::{AtomicU64, Mutex, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
-
-const WEIGHTS: [f32; 3] = [0.2, 0.3, 0.5];
-
 pub struct Ctx {
     monitor: u32,
     video: u32,
@@ -32,16 +25,6 @@ pub fn scope_releases(ctx: &Ctx) {
     let _monitor = lock_ordered(&ctx.monitor, RANK_MONITOR, "monitor");
 }
 
-pub fn non_panicking_lookups(items: &[u32]) -> u32 {
-    let first = items.first().copied().unwrap_or(0);
-    let second = items.get(1).copied().unwrap_or_default();
-    first + second
-}
-
-pub fn const_literal_index() -> f32 {
-    WEIGHTS[0]
-}
-
 pub fn evaluate(nn: &SpecializedNN, frame: &[f32]) -> usize {
     nn.predict_classes(frame).len()
 }
@@ -49,12 +32,9 @@ pub fn evaluate(nn: &SpecializedNN, frame: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn panics_are_fine_in_tests() {
-        let v = vec![1u32, 2, 3];
-        let last = v.last().unwrap();
-        if *last != 3 {
-            panic!("test-only panic is exempt");
-        }
-        let _third = v[2];
+    fn test_code_is_exempt() {
+        let ctx = Ctx { monitor: 0, video: 0 };
+        let _video = lock_ordered(&ctx.video, RANK_VIDEO, "video");
+        let _monitor = lock_ordered(&ctx.monitor, RANK_MONITOR, "monitor");
     }
 }

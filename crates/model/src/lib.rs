@@ -60,6 +60,13 @@
 //! Closures under test must be deterministic apart from scheduling: no clocks,
 //! no RNG, no real I/O — all cross-thread state through [`sync`].
 
+// The checker is what the sync shim routes to under `model`: its scheduler and
+// instrumented primitives are built on the raw std ones.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the model checker implements the shim's primitives on the raw std ones"
+)]
+
 mod sched;
 pub mod sync;
 pub mod thread;

@@ -13,8 +13,11 @@
 //! sampled pixels via [`Video::frame_sampled`] (bit-identical to decoding the full
 //! frame and resizing) instead of materializing the whole buffer per frame.
 
-// blazeit-lint: allow-file(panic-site::index) -- feature-extraction kernels: indices are derived
-// from the frame's own width/height and fixed channel strides
+#![expect(
+    clippy::indexing_slicing,
+    reason = "feature-extraction kernels: indices are derived from the frame's own width/height \
+              and fixed channel strides"
+)]
 
 use crate::tensor::Matrix;
 use crate::Result;

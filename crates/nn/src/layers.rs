@@ -92,11 +92,17 @@ impl Dense {
 pub fn softmax_segments_into(logits: &[f32], heads: &[usize], out: &mut [f32]) {
     let mut offset = 0usize;
     for &size in heads {
-        // blazeit-lint: allow(panic-site::index) -- documented contract: logits and out are exactly
-        // heads.iter().sum() long, and offset + size never exceeds that sum
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "documented contract: logits and out are exactly heads.iter().sum() long, and \
+                      offset + size never exceeds that sum"
+        )]
         let seg = &logits[offset..offset + size];
-        // blazeit-lint: allow(panic-site::index) -- documented contract: logits and out are exactly
-        // heads.iter().sum() long, and offset + size never exceeds that sum
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "documented contract: logits and out are exactly heads.iter().sum() long, and \
+                      offset + size never exceeds that sum"
+        )]
         let dst = &mut out[offset..offset + size];
         let seg_max = seg.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;

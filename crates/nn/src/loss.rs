@@ -64,8 +64,10 @@ pub fn grouped_cross_entropy(
             }
             let (probs, rest) = segments.split_at_mut(head_size);
             segments = rest;
-            // blazeit-lint: allow(panic-site::index) -- label < head_size == probs.len() was
-            // checked directly above
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "label < head_size == probs.len() was checked directly above"
+            )]
             let p_label = probs[label].max(1e-12);
             loss -= f64::from(p_label.ln());
             for (c, p) in probs.iter_mut().enumerate() {

@@ -1,7 +1,10 @@
 //! The sequential multi-layer network with grouped softmax heads.
 
-// blazeit-lint: allow-file(panic-site::index) -- forward/backward kernels: layer buffers are sized
-// from the network's own topology at construction
+#![expect(
+    clippy::indexing_slicing,
+    reason = "forward/backward kernels: layer buffers are sized from the network's own topology at \
+              construction"
+)]
 
 use crate::layers::{softmax_segments_into, Dense};
 use crate::loss::{grouped_cross_entropy, HeadLayout};

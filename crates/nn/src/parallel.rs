@@ -109,12 +109,14 @@ impl WorkerPool {
             let receiver = Arc::new(Mutex::new(receiver));
             for i in 0..workers {
                 let receiver = Arc::clone(&receiver);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "pool bootstrap inside OnceLock::get_or_init has no error channel; \
+                              a failed spawn is unrecoverable resource exhaustion at first use."
+                )]
                 std::thread::Builder::new()
                     .name(format!("blazeit-score-{i}"))
                     .spawn(move || worker_loop(&receiver))
-                    // blazeit-lint: allow(panic-site) -- pool bootstrap inside
-                    // OnceLock::get_or_init has no error channel; a failed spawn is
-                    // unrecoverable resource exhaustion at first use.
                     .expect("spawning a pool worker");
             }
             POOL_WORKERS.store(workers as u64, Ordering::Relaxed);
@@ -133,8 +135,11 @@ impl WorkerPool {
         // The sync-shim lock ignores poisoning: a panic inside `send` does not
         // leave the channel in a broken state, so future submissions keep going.
         let sender = self.sender.lock();
-        // blazeit-lint: allow(panic-site) -- the global pool's workers hold the
-        // receiver for the process lifetime, so send cannot observe a closed channel.
+        #[expect(
+            clippy::expect_used,
+            reason = "the global pool's workers hold the receiver for the process lifetime, so \
+                      send cannot observe a closed channel."
+        )]
         sender.send(Arc::clone(batch)).expect("pool workers never hang up");
     }
 }
@@ -320,9 +325,11 @@ pub fn par_run<'scope, T: Send + 'scope>(
     slots
         .into_iter()
         .map(|slot| {
-            // blazeit-lint: allow(panic-site) -- run_scoped returns only after the
-            // latch counts every task (worker panics are re-thrown before this), so
-            // every slot has been filled.
+            #[expect(
+                clippy::expect_used,
+                reason = "run_scoped returns only after the latch counts every task (worker \
+                          panics are re-thrown before this), so every slot has been filled."
+            )]
             slot.lock().take().expect("run_scoped ran every task to completion")
         })
         .collect()

@@ -210,8 +210,10 @@ impl<'a> Reader<'a> {
                 self.buf.len()
             ))
         })?;
-        // blazeit-lint: allow(panic-site::index) -- end was checked_add-validated against buf.len()
-        // directly above
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "end was checked_add-validated against buf.len() directly above"
+        )]
         let slice = &self.buf[self.pos..end];
         self.pos = end;
         Ok(slice)
@@ -267,14 +269,17 @@ impl<'a> Reader<'a> {
             .map_err(|_| PersistError::Corrupt(format!("{what} is not valid UTF-8")))
     }
     /// Reads a length-prefixed `f32` slice.
+    #[expect(
+        clippy::expect_used,
+        reason = "chunks_exact(4) yields exactly-4-byte slices by contract; the conversion cannot \
+                  fail."
+    )]
     pub fn f32s(&mut self, what: &str) -> PResult<Vec<f32>> {
         let len = self.usize(what)?;
         // 4 bytes per value; `take` enforces the exact bound.
         let raw = self.take(len * 4, what)?;
         Ok(raw
             .chunks_exact(4)
-            // blazeit-lint: allow(panic-site) -- chunks_exact(4) yields exactly-4-byte
-            // slices by contract; the conversion cannot fail.
             .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
             .collect())
     }
@@ -284,13 +289,16 @@ impl<'a> Reader<'a> {
         (0..len).map(|_| self.usize(what)).collect()
     }
     /// Reads a length-prefixed `u64` slice.
+    #[expect(
+        clippy::expect_used,
+        reason = "chunks_exact(8) yields exactly-8-byte slices by contract; the conversion cannot \
+                  fail."
+    )]
     pub fn u64s(&mut self, what: &str) -> PResult<Vec<u64>> {
         let len = self.usize(what)?;
         let raw = self.take(len * 8, what)?;
         Ok(raw
             .chunks_exact(8)
-            // blazeit-lint: allow(panic-site) -- chunks_exact(8) yields exactly-8-byte
-            // slices by contract; the conversion cannot fail.
             .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
             .collect())
     }

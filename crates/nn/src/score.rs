@@ -31,8 +31,10 @@
 //! `f32 → f64` accumulation order as the old per-frame helpers, so results are
 //! bit-identical.
 
-// blazeit-lint: allow-file(panic-site::index) -- row/head stride arithmetic over storage the
-// ScoreMatrix sized itself at construction
+#![expect(
+    clippy::indexing_slicing,
+    reason = "row/head stride arithmetic over storage the ScoreMatrix sized itself at construction"
+)]
 use std::ops::Range;
 use std::sync::Arc;
 

@@ -65,20 +65,22 @@ impl SpecializedHead {
         // threshold is the answer — O(n + max_count) instead of O(n·max_count).
         let mut histogram: Vec<usize> = Vec::new();
         let mut n = 0usize;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the resize directly above guarantees histogram.len() > count"
+        )]
         for count in counts {
             if count >= histogram.len() {
                 histogram.resize(count + 1, 0);
             }
-            // blazeit-lint: allow(panic-site::index) -- the resize directly above guarantees
-            // histogram.len() > count
             histogram[count] += 1;
             n += 1;
         }
         let n = n.max(1) as f64;
         let mut max_count = 1usize;
         let mut running = 0usize;
+        #[expect(clippy::indexing_slicing, reason = "k ranges over 1..histogram.len()")]
         for k in (1..histogram.len()).rev() {
-            // blazeit-lint: allow(panic-site::index) -- k ranges over 1..histogram.len()
             running += histogram[k];
             if running as f64 / n >= min_fraction {
                 max_count = k;
@@ -233,8 +235,11 @@ impl SpecializedNN {
         par_fill_chunks(features.data_mut(), dim, |offset, chunk| {
             let first = offset / dim;
             for (i, row) in chunk.chunks_mut(dim).enumerate() {
-                // blazeit-lint: allow(panic-site::index) -- par_fill_chunks hands each task a
-                // chunk of rows inside the matrix, so first + i < frames.len()
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "par_fill_chunks hands each task a chunk of rows inside the matrix, \
+                              so first + i < frames.len()"
+                )]
                 let frame = frames[first + i];
                 featurizer
                     .features_for_video_frame_into(video, frame, row)
@@ -382,8 +387,11 @@ impl SpecializedNN {
                     // of the batch feature matrix: only the sampled grid pixels
                     // are rendered, and no per-frame buffers are allocated —
                     // identical features to the full-frame path.
-                    // blazeit-lint: allow(panic-site::index) -- par_fill_chunks hands each task a
-                    // chunk of rows inside the matrix, so first + i < batch.len()
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "par_fill_chunks hands each task a chunk of rows inside the \
+                                  matrix, so first + i < batch.len()"
+                    )]
                     self.featurizer.features_for_video_frame_into(video, batch[first + i], row)?;
                     self.standardizer.transform_in_place(row);
                 }
@@ -454,13 +462,13 @@ impl SpecializedNN {
         for _ in 0..bootstrap_samples {
             let mut sum_p = 0.0;
             let mut sum_t = 0.0;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "i is gen_range(0..n) where n is the common length of both slices"
+            )]
             for _ in 0..n {
                 let i = rng.gen_range(0..n);
-                // blazeit-lint: allow(panic-site::index) -- i is gen_range(0..n) where n is the
-                // common length of both slices
                 sum_p += predicted[i];
-                // blazeit-lint: allow(panic-site::index) -- i is gen_range(0..n) where n is the
-                // common length of both slices
                 sum_t += true_counts[i] as f64;
             }
             bootstrap_errors.push(((sum_p - sum_t) / n as f64).abs());

@@ -18,8 +18,11 @@
 //! step's gradient clip decides most steps from a certified bound instead of the exact
 //! norm: an evaluation shortcut, not a change of definition (see `Network::train_step`).
 
-// blazeit-lint: allow-file(panic-site::index) -- dense matrix kernels: every index is derived from
-// the tensor's own dims, and shape mismatches return ShapeMismatch before any loop runs
+#![expect(
+    clippy::indexing_slicing,
+    reason = "dense matrix kernels: every index is derived from the tensor's own dims, and shape \
+              mismatches return ShapeMismatch before any loop runs"
+)]
 
 use crate::{NnError, Result};
 use rand::rngs::StdRng;

@@ -117,8 +117,11 @@ impl Trainer {
                     batch.data_mut().chunks_exact_mut(features.cols().max(1)).zip(chunk)
                 {
                     dst.copy_from_slice(features.row(i));
-                    // blazeit-lint: allow(panic-site::index) -- order is a permutation of
-                    // 0..num_examples and labels.len() == num_examples * heads (checked above)
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "order is a permutation of 0..num_examples and labels.len() == \
+                                  num_examples * heads (checked above)"
+                    )]
                     batch_labels.extend_from_slice(&labels[i * heads..(i + 1) * heads]);
                 }
                 let loss = network.train_step(&batch, &batch_labels, &mut scratch)?;

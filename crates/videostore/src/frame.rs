@@ -8,8 +8,11 @@
 //! remain in the nominal resolution of the stream. [`Frame::scale_x`]/[`Frame::scale_y`]
 //! convert between the two.
 
-// blazeit-lint: allow-file(panic-site::index) -- RGB pixel kernel: rows come from chunks_exact(3)
-// and (x, y) are bounded by the frame's own width/height
+#![expect(
+    clippy::indexing_slicing,
+    reason = "RGB pixel kernel: rows come from chunks_exact(3) and (x, y) are bounded by the \
+              frame's own width/height"
+)]
 
 use crate::geometry::BoundingBox;
 use crate::object::Color;

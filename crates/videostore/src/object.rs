@@ -71,8 +71,11 @@ impl ObjectClass {
 
     /// A stable small integer id for use as a feature / model output index.
     pub fn index(&self) -> usize {
-        // blazeit-lint: allow(panic-site) -- ObjectClass::ALL enumerates every
-        // variant of the enum, so position() is total over Self.
+        #[expect(
+            clippy::expect_used,
+            reason = "ObjectClass::ALL enumerates every variant of the enum, so position() is \
+                      total over Self."
+        )]
         ObjectClass::ALL.iter().position(|c| c == self).expect("class in ALL")
     }
 }

@@ -278,12 +278,18 @@ impl SceneSimulator {
             let duration_frames = (profile.mean_duration_secs * config.fps).max(1.0);
             // Little's law: arrivals per frame = mean_concurrent / mean_duration_frames.
             let base_rate = profile.mean_concurrent / duration_frames;
-            // blazeit-lint: allow(panic-site) -- duration_frames is clamped to >= 1.0
-            // two lines above, so the rate is positive and finite.
+            #[expect(
+                clippy::expect_used,
+                reason = "duration_frames is clamped to >= 1.0 two lines above, so the rate is \
+                          positive and finite."
+            )]
             let exp = Exp::new(1.0 / duration_frames).expect("positive rate");
-            // blazeit-lint: allow(panic-site) -- size_jitter is an f32 magnitude from
-            // the class profile; a negative value is a construction bug worth a loud
-            // failure during synthetic-video generation, not a recoverable state.
+            #[expect(
+                clippy::expect_used,
+                reason = "size_jitter is an f32 magnitude from the class profile; a negative value \
+                          is a construction bug worth a loud failure during synthetic-video \
+                          generation, not a recoverable state."
+            )]
             let size_noise = Normal::new(0.0, f64::from(profile.size_jitter)).expect("stddev >= 0");
 
             // Walk the day in coarse slots of BUCKET frames; within each slot the rate
@@ -441,8 +447,11 @@ impl SceneSimulator {
         let mut out = Vec::new();
         if let Some(candidates) = self.bucket_index.get(bucket) {
             for &i in candidates {
-                // blazeit-lint: allow(panic-site::index) -- bucket_index stores indices of
-                // self.tracks entries, built in the same pass
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "bucket_index stores indices of self.tracks entries, built in the \
+                              same pass"
+                )]
                 if let Some(gt) = self.tracks[i as usize].ground_truth_at(
                     frame,
                     self.config.width,

@@ -85,14 +85,16 @@ impl VideoStats {
 
         for f in 0..num_frames {
             let objects = video.scene().visible_at(f);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the resize directly above guarantees hist.len() > count"
+            )]
             for &c in classes {
                 let count = objects.iter().filter(|o| o.class == c).count();
                 let hist = frame_counts.entry(c).or_default();
                 if count >= hist.len() {
                     hist.resize(count + 1, 0);
                 }
-                // blazeit-lint: allow(panic-site::index) -- the resize directly above guarantees
-                // hist.len() > count
                 hist[count] += 1;
                 if count > 0 {
                     *occupied.entry(c).or_default() += 1;

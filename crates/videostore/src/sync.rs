@@ -7,13 +7,14 @@
 //! | [`Mutex`] / [`MutexGuard`] | `std::sync::Mutex` (poison-ignoring) | scheduler-arbitrated |
 //! | [`Condvar`] | `std::sync::Condvar` | explored; timeouts never fire |
 //! | [`RwLock`] + guards | `std::sync::RwLock` (poison-ignoring) | scheduler-arbitrated |
-//! | [`AtomicU64`] / [`Ordering`] | `std::sync::atomic` re-export | every access a schedule point (SC) |
-//! | [`OnceLock`] | `std::sync::OnceLock` re-export | init race explored |
+//! | [`AtomicU64`] / [`Ordering`] | `std::sync::atomic` alias / re-export | every access a schedule point (SC) |
+//! | [`OnceLock`] | `std::sync::OnceLock` alias | init race explored |
 //!
 //! Production code must construct locks and atomics through this module — the
-//! `sync-primitive` check in `blazeit-lint` enforces it — because only shimmed
-//! primitives become scheduling points of the checker; a raw `std::sync` lock
-//! would be invisible to exploration and silently shrink the verified surface.
+//! `disallowed-types` list in the workspace `clippy.toml` enforces it —
+//! because only shimmed primitives become scheduling points of the checker; a
+//! raw `std::sync` lock would be invisible to exploration and silently shrink
+//! the verified surface.
 //! `std::sync::Arc`, `mpsc` channels, and `atomic::Ordering` values stay plain
 //! `std`: they carry no scheduling decisions of their own.
 //!
@@ -31,8 +32,15 @@
 //! interleaving.
 
 // The whole point of this module is to wrap the raw primitives, so it is the
-// one production file allowed to name them.
-// blazeit-lint: allow-file(sync-primitive) -- this module is the shim itself; it wraps the raw std primitives everything else must come through
+// one production file allowed to name them. Under `model` it names none.
+#![cfg_attr(
+    not(feature = "model"),
+    expect(
+        clippy::disallowed_types,
+        reason = "this module is the shim itself; it wraps the raw std primitives everything \
+                  else must come through"
+    )
+)]
 
 /// `true` when the `model` feature routed this build's sync primitives through
 /// the checker's scheduler. Release builds must see `false` — asserted at
@@ -50,10 +58,18 @@ pub use blazeit_model::sync::{
 pub use passthrough::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[cfg(not(feature = "model"))]
-pub use std::sync::atomic::{AtomicU64, Ordering};
+pub use std::sync::atomic::Ordering;
 
+// Aliases rather than re-exports: clippy's `disallowed-types` resolves a
+// re-export to the std item and would flag every shim user, while an alias is
+// a distinct path that only this module names.
+/// A 64-bit atomic (the plain std atomic in this build).
 #[cfg(not(feature = "model"))]
-pub use std::sync::OnceLock;
+pub type AtomicU64 = std::sync::atomic::AtomicU64;
+
+/// A cell initialised at most once (the plain std cell in this build).
+#[cfg(not(feature = "model"))]
+pub type OnceLock<T> = std::sync::OnceLock<T>;
 
 #[cfg(not(feature = "model"))]
 mod passthrough {

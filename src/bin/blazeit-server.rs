@@ -18,6 +18,20 @@
 //! open connection and exits).
 //! On startup the server prints `listening on 127.0.0.1:<port>` to stdout.
 
+// The workspace panic lints, per crate root: opting the root package in would
+// also lint its integration tests and examples.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use blazeit::core::sync::{AtomicU64, Mutex, Ordering};
 use blazeit::prelude::*;
 use std::io::{BufRead, BufReader, BufWriter, Write};

@@ -46,6 +46,19 @@
 //! ```
 
 #![warn(missing_docs)]
+// The workspace panic lints, per crate root: opting the root package in would
+// also lint its integration tests and examples.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub use blazeit_core as core;
 pub use blazeit_detect as detect;

@@ -5,6 +5,7 @@
 //! built once and every proptest case re-queries them (repeat queries answer from
 //! the per-video caches, so 64 randomized cases stay cheap).
 
+use blazeit::core::sync::OnceLock;
 use blazeit::prelude::*;
 use proptest::prelude::*;
 
@@ -33,7 +34,7 @@ proptest! {
     ) {
         // Built once, reused by every case (`OnceLock` holds them across the 64
         // iterations of this single #[test]).
-        static CATALOGS: std::sync::OnceLock<(Catalog, Catalog)> = std::sync::OnceLock::new();
+        static CATALOGS: OnceLock<(Catalog, Catalog)> = OnceLock::new();
         let (fanout_catalog, solo_catalog) =
             CATALOGS.get_or_init(|| (car_catalog(700), car_catalog(700)));
 

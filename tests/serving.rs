@@ -10,9 +10,10 @@
 //! result cache answers repeats while the serial catalog re-executes, which
 //! is exactly the cost inequality under test.
 
+use blazeit::core::sync::OnceLock;
 use blazeit::prelude::*;
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The mixed query pool: FCOUNT / scrub / selection / EXPLAIN over both
 /// registered videos. Every case draws a workload (with duplicates) from it.
@@ -167,6 +168,10 @@ fn duplicate_storm_computes_once() {
 /// Both queries train a network, so whichever finishes last spans the other's
 /// charges.
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a std Barrier lines the racing threads up; the sync shim has no barrier"
+)]
 fn concurrent_answers_report_their_own_sessions_cost() {
     let catalog = Catalog::new();
     catalog.register_preset(DatasetPreset::Taipei, 600).expect("register taipei");
@@ -202,6 +207,10 @@ fn concurrent_answers_report_their_own_sessions_cost() {
 /// `TaskPanicked`. Every round must finish inside its watchdog with the answers
 /// of a serial run.
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a std Barrier lines the racing threads up; the sync shim has no barrier"
+)]
 fn cold_scrubs_racing_a_fan_out_finish_with_the_serial_answers() {
     use std::sync::{mpsc, Barrier};
     const ROUNDS: usize = 3;
@@ -273,6 +282,10 @@ fn cold_scrubs_racing_a_fan_out_finish_with_the_serial_answers() {
 /// release the lock, train and insert, so both queries trained and the round
 /// charged twice.
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a std Barrier lines the racing threads up; the sync shim has no barrier"
+)]
 fn cold_queries_sharing_a_head_set_train_once() {
     use std::sync::Barrier;
     const ROUNDS: usize = 10;

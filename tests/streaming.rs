@@ -3,11 +3,12 @@
 //! detection with atomic model refresh, and store consistency.
 
 use blazeit::core::stream::DEFAULT_TICK_FRAMES;
+use blazeit::core::sync::OnceLock;
 use blazeit::nn::ScoreMatrix;
 use blazeit::prelude::*;
 use blazeit::videostore::scene::ScenePhase;
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 const CAR: ObjectClass = ObjectClass::Car;
 
