@@ -24,6 +24,33 @@ use crate::Result;
 use blazeit_videostore::{Frame, FrameIndex, Video};
 use serde::{Deserialize, Serialize};
 
+/// `UNIT_F32[v]` is `v as f32 / 255.0`: a channel value scaled to `[0, 1]`, the
+/// same IEEE quotient the division gives (const evaluation rounds as the
+/// hardware does). Featurization reads each of a frame's sampled channel
+/// values (432 on the default 12×12 grid) three times in `f32` and once in
+/// `f64`; a lookup replaces each of those divisions.
+const UNIT_F32: [f32; 256] = {
+    let mut table = [0.0f32; 256];
+    let mut v = 0;
+    while v < 256 {
+        table[v] = v as f32 / 255.0;
+        v += 1;
+    }
+    table
+};
+
+/// `UNIT_F64[v]` is `v as f64 / 255.0`, [`UNIT_F32`]'s `f64` twin for the
+/// channel statistics.
+const UNIT_F64: [f64; 256] = {
+    let mut table = [0.0f64; 256];
+    let mut v = 0;
+    while v < 256 {
+        table[v] = v as f64 / 255.0;
+        v += 1;
+    }
+    table
+};
+
 /// Configuration of the frame featurizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FeatureConfig {
@@ -136,7 +163,9 @@ impl FrameFeaturizer {
     /// grid_side` frame into `out` (length [`FrameFeaturizer::dim`]); the shared
     /// back half of the fast paths and of the full-frame test reference
     /// (`features`). Writes every position, in the same order and with the same
-    /// arithmetic as the original push-based construction.
+    /// arithmetic as the original push-based construction; a channel value's
+    /// `v / 255` is read from [`UNIT_F32`] (and [`UNIT_F64`] in the statistics)
+    /// rather than divided again for each use.
     fn features_into_grid(&self, small: &Frame, out: &mut [f32]) {
         let side = self.config.grid_side;
         let cells = side * side;
@@ -145,7 +174,7 @@ impl FrameFeaturizer {
         let mut mean = [0.0f32; 3];
         for px in small.pixels.chunks_exact(3) {
             for c in 0..3 {
-                mean[c] += px[c] as f32 / 255.0;
+                mean[c] += UNIT_F32[usize::from(px[c])];
             }
         }
         for m in &mut mean {
@@ -155,7 +184,7 @@ impl FrameFeaturizer {
         // Background-subtracted grid pixels.
         for (i, px) in small.pixels.chunks_exact(3).enumerate() {
             for c in 0..3 {
-                out[i * 3 + c] = px[c] as f32 / 255.0 - mean[c];
+                out[i * 3 + c] = UNIT_F32[usize::from(px[c])] - mean[c];
             }
         }
 
@@ -166,7 +195,8 @@ impl FrameFeaturizer {
             // read it back from there.
             for (d, px) in out[cursor..cursor + cells].iter_mut().zip(small.pixels.chunks_exact(3))
             {
-                *d = (0..3).map(|c| (px[c] as f32 / 255.0 - mean[c]).abs()).sum::<f32>() / 3.0;
+                *d = (0..3).map(|c| (UNIT_F32[usize::from(px[c])] - mean[c]).abs()).sum::<f32>()
+                    / 3.0;
             }
             let (head, rest) = out.split_at_mut(cursor + cells);
             let deviation = &head[cursor..];
@@ -203,7 +233,7 @@ impl FrameFeaturizer {
         let mut sq = [0.0f64; 3];
         for px in frame.pixels.chunks_exact(3) {
             for c in 0..3 {
-                let v = px[c] as f64 / 255.0;
+                let v = UNIT_F64[usize::from(px[c])];
                 sums[c] += v;
                 sq[c] += v * v;
             }
@@ -316,7 +346,94 @@ impl Standardizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blazeit_videostore::{DatasetPreset, ObjectClass, DAY_TEST};
+    use blazeit_videostore::{DatasetPreset, ObjectClass, DAY_TEST, DAY_TRAIN};
+
+    #[test]
+    fn unit_tables_equal_the_division_bit_for_bit() {
+        for v in 0..=255u8 {
+            let i = usize::from(v);
+            assert_eq!(UNIT_F32[i].to_bits(), (v as f32 / 255.0).to_bits(), "f32 entry {v}");
+            assert_eq!(UNIT_F64[i].to_bits(), (v as f64 / 255.0).to_bits(), "f64 entry {v}");
+        }
+    }
+
+    /// The feature assembly as it was before the lookup tables: every channel
+    /// value divided by 255 where it is read.
+    fn features_by_division(config: FeatureConfig, small: &Frame) -> Vec<f32> {
+        let side = config.grid_side;
+        let cells = side * side;
+        let n = cells.max(1) as f32;
+        let mut mean = [0.0f32; 3];
+        for px in small.pixels.chunks_exact(3) {
+            for c in 0..3 {
+                mean[c] += px[c] as f32 / 255.0;
+            }
+        }
+        for m in &mut mean {
+            *m /= n;
+        }
+        let mut out = Vec::new();
+        for px in small.pixels.chunks_exact(3) {
+            for c in 0..3 {
+                out.push(px[c] as f32 / 255.0 - mean[c]);
+            }
+        }
+        if config.include_deviation {
+            let deviation: Vec<f32> = small
+                .pixels
+                .chunks_exact(3)
+                .map(|px| (0..3).map(|c| (px[c] as f32 / 255.0 - mean[c]).abs()).sum::<f32>() / 3.0)
+                .collect();
+            let (mut row_sums, mut col_sums) = (vec![0.0f32; side], vec![0.0f32; side]);
+            for (i, &d) in deviation.iter().enumerate() {
+                row_sums[i / side] += d;
+                col_sums[i % side] += d;
+            }
+            let total: f32 = deviation.iter().sum();
+            let loose = deviation.iter().filter(|&&d| d > 0.05).count() as f32;
+            let tight = deviation.iter().filter(|&&d| d > 0.12).count() as f32;
+            out.extend(deviation.iter().chain(&row_sums).chain(&col_sums));
+            out.extend([total / 20.0, loose / 10.0, tight / 10.0]);
+        }
+        if config.include_stats {
+            let n = small.num_pixels().max(1) as f64;
+            let (mut sums, mut sq) = ([0.0f64; 3], [0.0f64; 3]);
+            for px in small.pixels.chunks_exact(3) {
+                for c in 0..3 {
+                    let v = px[c] as f64 / 255.0;
+                    sums[c] += v;
+                    sq[c] += v * v;
+                }
+            }
+            let mean = sums.map(|s| s / n);
+            let var = [0, 1, 2].map(|c| (sq[c] / n - mean[c] * mean[c]).max(0.0));
+            out.extend(mean.map(|m| m as f32));
+            out.extend(var.map(|v| v as f32));
+            out.push((mean[0] - (mean[1] + mean[2]) / 2.0) as f32);
+            out.push((mean[2] - (mean[0] + mean[1]) / 2.0) as f32);
+        }
+        out
+    }
+
+    #[test]
+    fn table_assembly_matches_the_division_assembly_bit_for_bit() {
+        let featurizer = FrameFeaturizer::default();
+        let side = featurizer.config().grid_side;
+        let mut fast = vec![0.0f32; featurizer.dim()];
+        let presets = [DatasetPreset::Taipei, DatasetPreset::NightStreet, DatasetPreset::Amsterdam];
+        for preset in presets {
+            for day in [DAY_TRAIN, DAY_TEST] {
+                let video = preset.generate_with_frames(day, 300).unwrap();
+                for f in 0..300 {
+                    let small = video.frame_sampled(f, side, side).unwrap();
+                    featurizer.features_into_grid(&small, &mut fast);
+                    let slow = features_by_division(featurizer.config(), &small);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&fast), bits(&slow), "{preset:?} day {day} frame {f}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn standardizer_zero_means_and_unit_variance() {

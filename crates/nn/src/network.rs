@@ -415,7 +415,7 @@ fn clip_cannot_fire(gradients: &[(Matrix, Matrix)]) -> bool {
     // wide instantiation.
     let sum = at_host_width(
         #[inline(always)]
-        || {
+        |_| {
             let mut sum = 0.0f64;
             for (w, b) in gradients {
                 sum += sum_of_squares(w.data()) + sum_of_squares(b.data());

@@ -65,7 +65,7 @@ impl SgdState {
         let config = self.config;
         at_host_width(
             #[inline(always)]
-            || update(param, grad.data(), velocity, grad_scale, config),
+            |_| update(param, grad.data(), velocity, grad_scale, config),
         );
         Ok(())
     }
@@ -91,7 +91,7 @@ fn update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::for_each_instantiation;
+    use crate::tensor::{for_each_instantiation, Lanes};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -125,7 +125,8 @@ mod tests {
             }
         }
 
-        for_each_instantiation("sgd update", |lanes| {
+        let name = |lanes: Lanes| format!("sgd update: {lanes:?}");
+        for_each_instantiation(name, |lanes| {
             for (config, grad_scale, init, grads, param_bits, velocity_bits) in &cases {
                 let (config, grad_scale, len) = (*config, *grad_scale, init.len());
                 let (mut param, mut velocity) = (init.clone(), vec![0.0f32; len]);
@@ -135,7 +136,7 @@ mod tests {
                     unsafe {
                         lanes.run(
                             #[inline(always)]
-                            || update(p, grad, v, grad_scale, config),
+                            |_| update(p, grad, v, grad_scale, config),
                         )
                     };
                 }

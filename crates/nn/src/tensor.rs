@@ -14,9 +14,12 @@
 //! fingerprint across a kernel change. The product body, the SGD update and the clip's
 //! bound each run as a portable, an AVX2 or an AVX-512 (`avx512f`) instantiation of one
 //! source; one run-time dispatch point picks the widest the CPU has, and the tests
-//! compare every instantiation the host can run against the plain loops. The training
-//! step's gradient clip decides most steps from a certified bound instead of the exact
-//! norm: an evaluation shortcut, not a change of definition (see `Network::train_step`).
+//! compare every instantiation the host can run against the plain loops. The product
+//! body's register block belongs to its instantiation: 4×48 under AVX-512, whose 32
+//! vector registers hold it, and 4×16 under AVX2 and SSE, whose 16 would spill a wider
+//! one (`Lanes::product_block_cols`). The training step's gradient clip decides most
+//! steps from a certified bound instead of the exact norm: an evaluation shortcut, not
+//! a change of definition (see `Network::train_step`).
 
 #![expect(
     clippy::indexing_slicing,
@@ -126,8 +129,10 @@ impl Matrix {
     ///
     /// This is the allocation-free kernel behind batched inference and the
     /// training step's forward pass: callers hold a scratch matrix and reuse its
-    /// backing storage across batches. Output is computed in 4-row × 16-column
-    /// register blocks; the module docs state the summation order that keeps.
+    /// backing storage across batches. Output is computed in 4-row register
+    /// blocks as wide as the instantiation's registers hold (48 columns under
+    /// AVX-512, 16 under AVX2 and SSE); the module docs state the summation order
+    /// that keeps.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != other.rows {
             return Err(NnError::ShapeMismatch {
@@ -238,8 +243,10 @@ impl Matrix {
 
 /// Output rows per register block.
 const BLOCK_ROWS: usize = 4;
-/// Output columns per register tile.
+/// Output columns per register tile: one AVX-512 register, two AVX2 ones, four SSE ones.
 const TILE: usize = 16;
+/// Output columns per register block under AVX-512: three tiles.
+const WIDE_BLOCK: usize = 3 * TILE;
 
 /// The instruction set a kernel instantiation is compiled for.
 #[derive(Debug, Clone, Copy)]
@@ -274,14 +281,30 @@ impl Lanes {
         }
     }
 
-    /// Runs `kernel` inlined into a function compiled for these lanes. Pass an
-    /// `#[inline(always)]` closure: a kernel that is not inlined runs in the
-    /// build target's lanes whatever `self` is.
+    /// Output columns per register block of the product body in these lanes
+    /// (every block is [`BLOCK_ROWS`] rows). AVX-512 has 32 vector registers:
+    /// a 4×48 block keeps its 12 accumulators, the three `rhs` tiles and the
+    /// broadcast operand in registers. AVX2 has 16, fewer than a 4×48 block's
+    /// 24 accumulators: measured, blocks that spill there ran no reliably
+    /// faster than 4×16 (8 accumulators), so AVX2 and the portable build keep
+    /// 4×16.
+    pub(crate) const fn product_block_cols(self) -> usize {
+        match self {
+            Lanes::Avx512 => WIDE_BLOCK,
+            Lanes::Portable | Lanes::Avx2 => TILE,
+        }
+    }
+
+    /// Runs `kernel` inlined into a function compiled for these lanes, passing
+    /// it the lanes as a constant so it can pick a per-instruction-set shape
+    /// with a `match` that folds away. Pass an `#[inline(always)]` closure: a
+    /// kernel that is not inlined runs in the build target's lanes whatever
+    /// `self` is.
     ///
     /// # Safety
     ///
     /// The running CPU must support `self` ([`Lanes::detected`]).
-    pub(crate) unsafe fn run<R>(self, kernel: impl FnOnce() -> R) -> R {
+    pub(crate) unsafe fn run<R>(self, kernel: impl FnOnce(Lanes) -> R) -> R {
         match self {
             // SAFETY: the caller guarantees the CPU supports `self`.
             #[cfg(target_arch = "x86_64")]
@@ -289,30 +312,31 @@ impl Lanes {
             // SAFETY: as above.
             #[cfg(target_arch = "x86_64")]
             Lanes::Avx2 => unsafe { run_avx2(kernel) },
-            _ => kernel(),
+            _ => kernel(Lanes::Portable),
         }
     }
 }
 
 /// The one dispatch point: runs `kernel` (an `#[inline(always)]` closure) in
-/// the widest lanes the host has. There is no way to ask for other lanes:
-/// every kernel performs the same IEEE operations in the same order per
-/// element whatever its lanes, so the choice is invisible in the results.
-pub(crate) fn at_host_width<R>(kernel: impl FnOnce() -> R) -> R {
+/// the widest lanes the host has, and tells it which. There is no way to ask
+/// for other lanes: every kernel performs the same IEEE operations in the same
+/// order per element whatever its lanes and block shape, so the choice is
+/// invisible in the results.
+pub(crate) fn at_host_width<R>(kernel: impl FnOnce(Lanes) -> R) -> R {
     // SAFETY: `Lanes::host` only returns an instruction set it detected.
     unsafe { Lanes::host().run(kernel) }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn run_avx2<R>(kernel: impl FnOnce() -> R) -> R {
-    kernel()
+fn run_avx2<R>(kernel: impl FnOnce(Lanes) -> R) -> R {
+    kernel(Lanes::Avx2)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn run_avx512<R>(kernel: impl FnOnce() -> R) -> R {
-    kernel()
+fn run_avx512<R>(kernel: impl FnOnce(Lanes) -> R) -> R {
+    kernel(Lanes::Avx512)
 }
 
 /// `out[i][j] = Σₖ lhs(i, k) · rhs[k][j]` for a `k_len × n` row-major `rhs` and
@@ -328,20 +352,38 @@ fn product<const A_TRANSPOSED: bool>(
 ) {
     at_host_width(
         #[inline(always)]
-        || product_body::<A_TRANSPOSED>(a, k_len, rhs, out, n),
+        |lanes| product_in::<A_TRANSPOSED>(lanes, a, k_len, rhs, out, n),
     );
 }
 
-/// The one matmul body. Output is computed in `BLOCK_ROWS × TILE` register
-/// blocks: 64 accumulators the compiler keeps in vector registers across the
-/// whole reduction — 16 independent SSE add chains (8 of twice the width under
-/// AVX2, 4 of four times the width under AVX-512) where a one-row tile gives 4
-/// (or 2, or 1). The reduction is bound by add latency, so independent chains
-/// are what let wider lanes pay. Remainder rows and the narrow last column tile
-/// use a one-row loop. Every accumulator starts at `0.0` and adds `a * b` over
-/// ascending `k`.
+/// [`product_body`] at `lanes`' register block ([`Lanes::product_block_cols`]).
+/// `lanes` is a constant in every instantiation, so the `match` folds away.
 #[inline(always)]
-fn product_body<const A_TRANSPOSED: bool>(
+fn product_in<const A_TRANSPOSED: bool>(
+    lanes: Lanes,
+    a: &[f32],
+    k_len: usize,
+    rhs: &[f32],
+    out: &mut [f32],
+    n: usize,
+) {
+    match lanes.product_block_cols() {
+        WIDE_BLOCK => product_body::<A_TRANSPOSED, WIDE_BLOCK>(a, k_len, rhs, out, n),
+        _ => product_body::<A_TRANSPOSED, TILE>(a, k_len, rhs, out, n),
+    }
+}
+
+/// The one matmul body. Output is computed in `BLOCK_ROWS × BLOCK_COLS`
+/// register blocks whose accumulators the compiler keeps in vector registers
+/// across the whole reduction: each `rhs` row segment loaded serves four
+/// output rows, and each broadcast `lhs` operand a whole block row, so the
+/// block is as wide as the instantiation's register file pays for (4×48 under
+/// AVX-512, 4×16 under AVX2 and SSE; see [`Lanes::product_block_cols`]). The blocked rows' columns a full block does
+/// not cover are computed in 4×16 blocks; remainder rows and the narrow last
+/// column tile use a one-row loop. Every accumulator starts at `0.0` and adds
+/// `a * b` over ascending `k`.
+#[inline(always)]
+fn product_body<const A_TRANSPOSED: bool, const BLOCK_COLS: usize>(
     a: &[f32],
     k_len: usize,
     rhs: &[f32],
@@ -353,29 +395,14 @@ fn product_body<const A_TRANSPOSED: bool>(
     }
     let m = out.len() / n;
     let blocked_rows = m - m % BLOCK_ROWS;
+    let block_cols = n - n % BLOCK_COLS;
     let tiled_cols = n - n % TILE;
     for i in (0..blocked_rows).step_by(BLOCK_ROWS) {
-        for j0 in (0..tiled_cols).step_by(TILE) {
-            let mut acc = [[0.0f32; TILE]; BLOCK_ROWS];
-            for k in 0..k_len {
-                let b_tile = &rhs[k * n + j0..k * n + j0 + TILE];
-                let a_block: [f32; BLOCK_ROWS] = if A_TRANSPOSED {
-                    // The block's four operands are neighbours: one bounds check.
-                    let mut block = [0.0f32; BLOCK_ROWS];
-                    block.copy_from_slice(&a[k * m + i..k * m + i + BLOCK_ROWS]);
-                    block
-                } else {
-                    std::array::from_fn(|r| a[(i + r) * k_len + k])
-                };
-                for (acc_row, a_ik) in acc.iter_mut().zip(a_block) {
-                    for t in 0..TILE {
-                        acc_row[t] += a_ik * b_tile[t];
-                    }
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                out[(i + r) * n + j0..(i + r) * n + j0 + TILE].copy_from_slice(acc_row);
-            }
+        for j0 in (0..block_cols).step_by(BLOCK_COLS) {
+            register_block::<A_TRANSPOSED, BLOCK_COLS>(a, k_len, rhs, out, n, i, j0);
+        }
+        for j0 in (block_cols..tiled_cols).step_by(TILE) {
+            register_block::<A_TRANSPOSED, TILE>(a, k_len, rhs, out, n, i, j0);
         }
     }
     // What the blocks did not cover, one row and at most one tile at a time: the
@@ -397,16 +424,51 @@ fn product_body<const A_TRANSPOSED: bool>(
     }
 }
 
-/// Calls `check` with every instantiation the host can run, and says which ran:
-/// a skipped instantiation prints that it was skipped (`--show-output`).
+/// Output rows `i..i + BLOCK_ROWS`, columns `j0..j0 + COLS` of [`product_body`].
+#[inline(always)]
+fn register_block<const A_TRANSPOSED: bool, const COLS: usize>(
+    a: &[f32],
+    k_len: usize,
+    rhs: &[f32],
+    out: &mut [f32],
+    n: usize,
+    i: usize,
+    j0: usize,
+) {
+    let m = out.len() / n;
+    let mut acc = [[0.0f32; COLS]; BLOCK_ROWS];
+    for k in 0..k_len {
+        let b_tile = &rhs[k * n + j0..k * n + j0 + COLS];
+        let a_block: [f32; BLOCK_ROWS] = if A_TRANSPOSED {
+            // The block's four operands are neighbours: one bounds check.
+            let mut block = [0.0f32; BLOCK_ROWS];
+            block.copy_from_slice(&a[k * m + i..k * m + i + BLOCK_ROWS]);
+            block
+        } else {
+            std::array::from_fn(|r| a[(i + r) * k_len + k])
+        };
+        for (acc_row, a_ik) in acc.iter_mut().zip(a_block) {
+            for t in 0..COLS {
+                acc_row[t] += a_ik * b_tile[t];
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[(i + r) * n + j0..(i + r) * n + j0 + COLS].copy_from_slice(acc_row);
+    }
+}
+
+/// Calls `check` with every instantiation the host can run, and says which ran
+/// under the name `name` gives it: a skipped instantiation prints that it was
+/// skipped (`--show-output`).
 #[cfg(test)]
-pub(crate) fn for_each_instantiation(kernel: &str, mut check: impl FnMut(Lanes)) {
+pub(crate) fn for_each_instantiation(name: impl Fn(Lanes) -> String, mut check: impl FnMut(Lanes)) {
     for lanes in Lanes::ALL {
         if lanes.detected() {
             check(lanes);
-            println!("{kernel}: {lanes:?} instantiation covered");
+            println!("{} instantiation covered", name(lanes));
         } else {
-            println!("{kernel}: {lanes:?} instantiation skipped: not detected on this host");
+            println!("{} instantiation skipped: not detected on this host", name(lanes));
         }
     }
 }
@@ -477,11 +539,13 @@ mod tests {
 
     /// The three product kernels against a triple loop, bit for bit, on shapes
     /// `(m, k, n)` that reach every remainder path (rows short of a block,
-    /// columns short of a tile, both, neither, an empty dimension) plus the
-    /// production layer shapes (the forward `16×611·611×48`, the weight gradient
-    /// `(16×611)ᵀ·16×48`) — through the entry points, and through the product
-    /// body's portable, AVX2 and AVX-512 instantiations directly, each where the
-    /// host has it.
+    /// columns short of a tile, both, neither, an empty dimension), every path of
+    /// the 4×48 block (exactly one block, two blocks and a remainder row, a block
+    /// and a 16-column tile, a block and a narrow remainder) plus the production
+    /// layer shapes (the forward `16×611·611×48`, the weight gradient
+    /// `(16×611)ᵀ·16×48`, scoring's `256×611·611×48`) — through the entry points,
+    /// and through the product body's portable, AVX2 and AVX-512 instantiations
+    /// directly, each where the host has it.
     #[test]
     fn product_instantiations_match_the_triple_loop_bit_for_bit() {
         let shapes = [
@@ -493,6 +557,11 @@ mod tests {
             (611, 16, 48),
             (7, 48, 5),
             (9, 2, 50),
+            (4, 611, 48),
+            (5, 17, 96),
+            (8, 9, 64),
+            (4, 3, 50),
+            (256, 611, 48),
             (0, 3, 2),
             (2, 0, 3),
             (2, 3, 0),
@@ -532,7 +601,10 @@ mod tests {
             cases.push(((m, k, n), a, a_t, b, a_b, at_b));
         }
 
-        for_each_instantiation("product body", |lanes| {
+        let name = |lanes: Lanes| {
+            format!("product body: {lanes:?} ({BLOCK_ROWS}×{})", lanes.product_block_cols())
+        };
+        for_each_instantiation(name, |lanes| {
             for ((m, k, n), a, a_t, b, a_b, at_b) in &cases {
                 let (k, n) = (*k, *n);
                 let mut out = Matrix::zeros(*m, n);
@@ -541,7 +613,7 @@ mod tests {
                 unsafe {
                     lanes.run(
                         #[inline(always)]
-                        || product_body::<false>(a, k, b, out_data, n),
+                        |lanes| product_in::<false>(lanes, a, k, b, out_data, n),
                     )
                 };
                 assert_eq!(&bits(&out), a_b, "{lanes:?} body {m}x{k}x{n}");
@@ -550,7 +622,7 @@ mod tests {
                 unsafe {
                     lanes.run(
                         #[inline(always)]
-                        || product_body::<true>(a_t, k, b, out_data, n),
+                        |lanes| product_in::<true>(lanes, a_t, k, b, out_data, n),
                     )
                 };
                 assert_eq!(&bits(&out), at_b, "{lanes:?} transposed body {m}x{k}x{n}");
