@@ -33,15 +33,13 @@
 use crate::config::BlazeItConfig;
 use crate::fault::HealthState;
 use crate::labeled::LabeledSet;
-use crate::lockorder::{
-    lock_ordered, OrderedGuard, RANK_HELDOUT_CACHE, RANK_LIVE_INDEX, RANK_NN_CACHE, RANK_VIDEO,
-};
+use crate::lockorder::{Lock, RankedMutex};
 use crate::obs;
 use crate::single_flight::{self, FlightMap};
 use crate::stats::mean_and_sample_variance;
 use crate::store::{IndexStore, StoreResult};
 use crate::stream::StreamState;
-use crate::sync::{AtomicU64, Mutex, OnceLock, Ordering, RwLock};
+use crate::sync::{AtomicU64, OnceLock, Ordering, RwLock};
 use crate::{BlazeItError, Result};
 use blazeit_detect::{SimClock, SimulatedDetector};
 use blazeit_frameql::{builtin_udfs, UdfRegistry};
@@ -181,7 +179,7 @@ impl HeldOutCalibration {
 pub struct VideoContext {
     /// The current video — for a streaming context, the ingested prefix of the
     /// full generated day; swapped atomically as frames arrive.
-    pub(crate) video: Mutex<Arc<Video>>,
+    pub(crate) video: RankedMutex<Arc<Video>>,
     labeled: Arc<LabeledSet>,
     config: BlazeItConfig,
     /// Fingerprint of `config`, fixed at construction — one third of the
@@ -200,13 +198,13 @@ pub struct VideoContext {
     data_generation: AtomicU64,
     /// Trained specialized networks by normalized head key (the *current*
     /// generation; drift refreshes replace entries in place).
-    pub(crate) nn_cache: Mutex<FlightMap<String, Arc<SpecializedNN>>>,
+    pub(crate) nn_cache: RankedMutex<FlightMap<String, Arc<SpecializedNN>>>,
     /// Live test-day score indexes by normalized head key; see [`LiveIndex`].
-    pub(crate) live_index: Mutex<HashMap<String, LiveIndex>>,
+    pub(crate) live_index: RankedMutex<HashMap<String, LiveIndex>>,
     /// Held-out calibrations by the scoring network's weights fingerprint (the
     /// held-out day and the configuration are fixed for the context's lifetime
     /// and the day never grows, so these need no streaming machinery).
-    heldout_cache: Mutex<FlightMap<u64, Arc<HeldOutCalibration>>>,
+    heldout_cache: RankedMutex<FlightMap<u64, Arc<HeldOutCalibration>>>,
     /// The paper's head-size rule per class (indexed by [`ObjectClass::index`]),
     /// derived from the training day on a class's first use.
     head_sizes: [OnceLock<usize>; ObjectClass::ALL.len()],
@@ -277,10 +275,7 @@ impl VideoContext {
         // not vary across runs.
         let config_fingerprint = fnv1a(format!("{config:?}").as_bytes());
         VideoContext {
-            // Ranked construction enrolls each lock in the model checker's
-            // hierarchy oracle; `lock_ordered` asserts the same table at
-            // acquisition time in debug builds.
-            video: Mutex::ranked(RANK_VIDEO, "video", Arc::new(video)),
+            video: RankedMutex::new(Lock::Video, Arc::new(video)),
             labeled,
             config,
             config_fingerprint,
@@ -288,9 +283,9 @@ impl VideoContext {
             detector,
             udfs: RwLock::new(Arc::new(builtin_udfs())),
             data_generation: AtomicU64::new(0),
-            nn_cache: Mutex::ranked(RANK_NN_CACHE, "nn_cache", HashMap::new()),
-            live_index: Mutex::ranked(RANK_LIVE_INDEX, "live_index", HashMap::new()),
-            heldout_cache: Mutex::ranked(RANK_HELDOUT_CACHE, "heldout_cache", HashMap::new()),
+            nn_cache: RankedMutex::new(Lock::NnCache, HashMap::new()),
+            live_index: RankedMutex::new(Lock::LiveIndex, HashMap::new()),
+            heldout_cache: RankedMutex::new(Lock::HeldoutCache, HashMap::new()),
             head_sizes: Default::default(),
             store,
             stream,
@@ -308,26 +303,6 @@ impl VideoContext {
     /// [`HealthState::report`]; EXPLAIN renders the same snapshot.
     pub fn health(&self) -> &HealthState {
         &self.health
-    }
-
-    /// Acquires the `video` lock at its documented rank (the last engine lock in
-    /// [`crate::lockorder`]; asserted in debug builds).
-    pub(crate) fn lock_video(&self) -> OrderedGuard<'_, Arc<Video>> {
-        lock_ordered(RANK_VIDEO, "video", &self.video)
-    }
-
-    /// Acquires the `nn_cache` lock at its documented rank.
-    pub(crate) fn lock_nn_cache(&self) -> OrderedGuard<'_, FlightMap<String, Arc<SpecializedNN>>> {
-        lock_ordered(RANK_NN_CACHE, "nn_cache", &self.nn_cache)
-    }
-
-    fn lock_heldout_cache(&self) -> OrderedGuard<'_, FlightMap<u64, Arc<HeldOutCalibration>>> {
-        lock_ordered(RANK_HELDOUT_CACHE, "heldout_cache", &self.heldout_cache)
-    }
-
-    /// Acquires the `live_index` lock at its documented rank.
-    pub(crate) fn lock_live_index(&self) -> OrderedGuard<'_, HashMap<String, LiveIndex>> {
-        lock_ordered(RANK_LIVE_INDEX, "live_index", &self.live_index)
     }
 
     /// Runs one store operation through the robustness pipeline:
@@ -374,7 +349,7 @@ impl VideoContext {
     /// snapshot works over one consistent set of frames for its whole run even
     /// while ingestion continues.
     pub fn video(&self) -> Arc<Video> {
-        Arc::clone(&self.lock_video())
+        Arc::clone(&self.video.lock())
     }
 
     /// The labeled set.
@@ -586,7 +561,7 @@ impl VideoContext {
             Ok(nn)
         };
         let key = Self::head_key(&normalized);
-        single_flight::compute_once(|| self.lock_nn_cache(), key, "train specialized", train)
+        single_flight::compute_once(|| self.nn_cache.lock(), key, "train specialized", train)
     }
 
     /// Disk tier of the network cache: the disk keys by the full training
@@ -629,7 +604,7 @@ impl VideoContext {
     pub fn cached_specialized(&self, heads: &[(ObjectClass, usize)]) -> Option<Arc<SpecializedNN>> {
         let normalized = Self::normalized_heads(heads);
         let load = || self.load_stored_network(&normalized);
-        single_flight::peek_or_load(|| self.lock_nn_cache(), Self::head_key(&normalized), load)
+        single_flight::peek_or_load(|| self.nn_cache.lock(), Self::head_key(&normalized), load)
     }
 
     /// The per-video score index for `nn` over the unseen (test) video: every frame
@@ -659,7 +634,7 @@ impl VideoContext {
         // cannot both score the video (which would double-charge the clock).
         // It also pins the (video, index) pair: ingestion swaps the video only
         // while holding this lock, so the snapshot below is consistent.
-        let mut cache = self.lock_live_index();
+        let mut cache = self.live_index.lock();
         let video = self.video();
         if let Some(entry) = cache.get(&key) {
             if entry.nn.weights_fingerprint() == nn.weights_fingerprint()
@@ -685,7 +660,8 @@ impl VideoContext {
         // a drift swap) gets its scores computed above but must not clobber the
         // swapped-in index.
         let is_current = self
-            .lock_nn_cache()
+            .nn_cache
+            .lock()
             .get(&key)
             .and_then(|flight| flight.peek())
             .is_none_or(|current| current.weights_fingerprint() == nn.weights_fingerprint());
@@ -735,7 +711,7 @@ impl VideoContext {
             self.calibrate_heldout(nn, scores)
         };
         let key = nn.weights_fingerprint();
-        single_flight::compute_once(|| self.lock_heldout_cache(), key, "held-out score", calibrate)
+        single_flight::compute_once(|| self.heldout_cache.lock(), key, "held-out score", calibrate)
     }
 
     /// The held-out calibration of `nn` if its scores are already built: in
@@ -749,7 +725,7 @@ impl VideoContext {
     ) -> Option<Arc<HeldOutCalibration>> {
         let scores = || self.load_stored_scores(&self.heldout_score_key(nn));
         let load = || self.calibrate_heldout(nn, scores()?).ok();
-        single_flight::peek_or_load(|| self.lock_heldout_cache(), nn.weights_fingerprint(), load)
+        single_flight::peek_or_load(|| self.heldout_cache.lock(), nn.weights_fingerprint(), load)
     }
 
     /// The disk-tier key of `nn`'s held-out scores (the memory tier keys by
@@ -805,7 +781,7 @@ impl VideoContext {
     pub fn specialized_warmth(&self, heads: &[(ObjectClass, usize)]) -> CacheWarmth {
         let normalized = Self::normalized_heads(heads);
         let key = Self::head_key(&normalized);
-        if self.lock_nn_cache().get(&key).is_some_and(|flight| flight.peek().is_some()) {
+        if self.nn_cache.lock().get(&key).is_some_and(|flight| flight.peek().is_some()) {
             return CacheWarmth::Memory;
         }
         // A degraded (memory-only) context will not read the store, so a
@@ -833,7 +809,7 @@ impl VideoContext {
         let Some(nn) = self.cached_specialized(&normalized) else {
             return CacheWarmth::Cold;
         };
-        let cache = self.lock_live_index();
+        let cache = self.live_index.lock();
         let video = self.video();
         if let Some(entry) = cache.get(&Self::head_key(&normalized)) {
             if entry.nn.weights_fingerprint() == nn.weights_fingerprint()

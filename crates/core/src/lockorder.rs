@@ -1,8 +1,10 @@
-//! The engine's lock hierarchy, stated once, and its debug-build assertions.
+//! The engine's lock hierarchy, stated once as a type, and its debug-build
+//! assertions.
 //!
-//! Locks are acquired in this order, lowest rank first — **admission →
-//! serve_cache → monitor → live_index → nn_cache → heldout_cache → flight →
-//! video → obs_trace** — and every other statement of it links here:
+//! Locks are acquired in [`Lock`]'s declaration order, lowest rank first —
+//! **admission → serve_cache → monitor → live_index → nn_cache →
+//! heldout_cache → flight → video → obs_trace** — and every other statement
+//! of it links here:
 //!
 //! * the serving locks rank lowest: a cache miss executes a full query, so no
 //!   serving lock is held while the engine's locks are taken;
@@ -11,112 +13,192 @@
 //!   after each map a cell is joined under and is held across nothing;
 //! * `obs_trace` ranks highest: a span opens or closes under any engine lock.
 //!
-//! Debug builds assert at every `lock_ordered` acquisition that this thread
-//! holds no lock of an equal or higher rank (release builds compile it out).
-//! [`RANKED_LOCKS`] also drives the static `lock-order` lint and, under the
-//! `model` feature, the `blazeit-model` explorer, which checks every lock built
-//! with [`crate::sync::Mutex::ranked`] in every interleaving.
+//! A ranked lock is a `RankedMutex`, built once from its [`Lock`]. Its only
+//! way in is `RankedMutex::lock`, which in debug builds asserts that this
+//! thread holds no lock of an equal or higher rank (release builds compile the
+//! assertion out), and a condvar wait goes through the same guard
+//! (`OrderedGuard::wait`). Under the `model` feature the `blazeit-model`
+//! explorer checks the same ranks, carried by the shim's
+//! [`crate::sync::Mutex::ranked`], in every interleaving.
 
-use crate::sync::{Mutex, MutexGuard};
+use crate::sync::{Condvar, Mutex, MutexGuard};
 use std::ops::{Deref, DerefMut};
 
-/// One ranked lock in the context/stream hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RankedLock {
-    /// The name used at `lock_ordered` call sites and in violation messages.
-    /// The corresponding rank constant is `RANK_<NAME>` (uppercased), which is
-    /// how `blazeit-lint` resolves call-site rank arguments back to this table.
-    pub name: &'static str,
-    /// Position in the documented acquisition order; lower ranks are acquired
-    /// first, and acquiring a lock while holding an equal or higher rank is a
-    /// violation.
-    pub rank: u8,
+/// One ranked lock of the hierarchy. The declaration order is the rank:
+/// acquiring a lock while holding one of an equal or higher rank is a
+/// violation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Lock {
+    /// `serve::Admission::state`, acquired while holding nothing, before any
+    /// engine work.
+    Admission,
+    /// `serve::QueryCache::slots`, the result cache's key map.
+    ServeCache,
+    /// `StreamState::monitor`, the first engine lock.
+    Monitor,
+    /// `VideoContext::live_index`.
+    LiveIndex,
+    /// `VideoContext::nn_cache`.
+    NnCache,
+    /// `VideoContext::heldout_cache`.
+    HeldoutCache,
+    /// One [`crate::single_flight::Flight`] cell's state.
+    Flight,
+    /// `VideoContext::video`, the last engine lock.
+    Video,
+    /// `obs::TraceCollector::state`: span guards open and close while engine
+    /// locks are held, and the collector lock is held across no other
+    /// acquisition.
+    ObsTrace,
 }
 
-/// The documented lock acquisition order, lowest rank first.
-///
-/// This table is the **single source of truth** for the hierarchy: the runtime
-/// assertion below (`lock_ordered`) and the static `lock-order` check in
-/// `blazeit-lint` both consume it, so the two enforcement layers cannot
-/// diverge (a regression test in `crates/lint` additionally pins the
-/// `RANK_*` constants and every call-site name literal to this table).
-pub const RANKED_LOCKS: [RankedLock; 9] = [
-    RankedLock { name: "admission", rank: 0 },
-    RankedLock { name: "serve_cache", rank: 1 },
-    RankedLock { name: "monitor", rank: 2 },
-    RankedLock { name: "live_index", rank: 3 },
-    RankedLock { name: "nn_cache", rank: 4 },
-    RankedLock { name: "heldout_cache", rank: 5 },
-    RankedLock { name: "flight", rank: 6 },
-    RankedLock { name: "video", rank: 7 },
-    RankedLock { name: "obs_trace", rank: 8 },
-];
+impl Lock {
+    /// Every lock, lowest rank first.
+    #[cfg(debug_assertions)]
+    const ALL: [Lock; 9] = [
+        Lock::Admission,
+        Lock::ServeCache,
+        Lock::Monitor,
+        Lock::LiveIndex,
+        Lock::NnCache,
+        Lock::HeldoutCache,
+        Lock::Flight,
+        Lock::Video,
+        Lock::ObsTrace,
+    ];
 
-/// Rank of `serve::Admission::state` (acquired first — the serving layer sits
-/// above the engine, so its locks rank below every engine lock).
-pub const RANK_ADMISSION: u8 = RANKED_LOCKS[0].rank;
-/// Rank of `serve::QueryCache::slots` (the result cache's key map).
-pub const RANK_SERVE_CACHE: u8 = RANKED_LOCKS[1].rank;
-/// Rank of `StreamState::monitor` (the first engine lock).
-pub const RANK_MONITOR: u8 = RANKED_LOCKS[2].rank;
-/// Rank of `VideoContext::live_index`.
-pub const RANK_LIVE_INDEX: u8 = RANKED_LOCKS[3].rank;
-/// Rank of `VideoContext::nn_cache`.
-pub const RANK_NN_CACHE: u8 = RANKED_LOCKS[4].rank;
-/// Rank of `VideoContext::heldout_cache`.
-pub const RANK_HELDOUT_CACHE: u8 = RANKED_LOCKS[5].rank;
-/// Rank of one [`crate::single_flight::Flight`] cell's state.
-pub const RANK_FLIGHT: u8 = RANKED_LOCKS[6].rank;
-/// Rank of `VideoContext::video` (the last engine lock).
-pub const RANK_VIDEO: u8 = RANKED_LOCKS[7].rank;
-/// Rank of `obs::TraceCollector::state` (acquired last: span guards open and
-/// close while engine locks are held, and the collector lock is never held
-/// across any other acquisition).
-pub const RANK_OBS_TRACE: u8 = RANKED_LOCKS[8].rank;
+    /// Position in the acquisition order; lower ranks are acquired first.
+    pub const fn rank(self) -> u8 {
+        self as u8
+    }
+
+    /// The name violation messages (the debug tracker's and the model
+    /// explorer's) use.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Lock::Admission => "admission",
+            Lock::ServeCache => "serve_cache",
+            Lock::Monitor => "monitor",
+            Lock::LiveIndex => "live_index",
+            Lock::NnCache => "nn_cache",
+            Lock::HeldoutCache => "heldout_cache",
+            Lock::Flight => "flight",
+            Lock::Video => "video",
+            Lock::ObsTrace => "obs_trace",
+        }
+    }
+}
 
 #[cfg(debug_assertions)]
 mod tracker {
+    use super::Lock;
     use std::cell::RefCell;
 
     thread_local! {
-        /// Ranks of the ordered locks this thread currently holds.
-        static HELD: RefCell<Vec<(u8, &'static str)>> = const { RefCell::new(Vec::new()) };
+        /// The ranked locks this thread currently holds.
+        static HELD: RefCell<Vec<Lock>> = const { RefCell::new(Vec::new()) };
     }
 
-    pub(super) fn acquire(rank: u8, name: &'static str) {
-        HELD.with(|held| {
-            let mut held = held.borrow_mut();
-            for &(held_rank, held_name) in held.iter() {
+    /// This thread's record of holding one ranked lock; dropping it forgets
+    /// the lock.
+    pub(super) struct Held(Lock);
+
+    impl Held {
+        /// Records `lock` as held, first asserting that every ranked lock this
+        /// thread already holds ranks strictly lower. A violation panics at
+        /// the caller of `RankedMutex::lock`.
+        #[track_caller]
+        pub(super) fn acquire(lock: Lock) -> Held {
+            if let Some(highest) = HELD.with(|held| held.borrow().iter().copied().max()) {
                 assert!(
-                    held_rank < rank,
-                    "lock-order violation: acquiring '{name}' (rank {rank}) while holding \
-                     '{held_name}' (rank {held_rank}); the documented order is {}",
-                    super::RANKED_LOCKS.map(|l| l.name).join(" → ")
+                    highest < lock,
+                    "lock-order violation: acquiring '{}' (rank {}) while holding '{}' (rank {}); \
+                     the documented order is {}",
+                    lock.name(),
+                    lock.rank(),
+                    highest.name(),
+                    highest.rank(),
+                    Lock::ALL.map(Lock::name).join(" → ")
                 );
             }
-            held.push((rank, name));
-        });
+            HELD.with(|held| held.borrow_mut().push(lock));
+            Held(lock)
+        }
     }
 
-    pub(super) fn release(rank: u8, name: &'static str) {
-        HELD.with(|held| {
-            let mut held = held.borrow_mut();
-            // Guards may drop out of acquisition order; remove the newest match.
-            if let Some(pos) = held.iter().rposition(|&(r, n)| r == rank && n == name) {
-                held.remove(pos);
-            }
-        });
+    impl Drop for Held {
+        fn drop(&mut self) {
+            HELD.with(|held| {
+                let mut held = held.borrow_mut();
+                // Guards may drop out of acquisition order; remove the newest match.
+                if let Some(pos) = held.iter().rposition(|&l| l == self.0) {
+                    held.remove(pos);
+                }
+            });
+        }
+    }
+
+    /// How many ranked locks this thread holds.
+    #[cfg(test)]
+    pub(super) fn held_count() -> usize {
+        HELD.with(|held| held.borrow().len())
     }
 }
 
-/// A `MutexGuard` participating in the ranked hierarchy: construction asserts
-/// the order (debug builds only) and drop releases the bookkeeping.
+#[cfg(not(debug_assertions))]
+mod tracker {
+    /// Release builds track nothing.
+    pub(super) struct Held;
+}
+
+/// A mutex with a fixed place in the hierarchy, locked only through the
+/// asserting [`RankedMutex::lock`].
+pub(crate) struct RankedMutex<T> {
+    #[cfg(debug_assertions)]
+    lock: Lock,
+    mutex: Mutex<T>,
+}
+
+impl<T> RankedMutex<T> {
+    /// A mutex ranked as `lock` (the model explorer's oracle reads the same
+    /// rank and name).
+    pub(crate) fn new(lock: Lock, value: T) -> RankedMutex<T> {
+        RankedMutex {
+            #[cfg(debug_assertions)]
+            lock,
+            mutex: Mutex::ranked(lock.rank(), lock.name(), value),
+        }
+    }
+
+    /// Acquires the lock, asserting (in debug builds) that every ranked lock
+    /// this thread already holds ranks strictly lower.
+    #[inline]
+    #[cfg_attr(debug_assertions, track_caller)]
+    pub(crate) fn lock(&self) -> OrderedGuard<'_, T> {
+        #[cfg(debug_assertions)]
+        let held = tracker::Held::acquire(self.lock);
+        #[cfg(not(debug_assertions))]
+        let held = tracker::Held;
+        OrderedGuard { guard: self.mutex.lock(), held }
+    }
+}
+
+/// A guard of a [`RankedMutex`]. The fields drop in order: the mutex unlocks,
+/// then the tracker forgets it.
 pub(crate) struct OrderedGuard<'a, T> {
     guard: MutexGuard<'a, T>,
-    #[cfg(debug_assertions)]
-    rank: u8,
-    #[cfg(debug_assertions)]
-    name: &'static str,
+    held: tracker::Held,
+}
+
+impl<'a, T> OrderedGuard<'a, T> {
+    /// Releases the lock, parks until `ready` is notified, then reacquires it.
+    /// The tracker keeps the lock recorded meanwhile: the parked thread takes
+    /// nothing else.
+    #[cfg_attr(debug_assertions, track_caller)]
+    pub(crate) fn wait(self, ready: &Condvar) -> OrderedGuard<'a, T> {
+        let OrderedGuard { guard, held } = self;
+        OrderedGuard { guard: ready.wait(guard), held }
+    }
 }
 
 impl<T> Deref for OrderedGuard<'_, T> {
@@ -132,122 +214,172 @@ impl<T> DerefMut for OrderedGuard<'_, T> {
     }
 }
 
-#[cfg(debug_assertions)]
-impl<T> Drop for OrderedGuard<'_, T> {
-    fn drop(&mut self) {
-        tracker::release(self.rank, self.name);
-    }
-}
-
-/// Locks `mutex` at `rank`, asserting (in debug builds) that every ranked lock
-/// this thread already holds ranks strictly lower.
-pub(crate) fn lock_ordered<'a, T>(
-    rank: u8,
-    name: &'static str,
-    mutex: &'a Mutex<T>,
-) -> OrderedGuard<'a, T> {
-    #[cfg(debug_assertions)]
-    tracker::acquire(rank, name);
-    #[cfg(not(debug_assertions))]
-    let _ = (rank, name);
-    OrderedGuard {
-        guard: mutex.lock(),
-        #[cfg(debug_assertions)]
-        rank,
-        #[cfg(debug_assertions)]
-        name,
-    }
-}
-
 #[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    /// The panic message `f` raised (empty if it raised none).
+    fn violation(f: impl FnOnce()) -> String {
+        let outcome = catch_unwind(AssertUnwindSafe(f));
+        outcome
+            .err()
+            .and_then(|payload| payload.downcast::<String>().ok())
+            .map(|m| *m)
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn ranks_follow_declaration_order_and_names_are_distinct() {
+        for (i, lock) in Lock::ALL.iter().enumerate() {
+            assert_eq!(usize::from(lock.rank()), i, "{lock:?}");
+        }
+        for (i, a) in Lock::ALL.iter().enumerate() {
+            for b in &Lock::ALL[i + 1..] {
+                assert!(a < b && a.name() != b.name(), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn serving_locks_rank_below_engine_locks() {
+        // A cache miss executes a full query while holding no serving lock;
+        // engine code taking a serving lock must be impossible by rank.
+        for serving in [Lock::Admission, Lock::ServeCache] {
+            for engine in [Lock::Monitor, Lock::LiveIndex, Lock::NnCache, Lock::Video] {
+                assert!(serving < engine, "{serving:?} vs {engine:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_map_ranks_below_the_cells_it_holds() {
+        // A single-flight cell is joined under its cache's map lock.
+        for map in [Lock::ServeCache, Lock::NnCache, Lock::HeldoutCache] {
+            assert!(map < Lock::Flight, "{map:?}");
+        }
+    }
+
+    #[test]
+    fn obs_trace_ranks_last() {
+        // Spans open and close under arbitrary engine locks, and the collector
+        // acquires nothing while its lock is held.
+        assert_eq!(Lock::ALL.iter().max(), Some(&Lock::ObsTrace));
+    }
+
     #[test]
     fn in_order_acquisition_is_allowed() {
-        let monitor = Mutex::new(0u8);
-        let live = Mutex::new(0u8);
-        let video = Mutex::new(0u8);
-        let a = lock_ordered(RANK_MONITOR, "monitor", &monitor);
-        let b = lock_ordered(RANK_LIVE_INDEX, "live_index", &live);
-        let c = lock_ordered(RANK_VIDEO, "video", &video);
-        drop((a, b, c));
+        let monitor = RankedMutex::new(Lock::Monitor, ());
+        let live = RankedMutex::new(Lock::LiveIndex, ());
+        let video = RankedMutex::new(Lock::Video, ());
+        drop((monitor.lock(), live.lock(), video.lock()));
         // The serving locks rank below every engine lock: cache → monitor is
         // the miss path (lookup, then execute), and it must be clean.
-        let s = lock_ordered(RANK_SERVE_CACHE, "serve_cache", &live);
-        drop(s);
-        let a = lock_ordered(RANK_ADMISSION, "admission", &monitor);
-        let b = lock_ordered(RANK_SERVE_CACHE, "serve_cache", &live);
-        let c = lock_ordered(RANK_FLIGHT, "flight", &video);
-        drop((a, b, c));
+        let admission = RankedMutex::new(Lock::Admission, ());
+        let cache = RankedMutex::new(Lock::ServeCache, ());
+        let flight = RankedMutex::new(Lock::Flight, ());
+        drop((cache.lock(), monitor.lock()));
+        drop((admission.lock(), cache.lock(), flight.lock()));
         // A context cache's cell is joined under its map.
-        let a = lock_ordered(RANK_LIVE_INDEX, "live_index", &monitor);
-        let b = lock_ordered(RANK_NN_CACHE, "nn_cache", &live);
-        let c = lock_ordered(RANK_FLIGHT, "flight", &video);
-        drop((a, b, c));
+        let nn = RankedMutex::new(Lock::NnCache, ());
+        drop((live.lock(), nn.lock(), flight.lock()));
         // Skipping ranks is fine; only inversions are violations.
-        let c = lock_ordered(RANK_NN_CACHE, "nn_cache", &video);
-        drop(c);
-        let a = lock_ordered(RANK_VIDEO, "video", &video);
-        drop(a);
+        drop(nn.lock());
+        drop(video.lock());
         // The trace collector ranks last: a span may record itself while any
         // engine lock is held.
-        let a = lock_ordered(RANK_VIDEO, "video", &video);
-        let b = lock_ordered(RANK_OBS_TRACE, "obs_trace", &live);
-        drop((a, b));
+        let trace = RankedMutex::new(Lock::ObsTrace, ());
+        drop((video.lock(), trace.lock()));
+        assert_eq!(tracker::held_count(), 0);
     }
 
     #[test]
     fn out_of_order_acquisition_panics() {
-        let live = Mutex::new(0u8);
-        let monitor = Mutex::new(0u8);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let _b = lock_ordered(RANK_LIVE_INDEX, "live_index", &live);
-            let _a = lock_ordered(RANK_MONITOR, "monitor", &monitor);
-        }));
-        let message = *outcome.expect_err("inversion must panic").downcast::<String>().unwrap();
+        let live = RankedMutex::new(Lock::LiveIndex, ());
+        let monitor = RankedMutex::new(Lock::Monitor, ());
+        let message = violation(|| {
+            let _b = live.lock();
+            let _a = monitor.lock();
+        });
         assert!(message.contains("lock-order violation"), "got: {message}");
+        assert!(message.contains("'monitor' (rank 2)"), "got: {message}");
+        assert_eq!(tracker::held_count(), 0, "unwinding forgets the held lock");
     }
 
     #[test]
     fn same_rank_reacquisition_panics() {
         // The shim mutexes are not reentrant: re-locking the same rank on one
         // thread is a self-deadlock, caught here before the deadlock happens.
-        let video = Mutex::new(0u8);
-        let other = Mutex::new(0u8);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let _a = lock_ordered(RANK_VIDEO, "video", &video);
-            let _b = lock_ordered(RANK_VIDEO, "video", &other);
-        }));
-        assert!(outcome.is_err());
+        let video = RankedMutex::new(Lock::Video, ());
+        let other = RankedMutex::new(Lock::Video, ());
+        let message = violation(|| {
+            let _a = video.lock();
+            let _b = other.lock();
+        });
+        assert!(message.contains("lock-order violation"), "got: {message}");
+    }
+
+    #[test]
+    fn admission_under_a_flight_panics() {
+        // Both are condvar-paired locks, and both now take the asserted path.
+        let flight = RankedMutex::new(Lock::Flight, ());
+        let admission = RankedMutex::new(Lock::Admission, ());
+        let message = violation(|| {
+            let _cell = flight.lock();
+            let _queue = admission.lock();
+        });
+        assert!(message.contains("lock-order violation"), "got: {message}");
+        assert!(message.contains("'admission' (rank 0) while holding 'flight'"), "{message}");
+    }
+
+    #[test]
+    fn condvar_wait_keeps_the_bookkeeping_clean() {
+        let published = RankedMutex::new(Lock::Flight, false);
+        let ready = Condvar::new();
+        std::thread::scope(|s| {
+            let mut done = published.lock();
+            s.spawn(|| {
+                *published.lock() = true;
+                ready.notify_all();
+            });
+            while !*done {
+                done = done.wait(&ready);
+            }
+            // Still held after the wait: a lower rank is an inversion.
+            assert_eq!(tracker::held_count(), 1);
+            let admission = RankedMutex::new(Lock::Admission, ());
+            let message = violation(|| drop(admission.lock()));
+            assert!(message.contains("lock-order violation"), "got: {message}");
+            drop(done);
+            assert_eq!(tracker::held_count(), 0);
+            drop(admission.lock());
+        });
     }
 
     #[test]
     fn release_unwinds_out_of_order_drops() {
-        let monitor = Mutex::new(0u8);
-        let live = Mutex::new(0u8);
-        let a = lock_ordered(RANK_MONITOR, "monitor", &monitor);
-        let b = lock_ordered(RANK_LIVE_INDEX, "live_index", &live);
+        let monitor = RankedMutex::new(Lock::Monitor, ());
+        let live = RankedMutex::new(Lock::LiveIndex, ());
+        let a = monitor.lock();
+        let b = live.lock();
         drop(a); // dropped before b — bookkeeping must not corrupt
         drop(b);
-        let a = lock_ordered(RANK_MONITOR, "monitor", &monitor);
-        let b = lock_ordered(RANK_LIVE_INDEX, "live_index", &live);
+        let a = monitor.lock();
+        let b = live.lock();
         drop(b);
         drop(a);
+        assert_eq!(tracker::held_count(), 0);
     }
 
     #[test]
     fn threads_track_independently() {
-        let live = Mutex::new(0u8);
-        let _outer = lock_ordered(RANK_VIDEO, "video", &live);
+        let video = RankedMutex::new(Lock::Video, ());
+        let monitor = RankedMutex::new(Lock::Monitor, ());
+        let _outer = video.lock();
         std::thread::scope(|s| {
-            s.spawn(|| {
-                let monitor = Mutex::new(0u8);
-                // This thread holds nothing: rank 0 is fine here even though
-                // the spawning thread holds `video`.
-                let _g = lock_ordered(RANK_MONITOR, "monitor", &monitor);
-            });
+            // This thread holds nothing: `monitor` is fine here even though
+            // the spawning thread holds `video`.
+            s.spawn(|| drop(monitor.lock()));
         });
     }
 }

@@ -38,8 +38,8 @@
 //! are held, so the collector lock must always be acquirable and is never held
 //! across any other acquisition.
 
-use crate::lockorder::{lock_ordered, RANK_OBS_TRACE};
-use crate::sync::{AtomicU64, Mutex, OnceLock, Ordering};
+use crate::lockorder::{Lock, RankedMutex};
+use crate::sync::{AtomicU64, OnceLock, Ordering};
 use blazeit_detect::clock::{CostBreakdown, CostCategory};
 use blazeit_detect::SimClock;
 use serde::{Deserialize, Serialize};
@@ -205,27 +205,27 @@ struct SpanRecord {
 /// any engine lock is held.
 pub struct TraceCollector {
     clock: Arc<SimClock>,
-    state: Mutex<Vec<SpanRecord>>,
+    state: RankedMutex<Vec<SpanRecord>>,
 }
 
 impl TraceCollector {
     fn open_span(&self, label: String, parent: Option<u32>) -> (u32, u64) {
         let tag = NEXT_SPAN_TAG.fetch_add(1, Ordering::Relaxed);
-        let mut spans = lock_ordered(RANK_OBS_TRACE, "obs_trace", &self.state);
+        let mut spans = self.state.lock();
         let id = spans.len() as u32;
         spans.push(SpanRecord { parent, label, tag, wall_secs: 0.0, counters: Vec::new() });
         (id, tag)
     }
 
     fn close_span(&self, id: u32, wall_secs: f64) {
-        let mut spans = lock_ordered(RANK_OBS_TRACE, "obs_trace", &self.state);
+        let mut spans = self.state.lock();
         if let Some(record) = spans.get_mut(id as usize) {
             record.wall_secs = wall_secs;
         }
     }
 
     fn add_count(&self, id: u32, counter: &'static str, n: u64) {
-        let mut spans = lock_ordered(RANK_OBS_TRACE, "obs_trace", &self.state);
+        let mut spans = self.state.lock();
         let Some(record) = spans.get_mut(id as usize) else { return };
         match record.counters.iter_mut().find(|(name, _)| name == counter) {
             Some(slot) => slot.1 += n,
@@ -237,7 +237,7 @@ impl TraceCollector {
     /// span order (the exactness-preserving fold), and returns the trace.
     fn assemble(&self, ambient_tag: u64) -> QueryTrace {
         let records: Vec<SpanRecord> = {
-            let mut spans = lock_ordered(RANK_OBS_TRACE, "obs_trace", &self.state);
+            let mut spans = self.state.lock();
             std::mem::take(&mut *spans)
         };
         let spans = records
@@ -287,10 +287,8 @@ pub struct CollectorGuard {
 /// per-tag ledgers the spans charge; assembly merges them back into the tag
 /// that is ambient when [`CollectorGuard::finish`] runs.
 pub fn install_collector(clock: Arc<SimClock>) -> CollectorGuard {
-    let collector = Arc::new(TraceCollector {
-        clock,
-        state: Mutex::ranked(RANK_OBS_TRACE, "obs_trace", Vec::new()),
-    });
+    let collector =
+        Arc::new(TraceCollector { clock, state: RankedMutex::new(Lock::ObsTrace, Vec::new()) });
     let previous = ACTIVE.with(|slot| {
         slot.borrow_mut().replace(ActiveTrace { collector: Arc::clone(&collector), current: None })
     });

@@ -96,7 +96,7 @@ fn visit_order(a: &(FrameIndex, f64), b: &(FrameIndex, f64)) -> Ordering {
 /// How many candidates a [`Ranking`] puts in order first; every later block doubles
 /// the ordered prefix. Small enough that a small `LIMIT` orders a sliver of a long
 /// video, large enough that a typical scrub needs one or two blocks.
-const RANK_BLOCK: usize = 256;
+const FIRST_BLOCK: usize = 256;
 
 /// One video's `(frame, confidence)` candidates, yielded in visit order and put in
 /// that order only as far as they are read.
@@ -121,7 +121,7 @@ impl Ranking {
 
     fn order_next_block(&mut self) {
         let sort_rest = 2 * self.ordered >= self.candidates.len();
-        let block = RANK_BLOCK.max(self.ordered);
+        let block = FIRST_BLOCK.max(self.ordered);
         let Some(rest) = self.candidates.get_mut(self.ordered..) else { return };
         if sort_rest || block >= rest.len() {
             rest.sort_unstable_by(visit_order);
@@ -661,8 +661,8 @@ mod tests {
 
         // A small LIMIT puts one block of the video in order.
         let (ranked, text) = frames_ranked(2, 0);
-        assert_eq!(ranked, Some(RANK_BLOCK as u64), "{text}");
-        assert!(text.contains(&format!("frames_ranked={RANK_BLOCK}")), "{text}");
+        assert_eq!(ranked, Some(FIRST_BLOCK as u64), "{text}");
+        assert!(text.contains(&format!("frames_ranked={FIRST_BLOCK}")), "{text}");
         assert!(ranked.unwrap() * 4 < e.video().len());
 
         // No three frames of 2500 are 900 apart, so a LIMIT of 40 walks every
@@ -828,9 +828,9 @@ mod tests {
             let prefix: Vec<(FrameIndex, f64)> = ranking.by_ref().take(read).collect();
             prop_assert_eq!(bits(&prefix), bits(&eager[..read.min(eager.len())]));
             // Blocks double the prefix, so reading `read` orders fewer than
-            // `read + max(RANK_BLOCK, read)`.
+            // `read + max(FIRST_BLOCK, read)`.
             prop_assert!(ranking.ordered <= eager.len());
-            prop_assert!(ranking.ordered <= read + RANK_BLOCK.max(read));
+            prop_assert!(ranking.ordered <= read + FIRST_BLOCK.max(read));
         }
 
         /// The k-way merge of rankings and scans equals concatenating and sorting.

@@ -38,13 +38,13 @@
 
 use crate::catalog::Catalog;
 use crate::context::{CacheWarmth, VideoContext};
-use crate::lockorder::{lock_ordered, RANK_ADMISSION, RANK_SERVE_CACHE};
+use crate::lockorder::{Lock, RankedMutex};
 use crate::obs;
 use crate::plan::{CacheStatus, PlanStrategy, QueryPlan};
 use crate::result::QueryResult;
 use crate::session::ResolvedQuery;
 use crate::single_flight::{Flight, FlightMap, Role};
-use crate::sync::{AtomicU64, Condvar, Mutex, Ordering};
+use crate::sync::{AtomicU64, Condvar, Ordering};
 use crate::Result;
 use blazeit_detect::SimClock;
 use blazeit_frameql::Query;
@@ -112,19 +112,17 @@ struct CacheMap {
     order: VecDeque<CacheKey>,
 }
 
-/// The coalescing result cache. All map access goes through the ranked
-/// `serve_cache` lock.
+/// The coalescing result cache.
 struct QueryCache {
-    slots: Mutex<CacheMap>,
+    slots: RankedMutex<CacheMap>,
     max_entries: usize,
 }
 
 impl QueryCache {
     fn new(max_entries: usize) -> QueryCache {
         QueryCache {
-            slots: Mutex::ranked(
-                RANK_SERVE_CACHE,
-                "serve_cache",
+            slots: RankedMutex::new(
+                Lock::ServeCache,
                 CacheMap { map: HashMap::new(), order: VecDeque::new() },
             ),
             max_entries: max_entries.max(1),
@@ -135,7 +133,7 @@ impl QueryCache {
     /// returns how many completed entries a new entry evicted (0 for hits and
     /// waits), so the caller can count them.
     fn join_query(&self, key: &CacheKey) -> (Role<Arc<QueryResult>>, usize) {
-        let mut slots = lock_ordered(RANK_SERVE_CACHE, "serve_cache", &self.slots);
+        let mut slots = self.slots.lock();
         let role = Flight::join(&mut slots.map, key);
         if !matches!(role, Role::Compute(_)) {
             return (role, 0);
@@ -168,7 +166,7 @@ impl QueryCache {
     /// whose data generation moved mid-execution) so future sessions recompute
     /// instead of hitting it.
     fn drop_entry(&self, key: &CacheKey, slot: &Arc<Flight<Arc<QueryResult>>>) {
-        let mut slots = lock_ordered(RANK_SERVE_CACHE, "serve_cache", &self.slots);
+        let mut slots = self.slots.lock();
         if Flight::vacate(&mut slots.map, key, slot) {
             slots.order.retain(|k| k != key);
         }
@@ -178,7 +176,7 @@ impl QueryCache {
     /// (what `EXPLAIN` renders as its `cache:` line). Does not attach, insert,
     /// or evict.
     fn probe_status(&self, key: &CacheKey) -> CacheStatus {
-        let slots = lock_ordered(RANK_SERVE_CACHE, "serve_cache", &self.slots);
+        let slots = self.slots.lock();
         match slots.map.get(key) {
             None => CacheStatus::Miss,
             Some(slot) => match slot.waiters() {
@@ -192,9 +190,8 @@ impl QueryCache {
 /// FIFO plan-cost admission control over the shared execution resources
 /// (worker pool, simulated GPU).
 struct Admission {
-    /// Ticket/budget state, paired with `turn`; ranked `admission` (rank 0 —
-    /// acquired while holding nothing, before any engine work).
-    state: Mutex<AdmissionState>,
+    /// Ticket/budget state, paired with `turn`.
+    state: RankedMutex<AdmissionState>,
     /// Signaled whenever the queue may advance (an admit or a release).
     turn: Condvar,
     capacity: f64,
@@ -209,9 +206,8 @@ struct AdmissionState {
 impl Admission {
     fn new(capacity: f64) -> Admission {
         Admission {
-            state: Mutex::ranked(
-                RANK_ADMISSION,
-                "admission",
+            state: RankedMutex::new(
+                Lock::Admission,
                 AdmissionState { next_ticket: 0, serving: 0, in_flight_cost: 0.0 },
             ),
             turn: Condvar::new(),
@@ -248,7 +244,7 @@ impl Admission {
                 self.turn.notify_all();
                 return AdmissionPermit { admission: self, cost };
             }
-            state = self.turn.wait(state);
+            state = state.wait(&self.turn);
         }
     }
 

@@ -6,9 +6,9 @@
 //! [`Flight::peek`] never blocks. `crates/model/tests/coalesce_protocol.rs`
 //! model-checks this type.
 
-use crate::lockorder::{OrderedGuard, RANK_FLIGHT};
+use crate::lockorder::{Lock, OrderedGuard, RankedMutex};
 use crate::obs;
-use crate::sync::{Condvar, Mutex};
+use crate::sync::Condvar;
 use crate::{BlazeItError, Result};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -18,10 +18,9 @@ use std::sync::Arc;
 /// A cache's key → cell map.
 pub type FlightMap<K, V> = HashMap<K, Arc<Flight<V>>>;
 
-/// One key's computation: in flight, or published. The state is locked
-/// directly (not through `lock_ordered`): [`Condvar::wait`] needs the guard.
+/// One key's computation: in flight, or published.
 pub struct Flight<V> {
-    state: Mutex<State<V>>,
+    state: RankedMutex<State<V>>,
     ready: Condvar,
 }
 
@@ -47,8 +46,7 @@ impl<V: Clone> Flight<V> {
     }
 
     fn new(state: State<V>) -> Arc<Flight<V>> {
-        let state = Mutex::ranked(RANK_FLIGHT, "flight", state);
-        Arc::new(Flight { state, ready: Condvar::new() })
+        Arc::new(Flight { state: RankedMutex::new(Lock::Flight, state), ready: Condvar::new() })
     }
 
     /// Joins `key`'s computation; the caller holds `map`'s lock.
@@ -86,7 +84,7 @@ impl<V: Clone> Flight<V> {
         loop {
             match &*state {
                 State::Done(result) => return result.clone(),
-                State::Computing { .. } => state = self.ready.wait(state),
+                State::Computing { .. } => state = state.wait(&self.ready),
             }
         }
     }

@@ -49,13 +49,12 @@
 use crate::catalog::Catalog;
 use crate::context::{LiveIndex, VideoContext};
 use crate::fault::{self, RetrainHealth};
-use crate::lockorder::{lock_ordered, RANK_MONITOR};
+use crate::lockorder::{Lock, RankedMutex};
 use crate::obs;
 use crate::plan::heads_for;
 use crate::session::Session;
 use crate::single_flight::Flight;
 use crate::stats::normal_critical_value;
-use crate::sync::Mutex;
 use crate::{BlazeItError, Result};
 use blazeit_detect::clock::CostCategory;
 use blazeit_detect::{CountVector, ObjectDetector};
@@ -259,16 +258,12 @@ pub(crate) struct StreamState {
     pub(crate) drift: DriftConfig,
     /// Per-head-key drift bookkeeping. Lock order: this lock is acquired
     /// before `live_index` (see [`VideoContext`]).
-    pub(crate) monitor: Mutex<HashMap<String, DriftEntry>>,
+    pub(crate) monitor: RankedMutex<HashMap<String, DriftEntry>>,
 }
 
 impl StreamState {
     pub(crate) fn new(capacity: Arc<Video>, drift: DriftConfig) -> StreamState {
-        StreamState {
-            capacity,
-            drift,
-            monitor: Mutex::ranked(crate::lockorder::RANK_MONITOR, "monitor", HashMap::new()),
-        }
+        StreamState { capacity, drift, monitor: RankedMutex::new(Lock::Monitor, HashMap::new()) }
     }
 }
 
@@ -371,8 +366,8 @@ impl VideoContext {
     pub fn stream_status(&self, heads: &[(ObjectClass, usize)]) -> Option<StreamStatus> {
         let state = self.stream.as_ref()?;
         let key = Self::head_key(&Self::normalized_heads(heads));
-        let monitor = lock_ordered(RANK_MONITOR, "monitor", &state.monitor);
-        let index = self.lock_live_index();
+        let monitor = state.monitor.lock();
+        let index = self.live_index.lock();
         let video = self.video();
         let entry = index.get(&key);
         let drift = monitor.get(&key);
@@ -412,7 +407,7 @@ impl VideoContext {
         // atomicity story: a reader that acquires this lock (score_index,
         // stream_snapshot) always sees indexes covering exactly the current
         // video, and two concurrent ingests cannot double-score a frame.
-        let mut index = self.lock_live_index();
+        let mut index = self.live_index.lock();
         let current = self.video();
         let from = current.len();
         let to = target.min(state.capacity.len());
@@ -457,7 +452,7 @@ impl VideoContext {
             });
             entry.scores = scores;
         }
-        *self.lock_video() = grown;
+        *self.video.lock() = grown;
         // New frames are observable: invalidate serving-layer cache entries
         // keyed on the previous generation.
         self.bump_data_generation();
@@ -475,8 +470,8 @@ impl VideoContext {
         if !drift.threshold.is_finite() {
             return Ok(false);
         }
-        let mut monitor = lock_ordered(RANK_MONITOR, "monitor", &state.monitor);
-        let index = self.lock_live_index();
+        let mut monitor = state.monitor.lock();
+        let index = self.live_index.lock();
         let video = self.video();
         let ingested = video.len();
         let mut any = false;
@@ -537,8 +532,8 @@ impl VideoContext {
         // Claim pending refreshes (Pending → Running) and snapshot what each
         // task needs, so the heavy work runs without holding any lock.
         let pending: Vec<(String, Arc<SpecializedNN>, f64)> = {
-            let mut monitor = lock_ordered(RANK_MONITOR, "monitor", &state.monitor);
-            let index = self.lock_live_index();
+            let mut monitor = state.monitor.lock();
+            let index = self.live_index.lock();
             monitor
                 .iter_mut()
                 .filter(|(_, ent)| ent.refresh == RefreshState::Pending)
@@ -632,9 +627,9 @@ impl VideoContext {
         // no reader can observe a network without its matching index.
         let mut reports = Vec::new();
         let mut failures = 0usize;
-        let mut monitor = lock_ordered(RANK_MONITOR, "monitor", &state.monitor);
-        let mut index = self.lock_live_index();
-        let mut nns = self.lock_nn_cache();
+        let mut monitor = state.monitor.lock();
+        let mut index = self.live_index.lock();
+        let mut nns = self.nn_cache.lock();
         for ((key, _, _), outcome) in pending.iter().zip(outcomes) {
             // Flatten the task's panic-or-error envelope: a panic becomes the
             // typed [`BlazeItError::TaskPanicked`] and joins the same
@@ -745,7 +740,7 @@ impl VideoContext {
         let _live = self.score_index(&nn)?;
         let calibration = self.heldout_calibration(&nn)?;
         let key = Self::head_key(&normalized);
-        let mut monitor = lock_ordered(RANK_MONITOR, "monitor", &state.monitor);
+        let mut monitor = state.monitor.lock();
         monitor.entry(key).or_insert_with(|| DriftEntry {
             reference: calibration.heads.iter().map(|h| h.expected_counts.clone()).collect(),
             last_check: 0,
@@ -762,7 +757,7 @@ impl VideoContext {
     /// subscriptions.
     pub(crate) fn stream_snapshot(&self, heads: &[(ObjectClass, usize)]) -> Result<StreamSnapshot> {
         let key = Self::head_key(&Self::normalized_heads(heads));
-        let index = self.lock_live_index();
+        let index = self.live_index.lock();
         let video = self.video();
         let entry = index.get(&key).ok_or_else(|| {
             BlazeItError::Internal(

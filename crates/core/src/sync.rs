@@ -13,9 +13,9 @@
 //! Production code constructs all locks and atomics through this module (or
 //! the `videostore` original) — enforced statically by the `disallowed-types`
 //! list in the workspace `clippy.toml` — and the ranked locks of the hierarchy
-//! stated in [`crate::lockorder`] are built with [`Mutex::ranked`] using its
-//! constants, which makes the hierarchy an oracle for runtime assertions
-//! (debug builds), the static lint, and the model checker simultaneously.
+//! stated in [`crate::lockorder`] are `RankedMutex`es built from its `Lock`
+//! enum over [`Mutex::ranked`], which makes the hierarchy an oracle for the
+//! debug-build assertions and the model checker at once.
 
 pub use blazeit_videostore::sync::{
     AtomicU64, Condvar, Mutex, MutexGuard, OnceLock, Ordering, RwLock, RwLockReadGuard,

@@ -15,7 +15,6 @@
 
 use super::Workspace;
 use crate::diag::Diagnostic;
-use crate::model::Event;
 
 const CODE: &str = "clock-accounting";
 
@@ -132,8 +131,7 @@ pub(super) fn check(ws: &Workspace) -> Vec<Diagnostic> {
                 continue;
             }
             for event in &func.events {
-                let Event::Call { path, line, col, .. } = event else { continue };
-                let Some(callee) = path.last() else { continue };
+                let Some(callee) = event.path.last() else { continue };
                 let Some(rule) = RULES.iter().find(|r| r.callee == callee) else { continue };
                 if rule.allowed_callers.contains(&func.name.as_str()) {
                     continue;
@@ -141,8 +139,8 @@ pub(super) fn check(ws: &Workspace) -> Vec<Diagnostic> {
                 diags.push(Diagnostic::warn(
                     CODE,
                     &file.path,
-                    *line,
-                    *col,
+                    event.line,
+                    event.col,
                     format!(
                         "`{}` ({}) called from `{}`, which is not an allowlisted charged \
                          wrapper (allowed: {}) — route through a charging wrapper or extend \

@@ -20,7 +20,7 @@ use blazeit_core::fault::FaultSite;
 
 use super::Workspace;
 use crate::diag::Diagnostic;
-use crate::model::{Event, Function};
+use crate::model::Function;
 
 const CODE: &str = "fault-coverage";
 
@@ -45,8 +45,7 @@ fn needs_coverage(func: &Function) -> bool {
     let fallible_ret = func.ret_idents.iter().any(|i| i == "StoreResult")
         || (func.ret_idents.iter().any(|i| i == "Result")
             && func.ret_idents.iter().any(|i| i == "StoreError"));
-    let does_fs =
-        func.events.iter().any(|e| matches!(e, Event::Call { path, .. } if is_fs_call(path)));
+    let does_fs = func.events.iter().any(|e| is_fs_call(&e.path));
     fallible_ret || does_fs
 }
 
@@ -73,8 +72,7 @@ fn check_dominance(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
                     continue;
                 }
                 let reaches = f.events.iter().any(|e| {
-                    let Event::Call { path, .. } = e else { return false };
-                    let Some(callee) = path.last() else { return false };
+                    let Some(callee) = e.path.last() else { return false };
                     by_name.get(callee.as_str()).is_some_and(|ts| ts.iter().any(|&t| covered[t]))
                 });
                 if reaches {
@@ -88,11 +86,7 @@ fn check_dominance(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
         }
         for (i, f) in fns.iter().enumerate() {
             if needs_coverage(f) && !covered[i] {
-                let surface = if f
-                    .events
-                    .iter()
-                    .any(|e| matches!(e, Event::Call { path, .. } if is_fs_call(path)))
-                {
+                let surface = if f.events.iter().any(|e| is_fs_call(&e.path)) {
                     "performs std::fs calls"
                 } else {
                     "returns a StoreError-fallible Result"
@@ -127,16 +121,10 @@ fn check_inventory(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
             if func.is_test {
                 continue;
             }
-            for event in &func.events {
-                let Event::Call { path, ident_args, .. } = event else { continue };
-                if path.last().map(String::as_str) != Some("inject") {
-                    continue;
-                }
-                // `inject(fault::FaultSite::StoreRead)` — the variant is one of
-                // the top-level identifier arguments.
-                for arg in ident_args {
-                    seen.insert(arg.clone());
-                }
+            // `inject(fault::FaultSite::StoreRead)` — the variant is one of the
+            // top-level identifier arguments.
+            for event in func.calls("inject") {
+                seen.extend(event.ident_args.iter().cloned());
             }
         }
     }

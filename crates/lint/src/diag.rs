@@ -11,7 +11,7 @@ pub enum Severity {
 /// One finding, addressed `file:line:col` with a per-check code.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Check code: `lock-order`, `fault-coverage`, `clock-accounting`,
+    /// Check code: `fault-coverage`, `clock-accounting`,
     /// `bad-suppression`, `unused-suppression`.
     pub code: String,
     /// Repo-relative file path.

@@ -1,13 +1,8 @@
 //! # blazeit-lint
 //!
-//! A project-invariant static analyzer for the BlazeIt workspace. Three
-//! call-graph checks guard the invariants that runtime machinery (chaos tests,
-//! the debug-build lock-order assertion) can only verify on executed paths:
+//! A project-invariant static analyzer for the BlazeIt workspace. Two
+//! call-graph checks guard invariants that no gate running real code checks:
 //!
-//! * [`lock-order`](checks::lock_order) — every statically possible ranked-lock
-//!   acquisition respects the hierarchy stated in `blazeit_core::lockorder`
-//!   (imported from its `RANKED_LOCKS`, the same table the runtime assertion
-//!   uses).
 //! * [`fault-coverage`](checks::fault_coverage) — fallible store/stream
 //!   functions are dominated by `inject(FaultSite::…)` failpoints, and every
 //!   declared fault site keeps at least one live failpoint.
@@ -18,6 +13,9 @@
 //! table in the root `Cargo.toml` (`unwrap_used`, `indexing_slicing`, …) and the
 //! `disallowed-types` list in `clippy.toml`, both gated by `cargo clippy -- -D
 //! warnings`. Their suppressions are `#[expect(…, reason = "…")]` attributes.
+//! The lock order is a type: every ranked lock is a
+//! `blazeit_core::lockorder::RankedMutex`, whose acquisitions the debug build
+//! asserts and the `blazeit-model` explorer checks.
 //!
 //! Findings can be suppressed in source with
 //! `// blazeit-lint: allow(<check>) -- <reason>` (the reason is mandatory;
@@ -53,7 +51,8 @@ pub const TARGETS: &[(&str, &str)] = &[
 /// One input to [`analyze`]: crate tag, diagnostic path, and source text.
 #[derive(Debug, Clone)]
 pub struct Input {
-    /// Crate tag (the `lock-order` call-graph unit).
+    /// Crate tag (`fault-coverage` checks the site inventory only when `core`
+    /// is analyzed).
     pub crate_name: String,
     /// Path to render in diagnostics.
     pub path: String,
@@ -157,21 +156,6 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
                 .replace(std::path::MAIN_SEPARATOR, "/");
             inputs.push(Input { crate_name: crate_name.to_string(), path, source });
         }
-    }
-    Ok(analyze(&inputs))
-}
-
-/// Loads and analyzes an arbitrary directory (fixtures, canary runs). Every
-/// file is tagged with `crate_name` so intra-crate propagation still applies.
-pub fn analyze_dir(dir: &Path, crate_name: &str) -> std::io::Result<Vec<Diagnostic>> {
-    let mut inputs = Vec::new();
-    for file in collect_rs_files(dir)? {
-        let source = std::fs::read_to_string(&file)?;
-        inputs.push(Input {
-            crate_name: crate_name.to_string(),
-            path: file.to_string_lossy().replace(std::path::MAIN_SEPARATOR, "/"),
-            source,
-        });
     }
     Ok(analyze(&inputs))
 }

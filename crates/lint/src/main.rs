@@ -35,7 +35,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: blazeit-lint [--root <dir>] [--json] [--deny-warnings] [PATH…]\n\n\
-                     Checks: lock-order, fault-coverage, clock-accounting.\n\
+                     Checks: fault-coverage, clock-accounting.\n\
                      Suppress with `// blazeit-lint: allow(<check>) -- <reason>`."
                 );
                 return ExitCode::SUCCESS;

@@ -1,67 +1,34 @@
-//! A lightweight item/block model built from the token stream.
+//! A lightweight item model built from the token stream.
 //!
 //! This is deliberately not a full Rust parser. The checks need four things
 //! and the model provides exactly those:
 //!
-//! 1. **Functions** with their names, enclosing impl/trait type, module path,
-//!    signature idents (for return-type matching), and whether they are test
-//!    code (`#[test]`, or inside a `#[cfg(test)]` module).
-//! 2. **Events** inside each body, in source order: calls (with their path
-//!    segments and receiver shape), `let` bindings, and block open/close —
-//!    enough to replay lock acquisition scopes and build call graphs. Macro
-//!    invocations are skipped whole: their arguments are token soup, so a
-//!    `lock_ordered` call or a brace inside `format!(…)` must not count.
+//! 1. **Functions** with their names, enclosing impl/trait type, return-type
+//!    idents, and whether they are test code (`#[test]`, or inside a
+//!    `#[cfg(test)]` module).
+//! 2. **Calls** inside each body, in source order, with their path segments
+//!    and identifier arguments — enough to build intra-file call graphs.
+//!    Macro invocations are skipped whole: their arguments are token soup, so
+//!    a call inside `format!(…)` must not count.
 //! 3. **Suppressions** parsed from `// blazeit-lint: allow(...) -- reason`
 //!    comments.
 //! 4. Enough error tolerance to walk any file `rustc` already accepted.
 
 use crate::lexer::{lex, Comment, TokKind, Token};
 
-/// How a call names its callee.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Receiver {
-    /// Free or path call: `foo(..)`, `a::b::foo(..)`, `Type::foo(..)`.
-    Path,
-    /// Method on `self`: `self.foo(..)`.
-    SelfMethod,
-    /// Method on any other expression: `x.foo(..)`, `x.y().foo(..)`.
-    Method,
-}
-
-/// One interesting occurrence inside a function body, in source order.
+/// One call expression inside a function body.
 #[derive(Debug, Clone)]
-pub enum Event {
-    /// A call expression. `path` holds the `::`-separated segments leading to
-    /// the callee (last element is the callee name); for method calls it holds
-    /// only the method name.
-    Call {
-        /// Path segments; `path.last()` is the callee name.
-        path: Vec<String>,
-        /// Receiver shape.
-        receiver: Receiver,
-        /// `let` binding name the call's result is assigned to, if the call is
-        /// the first call of a `let <name> = …;` statement.
-        binding: Option<String>,
-        /// First string-literal argument at the call's own paren depth, if any
-        /// (`lock_ordered(RANK_X, "name", ..)` → `Some("name")`).
-        str_arg: Option<String>,
-        /// First `RANK_*`-shaped identifier argument, if any.
-        rank_arg: Option<String>,
-        /// Identifier arguments at the call's own paren depth (for `drop(g)`).
-        ident_args: Vec<String>,
-        /// Number of arguments (the receiver of a method call not counted).
-        nargs: usize,
-        /// 1-based line.
-        line: u32,
-        /// 1-based column of the callee name.
-        col: u32,
-        /// Brace depth (relative to the body) where the call occurs.
-        depth: u32,
-    },
-    /// A block opened (`{`).
-    OpenBlock,
-    /// A block closed (`}`).
-    CloseBlock,
+pub struct Event {
+    /// The `::`-separated segments leading to the callee (`path.last()` is the
+    /// callee name); for method calls only the method name.
+    pub path: Vec<String>,
+    /// Identifier arguments at the call's own paren depth
+    /// (`inject(FaultSite::StoreRead)` → `["FaultSite", "StoreRead"]`).
+    pub ident_args: Vec<String>,
+    /// 1-based line.
+    pub line: u32,
+    /// 1-based column of the callee name.
+    pub col: u32,
 }
 
 /// One parsed function (free function, inherent/trait method, or nested fn).
@@ -71,48 +38,27 @@ pub struct Function {
     pub name: String,
     /// `Type::name` when inside `impl Type` / `impl Trait for Type` / `trait Type`.
     pub qualified: String,
-    /// Enclosing impl/trait type, if any.
-    pub self_type: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// 1-based column of the `fn` keyword.
     pub col: u32,
     /// `true` for `#[test]` functions and anything inside a `#[cfg(test)]` module.
     pub is_test: bool,
-    /// `true` when the first parameter is a `self` receiver.
-    pub has_self: bool,
-    /// Number of parameters, the `self` receiver not counted.
-    pub arity: usize,
     /// Identifiers appearing in the return type (after `->`, before the body).
     pub ret_idents: Vec<String>,
-    /// Body events in source order (empty for bodiless trait methods).
+    /// Body calls in source order (empty for bodiless trait methods).
     pub events: Vec<Event>,
 }
 
 impl Function {
     /// Direct calls to `name` (any receiver shape).
     pub fn calls<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Event> + 'a {
-        self.events.iter().filter(move |e| match e {
-            Event::Call { path, .. } => path.last().is_some_and(|n| n == name),
-            _ => false,
-        })
+        self.events.iter().filter(move |e| e.path.last().is_some_and(|n| n == name))
     }
 
     /// `true` if the body contains a call to `name`.
     pub fn calls_any(&self, name: &str) -> bool {
         self.calls(name).next().is_some()
-    }
-}
-
-/// Whether a call site (receiver shape + argument count) is compatible with a
-/// function definition's signature. Call-graph construction uses this to
-/// reject name-collision edges — without it, a lock-free `RetryPolicy::run`
-/// would inherit the lock summary of every other `run` in the crate.
-pub fn signature_matches(receiver: &Receiver, nargs: usize, def: &Function) -> bool {
-    match receiver {
-        Receiver::SelfMethod | Receiver::Method => def.has_self && def.arity == nargs,
-        // `free_fn(a, b)`, `Type::assoc(a, b)`, or UFCS `Type::method(&x, a, b)`.
-        Receiver::Path => def.arity == nargs || (def.has_self && def.arity + 1 == nargs),
     }
 }
 
@@ -252,9 +198,10 @@ fn parse_suppressions(comments: &[Comment]) -> Vec<Suppression> {
 
 /// The checks a directive may name. Panic-freedom and the sync shim are
 /// clippy's (`[workspace.lints.clippy]`, `clippy.toml`), suppressed with
-/// `#[expect(…, reason = "…")]`, so their old codes are unknown here.
+/// `#[expect(…, reason = "…")]`, and the lock order is a type
+/// (`blazeit_core::lockorder::Lock`), so their old codes are unknown here.
 fn known_check(name: &str) -> bool {
-    matches!(name, "lock-order" | "fault-coverage" | "clock-accounting")
+    matches!(name, "fault-coverage" | "clock-accounting")
 }
 
 #[derive(Default, Clone)]
@@ -447,8 +394,8 @@ impl<'a> Parser<'a> {
             }
             self.bump();
         }
-        let (has_self, arity) = self.params();
-        // Return type + where clause: collect idents until body `{` or `;`.
+        self.skip_group(); // parameters
+                           // Return type + where clause: collect idents until body `{` or `;`.
         let mut ret_idents = Vec::new();
         loop {
             match self.peek() {
@@ -468,12 +415,9 @@ impl<'a> Parser<'a> {
                 None => name.clone(),
             },
             name,
-            self_type: ctx.self_type.clone(),
             line: fn_tok.line,
             col: fn_tok.col,
             is_test: ctx.is_test || attrs.is_test_fn || attrs.is_cfg_test,
-            has_self,
-            arity,
             ret_idents,
             events: Vec::new(),
         };
@@ -486,115 +430,25 @@ impl<'a> Parser<'a> {
         functions.push(func);
     }
 
-    /// Consumes the parameter group (cursor at its `(`), returning whether the
-    /// first parameter is a `self` receiver and the count of the remaining
-    /// parameters. Parameters are separated by commas at delimiter depth 1
-    /// outside generic angle brackets (`HashMap<K, V>` is one parameter; this
-    /// is a type position, so every `<` opens generics).
-    fn params(&mut self) -> (bool, usize) {
-        if !self.peek().is_some_and(|t| t.opens('(')) {
-            self.bump();
-            return (false, 0);
-        }
-        let start = self.pos;
-        self.skip_group();
-        let inner = &self.toks[start + 1..(self.pos - 1).max(start + 1)];
-        let mut has_self = false;
-        for t in inner.iter().take(3) {
-            if t.is_ident("self") {
-                has_self = true;
-                break;
-            }
-            if !(t.is_punct("&") || t.is_ident("mut") || t.kind == TokKind::Lifetime) {
-                break;
-            }
-        }
-        let mut params = 0usize;
-        let mut depth = 0i32;
-        let mut angle = 0i32;
-        let mut seen_any = false;
-        for t in inner {
-            match t.kind {
-                TokKind::Open => depth += 1,
-                TokKind::Close => depth -= 1,
-                TokKind::Punct if depth == 0 => match t.text.as_str() {
-                    "<" => angle += 1,
-                    ">" => angle = (angle - 1).max(0),
-                    "," if angle == 0 => {
-                        params += 1;
-                        seen_any = false;
-                        continue;
-                    }
-                    _ => {}
-                },
-                _ => {}
-            }
-            seen_any = true;
-        }
-        if seen_any {
-            params += 1; // final parameter without a trailing comma
-        }
-        (has_self, params.saturating_sub(has_self as usize))
-    }
-
-    /// Walks a function body (cursor just past its `{`), collecting events
+    /// Walks a function body (cursor just past its `{`), collecting calls
     /// until the matching `}` is consumed. Nested `fn` items are parsed as
-    /// separate functions; their events do not leak into the parent.
+    /// separate functions; their calls do not leak into the parent.
     fn body(&mut self, func: &mut Function, functions: &mut Vec<Function>, ctx: &ModCtx) {
         let mut depth = 1u32;
-        // The `let`-binding name of the current statement, consumed by the
-        // first call event of the statement.
-        let mut pending_let: Option<String> = None;
-        let mut let_armed = false;
         while depth > 0 {
             let Some(t) = self.peek() else { return };
             match t.kind {
                 TokKind::Ident if t.text == "fn" => {
-                    let attrs = Attrs::default();
-                    self.function(functions, ctx, &attrs);
-                    continue;
+                    self.function(functions, ctx, &Attrs::default());
                 }
-                TokKind::Ident if t.text == "let" => {
-                    // `let [mut] name =` — anything fancier (patterns) simply
-                    // leaves no binding, which only costs drop-tracking precision.
-                    let mut look = self.pos + 1;
-                    if self.toks.get(look).is_some_and(|t| t.is_ident("mut")) {
-                        look += 1;
-                    }
-                    if let (Some(n), Some(eq)) = (self.toks.get(look), self.toks.get(look + 1)) {
-                        if n.kind == TokKind::Ident && !n.is_keyword() && eq.is_punct("=") {
-                            pending_let = Some(n.text.clone());
-                            let_armed = true;
-                        }
-                    }
-                    self.bump();
-                    continue;
-                }
-                TokKind::Ident if !t.is_keyword() => {
-                    self.call_or_macro(func, &mut pending_let, depth);
-                    continue;
-                }
+                TokKind::Ident if !t.is_keyword() => self.call_or_macro(func),
                 TokKind::Open if t.opens('{') => {
                     depth += 1;
-                    func.events.push(Event::OpenBlock);
                     self.bump();
-                    continue;
                 }
                 TokKind::Close if t.closes('}') => {
                     depth -= 1;
-                    if depth > 0 {
-                        func.events.push(Event::CloseBlock);
-                    }
                     self.bump();
-                    continue;
-                }
-                TokKind::Punct if t.text == ";" => {
-                    if let_armed {
-                        pending_let = None;
-                        let_armed = false;
-                    }
-                    self.bump();
-                    continue;
                 }
                 TokKind::Punct if t.text == "#" => {
                     // Attribute inside a body (e.g. on a statement or match arm).
@@ -605,11 +459,9 @@ impl<'a> Parser<'a> {
                     if self.peek().is_some_and(|t| t.kind == TokKind::Open) {
                         self.skip_group();
                     }
-                    continue;
                 }
                 _ => {
                     self.bump();
-                    continue;
                 }
             }
         }
@@ -617,8 +469,7 @@ impl<'a> Parser<'a> {
 
     /// At a non-keyword identifier inside a body: classify it as a call (one
     /// event), a macro invocation (skipped whole, no event), or plain usage.
-    fn call_or_macro(&mut self, func: &mut Function, pending_let: &mut Option<String>, depth: u32) {
-        let start = self.pos;
+    fn call_or_macro(&mut self, func: &mut Function) {
         // Collect the longest `a::b::c` path ending here.
         let mut path = vec![self.toks[self.pos].text.clone()];
         let mut end = self.pos + 1;
@@ -641,55 +492,25 @@ impl<'a> Parser<'a> {
         }
         // Call?
         if next.is_some_and(|t| t.opens('(')) {
-            let receiver = if start > 0 && self.toks[start - 1].is_punct(".") {
-                if start > 1 && self.toks[start - 2].is_ident("self") {
-                    Receiver::SelfMethod
-                } else {
-                    Receiver::Method
-                }
-            } else {
-                Receiver::Path
-            };
-            let (str_arg, rank_arg, ident_args, nargs) = self.scan_args(end);
-            func.events.push(Event::Call {
+            func.events.push(Event {
                 path,
-                receiver,
-                binding: pending_let.take(),
-                str_arg,
-                rank_arg,
-                ident_args,
-                nargs,
+                ident_args: self.ident_args(end),
                 line: name_tok.line,
                 col: name_tok.col,
-                depth,
             });
-            self.pos = end; // continue into the argument list for nested events
-            self.bump(); // consume `(` without emitting OpenBlock
+            self.pos = end; // continue into the argument list for nested calls
+            self.bump(); // consume `(` so the group is walked, not skipped
             return;
         }
         self.pos = end;
     }
 
-    /// Peeks into the argument group starting at `open` (which must be `(`),
-    /// collecting top-level string/`RANK_*`/identifier arguments and the
-    /// argument count, without consuming anything.
-    ///
-    /// The argument count separates on commas at depth 1, skipping commas
-    /// inside closure parameter lists (`sort_by(|a, b| …)`) and inside
-    /// turbofish generics (`collect::<HashMap<K, V>>()`); a bare `<` in
-    /// expression position is a comparison, not generics, so only `::<` opens
-    /// angle tracking.
-    fn scan_args(&self, open: usize) -> (Option<String>, Option<String>, Vec<String>, usize) {
-        let mut str_arg = None;
-        let mut rank_arg = None;
-        let mut ident_args = Vec::new();
-        let mut depth = 0i32;
-        let mut angle = 0i32;
-        let mut in_closure_params = false;
-        let mut commas = 0usize;
-        let mut seen_any = false;
-        let mut i = open;
-        while let Some(t) = self.toks.get(i) {
+    /// The identifier arguments at the top level of the group opening at
+    /// `open`, without consuming anything.
+    fn ident_args(&self, open: usize) -> Vec<String> {
+        let mut idents = Vec::new();
+        let mut depth = 0u32;
+        for t in self.toks.get(open..).unwrap_or_default() {
             match t.kind {
                 TokKind::Open => depth += 1,
                 TokKind::Close => {
@@ -698,55 +519,11 @@ impl<'a> Parser<'a> {
                         break;
                     }
                 }
-                TokKind::Str if depth == 1 && str_arg.is_none() => {
-                    str_arg = Some(t.text.clone());
-                }
-                TokKind::Ident if depth == 1 => {
-                    if t.text.starts_with("RANK_") && rank_arg.is_none() {
-                        rank_arg = Some(t.text.clone());
-                    }
-                    ident_args.push(t.text.clone());
-                }
+                TokKind::Ident if depth == 1 => idents.push(t.text.clone()),
                 _ => {}
             }
-            if depth == 1 {
-                match t.text.as_str() {
-                    "|" if t.kind == TokKind::Punct => {
-                        if in_closure_params {
-                            in_closure_params = false;
-                        } else {
-                            // Closure-opening `|` follows a comma, the call's
-                            // own `(`, or `move`; bitwise-or follows an operand.
-                            let prev = &self.toks[i - 1];
-                            in_closure_params =
-                                prev.is_punct(",") || prev.opens('(') || prev.is_ident("move");
-                        }
-                    }
-                    "<" if t.kind == TokKind::Punct && self.toks[i - 1].is_punct("::") => {
-                        angle += 1;
-                    }
-                    "<" if t.kind == TokKind::Punct && angle > 0 => angle += 1,
-                    ">" if t.kind == TokKind::Punct && angle > 0 => angle -= 1,
-                    "," if t.kind == TokKind::Punct
-                        && angle == 0
-                        && !in_closure_params
-                        && i > open =>
-                    {
-                        commas += 1;
-                        seen_any = false;
-                        i += 1;
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-            if i > open {
-                seen_any = true;
-            }
-            i += 1;
         }
-        let nargs = commas + seen_any as usize;
-        (str_arg, rank_arg, ident_args, nargs)
+        idents
     }
 }
 
@@ -782,65 +559,39 @@ mod tests {
     #[test]
     fn calls_and_skipped_macro_groups() {
         let m = model(
-            "fn f(v: &[u8]) { let g = lock_ordered(RANK_VIDEO, \"video\", &m); \
+            "fn f(v: &[u8]) { let g = inject(FaultSite::StoreRead, &m); \
              self.helper(); std::fs::read(p); drop(g); panic!(\"{}\", hidden()); \
              let x = v[0]; vec![inside(), 2]; }",
         );
         let f = &m.functions[0];
-        let calls: Vec<String> = f
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Call { path, .. } => Some(path.join("::")),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(calls, vec!["lock_ordered", "helper", "std::fs::read", "drop"]);
-        let lock = f.calls("lock_ordered").next().unwrap();
-        let Event::Call { binding, str_arg, rank_arg, .. } = lock else { unreachable!() };
-        assert_eq!(binding.as_deref(), Some("g"));
-        assert_eq!(str_arg.as_deref(), Some("video"));
-        assert_eq!(rank_arg.as_deref(), Some("RANK_VIDEO"));
-        let drops: Vec<&Event> = f.calls("drop").collect();
-        let Event::Call { ident_args, .. } = drops[0] else { unreachable!() };
-        assert_eq!(ident_args, &vec!["g".to_string()]);
+        let calls: Vec<String> = f.events.iter().map(|e| e.path.join("::")).collect();
+        assert_eq!(calls, vec!["inject", "helper", "std::fs::read", "drop"]);
+        let inject = f.calls("inject").next().unwrap();
+        assert_eq!(inject.ident_args, vec!["FaultSite", "StoreRead", "m"]);
+        assert_eq!((inject.line, inject.col), (1, 26));
+        assert_eq!(f.calls("drop").next().unwrap().ident_args, vec!["g"]);
         assert!(!f.calls_any("hidden") && !f.calls_any("inside"), "macro arguments are skipped");
     }
 
     #[test]
     fn suppression_parsing() {
         let m = model(
-            "// blazeit-lint: allow(lock-order) -- guard dropped above\n\
-             // blazeit-lint: allow-file(fault-coverage) -- bootstrap-only file\n\
+            "// blazeit-lint: allow(fault-coverage) -- bootstrap path\n\
+             // blazeit-lint: allow-file(clock-accounting) -- test-only scoring file\n\
              // blazeit-lint: allow(clock-accounting)\n\
              // blazeit-lint: allow(bogus-check) -- whatever\n\
              fn f() {}",
         );
         assert_eq!(m.suppressions.len(), 4);
         assert!(m.suppressions[0].error.is_none());
-        assert!(m.suppressions[0].covers(1, "lock-order"));
-        assert!(m.suppressions[0].covers(2, "lock-order"));
-        assert!(!m.suppressions[0].covers(3, "lock-order"));
+        assert!(m.suppressions[0].covers(1, "fault-coverage"));
+        assert!(m.suppressions[0].covers(2, "fault-coverage"));
+        assert!(!m.suppressions[0].covers(3, "fault-coverage"));
         assert!(m.suppressions[1].file_scope);
-        assert!(m.suppressions[1].covers(999, "fault-coverage"));
-        assert!(!m.suppressions[1].covers(999, "lock-order"), "a file allow names its checks");
+        assert!(m.suppressions[1].covers(999, "clock-accounting"));
+        assert!(!m.suppressions[1].covers(999, "fault-coverage"), "a file allow names its checks");
         assert!(m.suppressions[2].error.is_some(), "missing reason is an error");
         assert!(m.suppressions[3].error.is_some(), "unknown check is an error");
-    }
-
-    #[test]
-    fn let_binding_attaches_only_to_first_call() {
-        let m = model("fn f() { let a = outer(inner()); }");
-        let f = &m.functions[0];
-        let bindings: Vec<Option<String>> = f
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Call { binding, .. } => Some(binding.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(bindings, vec![Some("a".to_string()), None]);
     }
 
     #[test]

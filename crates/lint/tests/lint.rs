@@ -8,12 +8,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use blazeit_core::lockorder::{
-    RANKED_LOCKS, RANK_ADMISSION, RANK_FLIGHT, RANK_HELDOUT_CACHE, RANK_LIVE_INDEX, RANK_MONITOR,
-    RANK_NN_CACHE, RANK_OBS_TRACE, RANK_SERVE_CACHE, RANK_VIDEO,
-};
-use blazeit_lint::checks::lock_order::rank_const_name;
-use blazeit_lint::model::Event;
 use blazeit_lint::{analyze, Input};
 
 fn fixtures_dir() -> PathBuf {
@@ -24,8 +18,8 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Every fixture file, tagged as one synthetic crate (so intra-crate call
-/// propagation applies) with repo-independent `fixtures/…` paths.
+/// Every fixture file, tagged as one synthetic crate, with repo-independent
+/// `fixtures/…` paths.
 fn fixture_inputs() -> Vec<Input> {
     let dir = fixtures_dir();
     let mut inputs = Vec::new();
@@ -71,7 +65,6 @@ fn fixtures_match_golden() {
 fn each_check_fires_on_its_fixture() {
     let diags = analyze(&fixture_inputs());
     let count = |code: &str| diags.iter().filter(|d| d.code == code).count();
-    assert_eq!(count("lock-order"), 2, "direct + helper-propagated inversion");
     assert_eq!(count("fault-coverage"), 2, "fallible-return + fs-call fns without failpoints");
     assert_eq!(
         count("clock-accounting"),
@@ -98,9 +91,9 @@ fn clean_and_suppressed_fixtures_are_clean() {
 /// back unchanged.
 #[test]
 fn suppression_round_trip() {
-    let source = fs::read_to_string(fixtures_dir().join("lock_order.rs")).unwrap();
-    let before = analyze(&single_input("fixtures/lock_order.rs", &source));
-    assert!(!before.is_empty(), "the lock_order fixture must seed findings");
+    let source = fs::read_to_string(fixtures_dir().join("clock_accounting.rs")).unwrap();
+    let before = analyze(&single_input("fixtures/clock_accounting.rs", &source));
+    assert!(!before.is_empty(), "the clock_accounting fixture must seed findings");
 
     let mut flagged: Vec<(u32, String)> = before.iter().map(|d| (d.line, d.code.clone())).collect();
     flagged.sort();
@@ -112,38 +105,37 @@ fn suppression_round_trip() {
             format!("    // blazeit-lint: allow({code}) -- round-trip test insertion"),
         );
     }
-    let suppressed = analyze(&single_input("fixtures/lock_order.rs", &lines.join("\n")));
+    let suppressed = analyze(&single_input("fixtures/clock_accounting.rs", &lines.join("\n")));
     assert!(
         suppressed.is_empty(),
         "suppressed fixture still reports: {:?}",
         suppressed.iter().map(|d| d.render()).collect::<Vec<_>>()
     );
 
-    let after = analyze(&single_input("fixtures/lock_order.rs", &source));
+    let after = analyze(&single_input("fixtures/clock_accounting.rs", &source));
     assert_eq!(after.len(), before.len(), "findings must return once the allows are removed");
 }
 
-/// A `video` → `monitor` inversion (the `lock_order.rs` fixture's direct
-/// case) with `directive` on the line above the second acquisition.
-fn inverted_with(directive: &str) -> String {
+/// An uncharged scoring call (the `clock_accounting.rs` fixture's first case)
+/// with `directive` on the line above it.
+fn uncharged_with(directive: &str) -> String {
     format!(
-        "pub fn f(ctx: &Ctx) {{\n    \
-         let _video = lock_ordered(&ctx.video, RANK_VIDEO, \"video\");\n    \
+        "pub fn sneaky_scoring(nn: &SpecializedNN, frame: &[f32]) -> usize {{\n    \
          {directive}\n    \
-         let _monitor = lock_ordered(&ctx.monitor, RANK_MONITOR, \"monitor\");\n}}\n"
+         nn.predict_classes(frame).len()\n}}\n"
     )
 }
 
 #[test]
 fn suppression_without_reason_is_rejected() {
-    let src = inverted_with("// blazeit-lint: allow(lock-order)");
+    let src = uncharged_with("// blazeit-lint: allow(clock-accounting)");
     let diags = analyze(&single_input("fixtures/inline.rs", &src));
     assert!(
         diags.iter().any(|d| d.code == "bad-suppression"),
         "a directive without `-- <reason>` must be a bad-suppression: {diags:?}"
     );
     assert!(
-        diags.iter().any(|d| d.code == "lock-order"),
+        diags.iter().any(|d| d.code == "clock-accounting"),
         "a malformed directive must not suppress the underlying finding"
     );
 }
@@ -151,48 +143,52 @@ fn suppression_without_reason_is_rejected() {
 #[test]
 fn unused_suppression_is_reported() {
     let src = "pub fn f() -> u32 {\n    \
-               // blazeit-lint: allow(lock-order) -- nothing here takes a lock\n    \
+               // blazeit-lint: allow(clock-accounting) -- nothing here scores\n    \
                7\n}\n";
     let diags = analyze(&single_input("fixtures/inline.rs", src));
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].code, "unused-suppression");
 }
 
-/// Panic-freedom and the sync shim moved to clippy, so a directive naming
-/// their old codes is an unknown check — and suppresses nothing.
+/// Panic-freedom and the sync shim moved to clippy, and the lock order to the
+/// `lockorder::Lock` type, so a directive naming their old codes is an unknown
+/// check — and suppresses nothing.
 #[test]
 fn retired_checks_are_unknown() {
-    for code in ["panic-site", "panic-site::index", "sync-primitive"] {
-        let src = inverted_with(&format!("// blazeit-lint: allow({code}) -- retired"));
+    for code in ["panic-site", "panic-site::index", "sync-primitive", "lock-order"] {
+        let src = uncharged_with(&format!("// blazeit-lint: allow({code}) -- retired"));
         let diags = analyze(&single_input("fixtures/inline.rs", &src));
         assert!(
             diags.iter().any(|d| d.code == "bad-suppression"
                 && d.message == format!("unknown check `{code}` in directive")),
             "`{code}` must be an unknown check: {diags:?}"
         );
-        assert!(diags.iter().any(|d| d.code == "lock-order"), "{diags:?}");
+        assert!(diags.iter().any(|d| d.code == "clock-accounting"), "{diags:?}");
     }
 }
+
+/// A store helper that both checks flag in production code: it touches
+/// `std::fs` without a failpoint and scores without charging.
+const STORE_HELPER: &str = "    \
+    fn helper(nn: &SpecializedNN, frame: &[f32]) -> StoreResult<usize> {
+        std::fs::remove_file(\"scratch\")?;
+        Ok(nn.predict_classes(frame).len())
+    }
+";
 
 /// `#[test]` functions and `#[cfg(test)]` modules are exempt from every check.
 #[test]
 fn test_code_is_exempt() {
-    let src = r#"
-#[cfg(test)]
-mod tests {
-    fn helper(ctx: &Ctx, nn: &SpecializedNN, frame: &[f32]) -> usize {
-        let _video = lock_ordered(&ctx.video, RANK_VIDEO, "video");
-        let _monitor = lock_ordered(&ctx.monitor, RANK_MONITOR, "monitor");
-        nn.predict_classes(frame).len()
-    }
+    let production = analyze(&single_input("fixtures/store.rs", STORE_HELPER));
+    let mut codes: Vec<&str> = production.iter().map(|d| d.code.as_str()).collect();
+    codes.sort_unstable();
+    assert_eq!(codes, ["clock-accounting", "fault-coverage"], "{production:?}");
 
-    #[test]
-    fn t() {
-        std::fs::remove_file("scratch").ok();
-    }
-}
-"#;
-    let diags = analyze(&single_input("fixtures/inline.rs", src));
+    let src = format!(
+        "#[cfg(test)]\nmod tests {{\n{STORE_HELPER}\n    #[test]\n    fn t() {{\n        \
+         std::fs::remove_file(\"scratch\").ok();\n    }}\n}}\n"
+    );
+    let diags = analyze(&single_input("fixtures/store.rs", &src));
     assert!(diags.is_empty(), "test code must be exempt: {diags:?}");
 }
 
@@ -313,94 +309,4 @@ fn clippy_gates_every_production_target() {
             "clippy.toml's disallowed-types must name `{primitive}`"
         );
     }
-}
-
-/// `lockorder::RANKED_LOCKS` is the single source of truth for the hierarchy:
-/// the table is well-formed, the runtime `RANK_*` constants are its values,
-/// and every `lock_ordered` call site in production source names a table lock
-/// paired with that lock's constant.
-#[test]
-fn rank_table_is_single_source_of_truth() {
-    for w in RANKED_LOCKS.windows(2) {
-        assert!(w[0].rank < w[1].rank, "ranks must be strictly increasing: {w:?}");
-    }
-    for (i, a) in RANKED_LOCKS.iter().enumerate() {
-        for b in &RANKED_LOCKS[i + 1..] {
-            assert_ne!(a.name, b.name, "duplicate lock name in RANKED_LOCKS");
-        }
-    }
-    let by_name = |n: &str| RANKED_LOCKS.iter().find(|l| l.name == n).map(|l| l.rank).unwrap();
-    // The serving locks rank *below* every engine lock: a cache miss executes
-    // a full query while holding no serving lock, but the converse (engine
-    // code acquiring a serving lock) must be impossible by rank.
-    assert_eq!(RANK_ADMISSION, by_name("admission"));
-    assert_eq!(RANK_SERVE_CACHE, by_name("serve_cache"));
-    assert!(
-        by_name("serve_cache") < by_name("monitor"),
-        "serving locks must rank below engine locks"
-    );
-    assert_eq!(RANK_MONITOR, by_name("monitor"));
-    assert_eq!(RANK_LIVE_INDEX, by_name("live_index"));
-    assert_eq!(RANK_NN_CACHE, by_name("nn_cache"));
-    assert_eq!(RANK_HELDOUT_CACHE, by_name("heldout_cache"));
-    // A single-flight cell is joined under its cache's map lock, so the cell
-    // lock ranks after every such map.
-    assert_eq!(RANK_FLIGHT, by_name("flight"));
-    for map in ["serve_cache", "nn_cache", "heldout_cache"] {
-        assert!(by_name(map) < by_name("flight"), "{map} must rank below the cells it holds");
-    }
-    assert_eq!(RANK_VIDEO, by_name("video"));
-    // The trace-collector lock ranks *above* every other lock: spans open and
-    // close under arbitrary engine locks, and the collector never acquires
-    // anything while its lock is held.
-    assert_eq!(RANK_OBS_TRACE, by_name("obs_trace"));
-    assert!(by_name("video") < by_name("obs_trace"), "obs_trace must rank above every engine lock");
-
-    let root = repo_root();
-    let mut call_sites = 0usize;
-    let mut sites_by_name: std::collections::BTreeMap<String, usize> = Default::default();
-    for (_crate, rel) in blazeit_lint::TARGETS {
-        let dir = root.join(rel);
-        if !dir.is_dir() {
-            continue;
-        }
-        for file in blazeit_lint::collect_rs_files(&dir).unwrap() {
-            let src = fs::read_to_string(&file).unwrap();
-            let model = blazeit_lint::model::parse_file(&file.to_string_lossy(), &src);
-            for func in &model.functions {
-                for ev in &func.events {
-                    let Event::Call { path, str_arg, rank_arg, .. } = ev else { continue };
-                    if path.last().map(String::as_str) != Some("lock_ordered") {
-                        continue;
-                    }
-                    call_sites += 1;
-                    let at = format!("{}:{}", file.display(), func.qualified);
-                    let name = str_arg
-                        .as_deref()
-                        .unwrap_or_else(|| panic!("lock_ordered without a name literal at {at}"));
-                    *sites_by_name.entry(name.to_string()).or_default() += 1;
-                    let rank = rank_arg
-                        .as_deref()
-                        .unwrap_or_else(|| panic!("lock_ordered without a RANK_* const at {at}"));
-                    let entry = RANKED_LOCKS
-                        .iter()
-                        .find(|l| l.name == name)
-                        .unwrap_or_else(|| panic!("lock \"{name}\" not in RANKED_LOCKS ({at})"));
-                    assert_eq!(
-                        rank,
-                        rank_const_name(entry.name),
-                        "call site at {at} pairs \"{name}\" with the wrong rank constant"
-                    );
-                }
-            }
-        }
-    }
-    assert!(call_sites > 0, "no lock_ordered call sites found — did the hierarchy move?");
-    // The serving cache's map lock must stay on the statically-checked
-    // `lock_ordered` path (its condvar-paired siblings are covered by the
-    // model checker instead): join / probe / remove all go through it.
-    assert!(
-        sites_by_name.get("serve_cache").copied().unwrap_or(0) >= 3,
-        "serve_cache lock_ordered call sites went missing: {sites_by_name:?}"
-    );
 }

@@ -11,7 +11,7 @@
 //! * **deadlocks** — every unfinished thread blocked (also how lost wakeups
 //!   present, since model condvar waits never time out);
 //! * **lock-order violations** — ranked mutexes checked against the lock
-//!   hierarchy stated in `blazeit_core::lockorder`;
+//!   hierarchy stated as `blazeit_core::lockorder::Lock`;
 //! * **invariant failures** — any panic (e.g. a failed `assert!`) on a model
 //!   thread.
 //!

@@ -14,7 +14,7 @@
 //!   runnable and at least one is blocked: every schedule extension is stuck.
 //! * **Lock-order violations** — mutexes constructed with
 //!   [`Mutex::ranked`](crate::sync::Mutex::ranked) carry a `(rank, name)` from
-//!   `blazeit_core::lockorder::RANKED_LOCKS`; acquiring one while holding an
+//!   `blazeit_core::lockorder::Lock`; acquiring one while holding an
 //!   equal or higher rank fails the run immediately, on the exact interleaving
 //!   that reached it.
 //!

@@ -58,8 +58,8 @@ fn addr_of<T: ?Sized>(obj: &T) -> usize {
 
 /// A mutual-exclusion lock that becomes a scheduling point under exploration.
 ///
-/// [`Mutex::ranked`] additionally enrolls the lock in the hierarchy stated in
-/// `blazeit_core::lockorder`: the scheduler fails
+/// [`Mutex::ranked`] additionally enrolls the lock in the hierarchy stated as
+/// `blazeit_core::lockorder::Lock`: the scheduler fails
 /// the run (with the violating interleaving) if it is ever acquired while a
 /// lock of equal or higher rank is held.
 pub struct Mutex<T: ?Sized> {

@@ -28,7 +28,7 @@
 //! lint and stream canaries so a regression that blinds the checker fails the
 //! build.
 
-use blazeit_core::lockorder::{RANK_FLIGHT, RANK_SERVE_CACHE};
+use blazeit_core::lockorder::Lock;
 use blazeit_core::single_flight::{Flight, FlightMap, Role};
 use blazeit_core::sync::{AtomicU64, Mutex, Ordering};
 use blazeit_core::{BlazeItError, Result};
@@ -47,7 +47,7 @@ struct Protocol {
 
 fn protocol() -> Arc<Protocol> {
     Arc::new(Protocol {
-        cache: Mutex::ranked(RANK_SERVE_CACHE, "serve_cache", HashMap::new()),
+        cache: Mutex::ranked(Lock::ServeCache.rank(), Lock::ServeCache.name(), HashMap::new()),
         generation: AtomicU64::new(0),
     })
 }
@@ -229,13 +229,13 @@ fn canary_torn_result_generation_publish_is_flagged() {
 }
 
 /// Acquiring a cache's map lock while holding a lock of the cell's rank is an
-/// inversion of the documented order; the ranked-lock oracle (sharing its
-/// table with the static lint and the debug tracker) must flag it.
+/// inversion of the documented order; the ranked-lock oracle (reading the
+/// same `Lock` ranks as the debug tracker) must flag it.
 #[test]
 fn canary_serve_lock_inversion_is_flagged() {
     let report = Builder::new().check_report(|| {
         let p = protocol();
-        let cell = Arc::new(Mutex::ranked(RANK_FLIGHT, "flight", ()));
+        let cell = Arc::new(Mutex::ranked(Lock::Flight.rank(), Lock::Flight.name(), ()));
         let t = {
             let p = Arc::clone(&p);
             let cell = Arc::clone(&cell);
@@ -249,8 +249,9 @@ fn canary_serve_lock_inversion_is_flagged() {
     let failure = report.failure.expect("the rank oracle must fire");
     assert_eq!(failure.kind, FailureKind::LockOrder);
     assert!(
-        failure.message.contains("'serve_cache' (rank 1)")
-            && failure.message.contains(&format!("'flight' (rank {RANK_FLIGHT})")),
+        [Lock::ServeCache, Lock::Flight].iter().all(|lock| {
+            failure.message.contains(&format!("'{}' (rank {})", lock.name(), lock.rank()))
+        }),
         "{}",
         failure.message
     );

@@ -20,7 +20,7 @@
 //! canary so a regression that stops the checker from finding races fails the
 //! build.
 
-use blazeit_core::lockorder::{RANK_LIVE_INDEX, RANK_MONITOR, RANK_NN_CACHE};
+use blazeit_core::lockorder::Lock;
 use blazeit_core::sync::Mutex;
 use blazeit_model::{thread, Builder, FailureKind};
 use std::sync::Arc;
@@ -38,23 +38,27 @@ struct LiveIndex {
 /// production `VideoContext` / `StreamState` construct (`Mutex::ranked` enrolls
 /// them in the model checker's hierarchy oracle exactly as `with_parts` does).
 struct Protocol {
-    /// Drift monitor (rank 3): frames seen since the last drift check.
+    /// Drift monitor: frames seen since the last drift check.
     monitor: Mutex<u64>,
-    /// The live index (rank 4): swapped atomically, one generation at a time.
+    /// The live index: swapped atomically, one generation at a time.
     live_index: Mutex<LiveIndex>,
-    /// Specialized-NN cache (rank 5): generation of the cached network.
+    /// Specialized-NN cache: generation of the cached network.
     nn_cache: Mutex<u64>,
+}
+
+/// A shim mutex ranked as `lock`, as `lockorder::RankedMutex::new` builds it.
+fn ranked<T>(lock: Lock, value: T) -> Mutex<T> {
+    Mutex::ranked(lock.rank(), lock.name(), value)
 }
 
 fn protocol() -> Arc<Protocol> {
     Arc::new(Protocol {
-        monitor: Mutex::ranked(RANK_MONITOR, "monitor", 0),
-        live_index: Mutex::ranked(
-            RANK_LIVE_INDEX,
-            "live_index",
+        monitor: ranked(Lock::Monitor, 0),
+        live_index: ranked(
+            Lock::LiveIndex,
             LiveIndex { nn_generation: 0, score_generation: 0, frames: 0 },
         ),
-        nn_cache: Mutex::ranked(RANK_NN_CACHE, "nn_cache", 0),
+        nn_cache: ranked(Lock::NnCache, 0),
     })
 }
 
@@ -201,8 +205,9 @@ fn canary_lock_order_inversion_is_flagged() {
     let failure = report.failure.expect("the rank oracle must fire");
     assert_eq!(failure.kind, FailureKind::LockOrder);
     assert!(
-        failure.message.contains(&format!("'monitor' (rank {RANK_MONITOR})"))
-            && failure.message.contains(&format!("'live_index' (rank {RANK_LIVE_INDEX})")),
+        [Lock::Monitor, Lock::LiveIndex].iter().all(|lock| {
+            failure.message.contains(&format!("'{}' (rank {})", lock.name(), lock.rank()))
+        }),
         "{}",
         failure.message
     );

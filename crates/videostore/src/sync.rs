@@ -25,10 +25,10 @@
 //! that).
 //!
 //! [`Mutex::ranked`] enrolls a lock in the hierarchy stated in
-//! `blazeit_core::lockorder`; ranks are inert here
-//! in normal builds (the debug tracker in `blazeit_core::lockorder` still
-//! asserts order at `lock_ordered` call sites) and become a hard oracle under
-//! the model: any schedule that acquires out of order fails with the exact
+//! `blazeit_core::lockorder`, whose `RankedMutex` is its one caller there;
+//! ranks are inert here in normal builds (that `RankedMutex`'s debug tracker
+//! asserts order at every acquisition) and become a hard oracle under the
+//! model: any schedule that acquires out of order fails with the exact
 //! interleaving.
 
 // The whole point of this module is to wrap the raw primitives, so it is the
