@@ -1,19 +1,24 @@
-//! Exhaustive model check of the stream `advance` / `Subscription` poll /
-//! background retrain-publication protocol.
+//! Exhaustive model check of a hand-written model of the stream publication
+//! protocol: `advance`, `Subscription` poll and the background retrain's
+//! publication.
 //!
-//! This replaces the PR-6 wall-clock race test
-//! (`drift_refresh_never_races_an_in_flight_subscription`), which drove the
-//! real engine on two OS threads and hoped the scheduler produced interesting
-//! interleavings. Here the same protocol shape — the ranked
-//! `monitor → live_index → nn_cache` locks and the one-generation swap rule —
-//! is explored under **every** schedule up to the preemption bound, so the
-//! invariants hold by enumeration, not by luck:
+//! The model is a copy, not the production code: `Protocol` below builds its
+//! own three shim mutexes, ranked like the production
+//! `monitor → live_index → nn_cache` locks, and each thread replays by hand
+//! the lock sequence and the one-generation swap rule that `stream.rs` and
+//! `context.rs` follow. Under **every** schedule up to the preemption bound it
+//! checks that the protocol as modelled is sound:
 //!
 //! * no poll ever observes a `LiveIndex` whose NN and score index come from
 //!   different generations;
 //! * every path respects the documented lock order (the ranked-mutex oracle
 //!   fails the run otherwise);
 //! * no schedule deadlocks.
+//!
+//! An edit to `stream.rs` cannot make this test fail. The gate on `stream.rs`
+//! itself is the workspace's `tests/streaming.rs`: run in a debug build, every
+//! ranked lock it takes goes through `lockorder`'s runtime tracker, which
+//! panics with "lock-order violation" on an inversion.
 //!
 //! The `canary_*` test is the seeded race: a deliberately broken two-thread
 //! swap protocol the checker **must** flag, wired into CI next to the lint

@@ -10,8 +10,9 @@
 //!
 //! * [`tensor`] — a small dense matrix type and the three product kernels (`A·B`,
 //!   `Aᵀ·B`, `A·Bᵀ`) under scoring and training, with the crate's numerics contract:
-//!   separate multiplies and adds over ascending `k`, so results are bit-identical
-//!   across kernels, batch sizes and instruction sets.
+//!   one correctly rounded `mul_add` per term over ascending `k`, so results are
+//!   bit-identical across kernels, batch sizes and instruction sets (the portable
+//!   build, which has no FMA instruction, pays for that in speed, not in bits).
 //! * [`layers`] — fully-connected layers with ReLU activations.
 //! * [`network`] — a sequential network with *grouped softmax heads* (one softmax per
 //!   queried object class, the "single NN that detects each object class separately" of

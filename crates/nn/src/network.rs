@@ -571,10 +571,13 @@ mod tests {
         assert!(net.accuracy(&x, &labels).unwrap() > 0.9);
     }
 
-    /// The definition of one SGD step, and with it of the summation order every
+    /// The definition of one SGD step, and with it of the arithmetic every
     /// kernel must reproduce: plain loops, every sum over ascending `k` from
-    /// `0.0`, separate multiplies and adds. Returns the loss and whether the
-    /// clip fired; `velocities[l]` is layer `l`'s `(weights, bias)` momentum.
+    /// `0.0`. The three products (forward `act·W`, `dW = inputᵀ·Δ`,
+    /// `Δ' = Δ·Wᵀ`) take one `mul_add` per term; everything else — the bias
+    /// adds, softmax, the clip's norms and the SGD update — keeps separate
+    /// multiplies and adds. Returns the loss and whether the clip fired;
+    /// `velocities[l]` is layer `l`'s `(weights, bias)` momentum.
     fn reference_step(
         net: &mut Network,
         x: &Matrix,
@@ -594,7 +597,7 @@ mod tests {
                 for j in 0..n {
                     let mut sum = 0.0f32;
                     for k in 0..k_dim {
-                        sum += input[r * k_dim + k] * w[k * n + j];
+                        sum = input[r * k_dim + k].mul_add(w[k * n + j], sum);
                     }
                     pre[r * n + j] = sum + b[j];
                 }
@@ -653,12 +656,14 @@ mod tests {
                 for j in 0..n {
                     d_b[j] += delta[r * n + j];
                     for i in 0..k_dim {
-                        d_w[i * n + j] += input[r * k_dim + i] * delta[r * n + j];
+                        d_w[i * n + j] =
+                            input[r * k_dim + i].mul_add(delta[r * n + j], d_w[i * n + j]);
                     }
                 }
                 for i in 0..k_dim {
                     for j in 0..n {
-                        d_input[r * k_dim + i] += delta[r * n + j] * w[i * n + j];
+                        d_input[r * k_dim + i] =
+                            delta[r * n + j].mul_add(w[i * n + j], d_input[r * k_dim + i]);
                     }
                 }
             }

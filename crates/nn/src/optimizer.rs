@@ -41,9 +41,9 @@ impl SgdState {
 
     /// Applies one update step in place, with the gradient scaled by `grad_scale`
     /// (the global-norm clip): `v = momentum*v - lr*(grad*grad_scale + wd*param);
-    /// param += v`. One fused pass, each element's operations separate multiplies
-    /// and adds in exactly that order (see the numerics contract in
-    /// [`tensor`](crate::tensor)), in the widest lanes the host has.
+    /// param += v`. One pass over the tensor, each element's operations separate
+    /// multiplies and adds (no `mul_add`) in exactly that order (see the numerics
+    /// contract in [`tensor`](crate::tensor)), in the widest lanes the host has.
     pub fn step(&mut self, param: &mut Matrix, grad: &Matrix, grad_scale: f32) -> Result<()> {
         let shape = (param.rows(), param.cols());
         if (grad.rows(), grad.cols()) != shape

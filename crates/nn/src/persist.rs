@@ -46,9 +46,15 @@ use blazeit_detect::{CostProfile, SimClock};
 use blazeit_videostore::ObjectClass;
 use std::sync::Arc;
 
-/// The current on-disk format version. Bump on any layout change; older files are
+/// The current on-disk format version. Bump on any layout change, and on any
+/// change to the arithmetic that produced what is stored; older files are
 /// rejected with [`PersistError::VersionMismatch`] and recomputed.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 has version 1's layout. It marks the fused multiply-add products
+/// of the numerics contract (see [`tensor`](crate::tensor)): a version-1
+/// network loaded into this build would be scored with fused arithmetic under
+/// a score index, and a `score_key`, written from unfused scores.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic bytes opening every persisted artifact.
 pub const MAGIC: [u8; 4] = *b"BZIX";
@@ -653,13 +659,17 @@ mod tests {
         assert!(matches!(decode_score_matrix(&huge, "k"), Err(PersistError::Corrupt(_))));
 
         // A bumped version byte (offset 5) is VersionMismatch, checked before the
-        // checksum so future formats report honestly.
-        let mut bumped = good.clone();
-        bumped[5] = bumped[5].wrapping_add(1);
-        assert!(matches!(
-            decode_score_matrix(&bumped, "k"),
-            Err(PersistError::VersionMismatch { expected: FORMAT_VERSION, .. })
-        ));
+        // checksum so future formats report honestly. So is a version-1 file
+        // with an intact layout: its scores and weights came from unfused
+        // products, and must be recomputed rather than mixed with fused ones.
+        for version in [FORMAT_VERSION + 1, 1] {
+            let mut other = good.clone();
+            other[5..9].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_score_matrix(&other, "k"),
+                Err(PersistError::VersionMismatch { found: version, expected: FORMAT_VERSION })
+            );
+        }
 
         // Wrong artifact kind.
         match decode_specialized_nn(&good, "k", SimClock::new()) {

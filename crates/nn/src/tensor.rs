@@ -5,21 +5,30 @@
 //! *charged*; the wall-clock cost of a cold query is these kernels, and the performance
 //! ledger (`benchmark/`, `docs/PERFORMANCE.md`) is what drives their shape.
 //!
-//! **Numerics contract.** Every product kernel computes each output element as
-//! `0.0 + a₀·b₀ + a₁·b₁ + …` over ascending `k`, with separate `f32` multiplies and
-//! adds: no FMA, no reassociation, no multi-accumulator reduction. Blocking and wider
-//! vector lanes only change which *independent* elements are computed side by side, so
-//! trained weights and scores are bit-identical across kernels, batch sizes and
-//! instruction sets — which is what lets cache keys pin a network by its weights
-//! fingerprint across a kernel change. The product body, the SGD update and the clip's
-//! bound each run as a portable, an AVX2 or an AVX-512 (`avx512f`) instantiation of one
-//! source; one run-time dispatch point picks the widest the CPU has, and the tests
-//! compare every instantiation the host can run against the plain loops. The product
-//! body's register block belongs to its instantiation: 4×48 under AVX-512, whose 32
-//! vector registers hold it, and 4×16 under AVX2 and SSE, whose 16 would spill a wider
-//! one (`Lanes::product_block_cols`). The training step's gradient clip decides most
-//! steps from a certified bound instead of the exact norm: an evaluation shortcut, not
-//! a change of definition (see `Network::train_step`).
+//! **Numerics contract.** Every product kernel computes each output element from an
+//! accumulator that starts at `0.0` and takes `acc = aₖ.mul_add(bₖ, acc)` over
+//! ascending `k`: one fused multiply-add per term, rounded once, with no reassociation
+//! and no multi-accumulator reduction. `f32::mul_add` is correctly rounded wherever it
+//! runs, so blocking and wider vector lanes only change which *independent* elements
+//! are computed side by side, and trained weights and scores are bit-identical across
+//! kernels, batch sizes and instruction sets — which is what lets cache keys pin a
+//! network by its weights fingerprint across a kernel change. The product body, the SGD
+//! update and the clip's bound each run as a portable, an AVX2 (`avx2,fma`) or an
+//! AVX-512 (`avx512f,fma`) instantiation of one source; one run-time dispatch point
+//! picks the widest the CPU has, and the tests compare every instantiation the host can
+//! run against the plain `mul_add` loops. On x86-64 the portable instantiation has no
+//! FMA instruction to lower `mul_add` to, so it calls the runtime's `fmaf` once per
+//! term and vectorises nothing: the same bits, but the forward `16×611·611×48` product
+//! took 1.45 ms there against 40 µs with separate multiplies and adds (an AVX-512 host
+//! forcing the portable instantiation), so an x86-64 host without FMA (or with AVX2 but
+//! no FMA) trains and scores far slower. AArch64's base instruction set has FMA, so
+//! there `mul_add` is one instruction. Only the products are fused: [`Matrix::norm`],
+//! the clip's bound, the SGD update, softmax and the featurizer keep their separate
+//! multiplies and adds. The product body's register block belongs to its instantiation:
+//! 4×48 under AVX-512, whose 32 vector registers hold it, and 4×16 under AVX2 and SSE,
+//! whose 16 would spill a wider one (`Lanes::product_block_cols`). The training step's
+//! gradient clip decides most steps from a certified bound instead of the exact norm:
+//! an evaluation shortcut, not a change of definition (see `Network::train_step`).
 
 #![expect(
     clippy::indexing_slicing,
@@ -165,9 +174,9 @@ impl Matrix {
     }
 
     /// `self * otherᵀ` written into `out`, reading `other` transposed in place —
-    /// the input gradient `ΔWᵀ` of a dense layer. A plain dot-product loop: the
-    /// first layer needs no input gradient, so this only ever sees the narrow
-    /// upper layers.
+    /// the input gradient `ΔWᵀ` of a dense layer. A plain dot-product loop in the
+    /// host's widest lanes: the first layer needs no input gradient, so this only
+    /// ever sees the narrow upper layers.
     pub fn matmul_a_bt_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != other.cols {
             return Err(NnError::ShapeMismatch {
@@ -178,19 +187,11 @@ impl Matrix {
             });
         }
         out.reset_zeroed(self.rows, other.rows);
-        // `max(1)`: an empty dimension means empty data, and nothing to iterate.
-        let k = self.cols.max(1);
-        for (a_row, out_row) in
-            self.data.chunks_exact(k).zip(out.data.chunks_exact_mut(other.rows.max(1)))
-        {
-            for (b_row, o) in other.data.chunks_exact(k).zip(out_row) {
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        }
+        let (a, k_len, b_t, n) = (&self.data, self.cols, &other.data, other.rows);
+        at_host_width(
+            #[inline(always)]
+            |_| product_a_bt(a, k_len, b_t, &mut out.data, n),
+        );
         Ok(())
     }
 
@@ -251,11 +252,11 @@ const WIDE_BLOCK: usize = 3 * TILE;
 /// The instruction set a kernel instantiation is compiled for.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Lanes {
-    /// The crate's build target: SSE2 on x86-64.
+    /// The crate's build target: SSE2 on x86-64, where `mul_add` is a call.
     Portable,
-    /// 256-bit lanes.
+    /// 256-bit lanes with FMA.
     Avx2,
-    /// 512-bit lanes.
+    /// 512-bit lanes with FMA.
     Avx512,
 }
 
@@ -268,14 +269,17 @@ impl Lanes {
         Lanes::ALL.into_iter().rev().find(|l| l.detected()).unwrap_or(Lanes::Portable)
     }
 
-    /// Whether run-time detection finds this instruction set on the running CPU.
+    /// Whether run-time detection finds this instruction set, FMA included, on
+    /// the running CPU.
     pub(crate) fn detected(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        use std::arch::is_x86_feature_detected as has;
         match self {
             Lanes::Portable => true,
             #[cfg(target_arch = "x86_64")]
-            Lanes::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            Lanes::Avx2 => has!("avx2") && has!("fma"),
             #[cfg(target_arch = "x86_64")]
-            Lanes::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            Lanes::Avx512 => has!("avx512f") && has!("fma"),
             #[cfg(not(target_arch = "x86_64"))]
             Lanes::Avx2 | Lanes::Avx512 => false,
         }
@@ -328,13 +332,13 @@ pub(crate) fn at_host_width<R>(kernel: impl FnOnce(Lanes) -> R) -> R {
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn run_avx2<R>(kernel: impl FnOnce(Lanes) -> R) -> R {
     kernel(Lanes::Avx2)
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx512f,fma")]
 fn run_avx512<R>(kernel: impl FnOnce(Lanes) -> R) -> R {
     kernel(Lanes::Avx512)
 }
@@ -380,8 +384,8 @@ fn product_in<const A_TRANSPOSED: bool>(
 /// block is as wide as the instantiation's register file pays for (4×48 under
 /// AVX-512, 4×16 under AVX2 and SSE; see [`Lanes::product_block_cols`]). The blocked rows' columns a full block does
 /// not cover are computed in 4×16 blocks; remainder rows and the narrow last
-/// column tile use a one-row loop. Every accumulator starts at `0.0` and adds
-/// `a * b` over ascending `k`.
+/// column tile use a one-row loop. Every accumulator starts at `0.0` and takes
+/// `acc = a.mul_add(b, acc)` over ascending `k`.
 #[inline(always)]
 fn product_body<const A_TRANSPOSED: bool, const BLOCK_COLS: usize>(
     a: &[f32],
@@ -415,7 +419,7 @@ fn product_body<const A_TRANSPOSED: bool, const BLOCK_COLS: usize>(
             for k in 0..k_len {
                 let a_ik = if A_TRANSPOSED { a[k * m + i] } else { a[i * k_len + k] };
                 for (acc_t, &b) in acc.iter_mut().zip(&rhs[k * n + j0..k * n + j0 + width]) {
-                    *acc_t += a_ik * b;
+                    *acc_t = a_ik.mul_add(b, *acc_t);
                 }
             }
             out[i * n + j0..i * n + j0 + width].copy_from_slice(&acc[..width]);
@@ -449,12 +453,30 @@ fn register_block<const A_TRANSPOSED: bool, const COLS: usize>(
         };
         for (acc_row, a_ik) in acc.iter_mut().zip(a_block) {
             for t in 0..COLS {
-                acc_row[t] += a_ik * b_tile[t];
+                acc_row[t] = a_ik.mul_add(b_tile[t], acc_row[t]);
             }
         }
     }
     for (r, acc_row) in acc.iter().enumerate() {
         out[(i + r) * n + j0..(i + r) * n + j0 + COLS].copy_from_slice(acc_row);
+    }
+}
+
+/// `out[i][j] = Σₖ a[i][k] · b_t[j][k]` for an `m × k_len` row-major `a`, an
+/// `n × k_len` row-major `b_t` and an `m × n` row-major `out`: one dot product
+/// per element, the [`Matrix::matmul_a_bt_into`] kernel.
+#[inline(always)]
+fn product_a_bt(a: &[f32], k_len: usize, b_t: &[f32], out: &mut [f32], n: usize) {
+    // `max(1)`: an empty dimension means empty data, and nothing to iterate.
+    let k_len = k_len.max(1);
+    for (a_row, out_row) in a.chunks_exact(k_len).zip(out.chunks_exact_mut(n.max(1))) {
+        for (b_row, o) in b_t.chunks_exact(k_len).zip(out_row) {
+            let mut acc = 0.0f32;
+            for (&a, &b) in a_row.iter().zip(b_row) {
+                acc = a.mul_add(b, acc);
+            }
+            *o = acc;
+        }
     }
 }
 
@@ -537,14 +559,15 @@ mod tests {
         m.data().iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The three product kernels against a triple loop, bit for bit, on shapes
-    /// `(m, k, n)` that reach every remainder path (rows short of a block,
-    /// columns short of a tile, both, neither, an empty dimension), every path of
-    /// the 4×48 block (exactly one block, two blocks and a remainder row, a block
-    /// and a 16-column tile, a block and a narrow remainder) plus the production
-    /// layer shapes (the forward `16×611·611×48`, the weight gradient
-    /// `(16×611)ᵀ·16×48`, scoring's `256×611·611×48`) — through the entry points,
-    /// and through the product body's portable, AVX2 and AVX-512 instantiations
+    /// The three product kernels against a `mul_add` triple loop, bit for bit,
+    /// on shapes `(m, k, n)` that reach every remainder path (rows short of a
+    /// block, columns short of a tile, both, neither, an empty dimension), every
+    /// path of the 4×48 block (exactly one block, two blocks and a remainder row,
+    /// a block and a 16-column tile, a block and a narrow remainder) plus the
+    /// production layer shapes (the forward `16×611·611×48`, the weight gradient
+    /// `(16×611)ᵀ·16×48`, scoring's `256×611·611×48`, the layer-1 input gradient
+    /// `16×3·(48×3)ᵀ`) — through the entry points, and through the product
+    /// body's and the `A·Bᵀ` loop's portable, AVX2 and AVX-512 instantiations
     /// directly, each where the host has it.
     #[test]
     fn product_instantiations_match_the_triple_loop_bit_for_bit() {
@@ -562,6 +585,7 @@ mod tests {
             (8, 9, 64),
             (4, 3, 50),
             (256, 611, 48),
+            (16, 3, 48),
             (0, 3, 2),
             (2, 0, 3),
             (2, 3, 0),
@@ -579,7 +603,7 @@ mod tests {
                     for j in 0..n {
                         let mut sum = 0.0f32;
                         for kk in 0..k {
-                            sum += lhs(i, kk) * rhs(kk, j);
+                            sum = lhs(i, kk).mul_add(rhs(kk, j), sum);
                         }
                         out.set(i, j, sum);
                     }
@@ -598,17 +622,18 @@ mod tests {
             a.matmul_a_bt_into(&b_t, &mut out).unwrap();
             assert_eq!((out.rows(), out.cols()), (m, n));
             assert_eq!(bits(&out), a_bt, "matmul_a_bt_into {m}x{k}x{n}");
-            cases.push(((m, k, n), a, a_t, b, a_b, at_b));
+            cases.push(((m, k, n), a, a_t, b, b_t, a_b, at_b, a_bt));
         }
 
         let name = |lanes: Lanes| {
             format!("product body: {lanes:?} ({BLOCK_ROWS}×{})", lanes.product_block_cols())
         };
         for_each_instantiation(name, |lanes| {
-            for ((m, k, n), a, a_t, b, a_b, at_b) in &cases {
+            for ((m, k, n), a, a_t, b, b_t, a_b, at_b, a_bt) in &cases {
                 let (k, n) = (*k, *n);
                 let mut out = Matrix::zeros(*m, n);
-                let (a, a_t, b, out_data) = (a.data(), a_t.data(), b.data(), out.data_mut());
+                let (a, a_t, b, b_t) = (a.data(), a_t.data(), b.data(), b_t.data());
+                let out_data = out.data_mut();
                 // SAFETY: `for_each_instantiation` only passes detected lanes.
                 unsafe {
                     lanes.run(
@@ -626,8 +651,30 @@ mod tests {
                     )
                 };
                 assert_eq!(&bits(&out), at_b, "{lanes:?} transposed body {m}x{k}x{n}");
+                let out_data = out.data_mut();
+                // SAFETY: as above.
+                unsafe {
+                    lanes.run(
+                        #[inline(always)]
+                        |_| product_a_bt(a, k, b_t, out_data, n),
+                    )
+                };
+                assert_eq!(&bits(&out), a_bt, "{lanes:?} A·Bᵀ loop {m}x{k}x{n}");
             }
         });
+    }
+
+    /// Each wide instantiation is compiled with `fma` enabled, so it may only
+    /// be detected where the CPU has FMA: elsewhere its `mul_add`s would be
+    /// instructions the CPU cannot run.
+    #[test]
+    fn wide_lanes_are_detected_only_with_fma() {
+        for lanes in [Lanes::Avx2, Lanes::Avx512] {
+            #[cfg(target_arch = "x86_64")]
+            assert!(!lanes.detected() || std::arch::is_x86_feature_detected!("fma"), "{lanes:?}");
+            #[cfg(not(target_arch = "x86_64"))]
+            assert!(!lanes.detected(), "{lanes:?}");
+        }
     }
 
     #[test]

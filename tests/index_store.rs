@@ -186,7 +186,8 @@ fn damaged_artifacts_are_rejected_with_typed_errors() {
         other => panic!("flipped byte: expected Invalid/Corrupt, got {other:?}"),
     }
 
-    // Bumped format version (byte 5 of the envelope) → VersionMismatch.
+    // Bumped format version (byte 5 of the envelope) → VersionMismatch: an
+    // artifact from another version's arithmetic is recomputed, never served.
     let mut bumped = good.clone();
     bumped[5] = bumped[5].wrapping_add(1);
     std::fs::write(&path, &bumped).unwrap();

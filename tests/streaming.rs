@@ -407,11 +407,14 @@ fn injected_drift_triggers_exactly_one_background_retrain_with_atomic_swap() {
 // The old `drift_refresh_never_races_an_in_flight_subscription` test lived
 // here: it drove ingestion and a polling subscription on two OS threads and
 // asserted no tick mixed model generations — but it only ever witnessed the
-// one schedule the OS happened to produce. It is superseded by the exhaustive
-// model-checked version in `crates/model/tests/stream_protocol.rs`, which
-// explores *every* interleaving of advance / poll / retrain-publication up to
-// the preemption bound (plus a seeded-race canary proving the checker still
-// catches a torn generation swap). The deterministic engine-level properties
+// one schedule the OS happened to produce. It is superseded by
+// `crates/model/tests/stream_protocol.rs`, which model-checks a hand-written
+// model of the protocol in *every* interleaving of advance / poll /
+// retrain-publication up to the preemption bound (plus a seeded-race canary
+// proving the checker still catches a torn generation swap). That model is a
+// copy: the lock order of `stream.rs` itself is checked here, by the debug
+// lock-order tracker every ranked lock these tests take goes through. The
+// deterministic engine-level properties
 // the old test also touched (exactly one refresh, contiguous ticks,
 // generation↔fingerprint coherence) remain covered by
 // `drift_detection_triggers_refresh_and_improves_accuracy` above.
